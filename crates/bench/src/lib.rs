@@ -34,7 +34,7 @@
 //! for b in fig09_scaling fig10_systems fig11_partition_join \
 //!          fig12_formats fig13_filtering fig14_skew \
 //!          fig15_partitioning fig_batch fig_sched fig_stream \
-//!          table1_operators; do
+//!          fig_shard fig_persist table1_operators; do
 //!   cargo bench --bench "$b" -- --test
 //! done
 //! # 2. rewrite the committed baseline from it and commit the diff

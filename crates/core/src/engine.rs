@@ -898,9 +898,10 @@ impl Engine {
         }
     }
 
-    /// The XML two-pass parse (§4.4): block-parallel node collection
-    /// and way/relation collection, then sequential assembly against
-    /// the temporary node table.
+    /// The XML parse (§4.4): one block-parallel collection pass that
+    /// builds the temporary table of points, ways and relations
+    /// (blocks merge by concatenation), then sequential assembly
+    /// against it.
     pub(crate) fn parse_xml(
         &self,
         dataset: &Dataset,
@@ -909,58 +910,26 @@ impl Engine {
     ) -> Result<(Vec<RawFeature>, Timings)> {
         use atgis_formats::osmxml;
         let input = dataset.bytes();
-        let threads = self.config.threads;
         let started = Instant::now();
         let blocks = marker_blocks(input, b"\n", self.block_count());
         let split = started.elapsed();
 
-        // Pass 1: temporary node table (map union is the associative
-        // merge).
-        let (nodes, mut t1) = run_blocks_on(
+        let (table, mut t) = run_blocks_on(
             &self.pool,
             &blocks,
-            threads,
+            self.config.threads,
             token,
-            |b| osmxml::collect_nodes(input, b.start, b.end).map_err(Error::Parse),
+            |b| osmxml::collect_block(input, b.start, b.end).map_err(Error::Parse),
             |mut a, b| {
-                a.extend(b);
+                a.append(b);
                 Ok(a)
             },
         );
-        let nodes = nodes?.unwrap_or_default();
-
-        // Pass 2: ways and relations.
-        let (ways, t2) = run_blocks_on(
-            &self.pool,
-            &blocks,
-            threads,
-            token,
-            |b| osmxml::collect_ways(input, b.start, b.end).map_err(Error::Parse),
-            |mut a: Vec<_>, mut b| {
-                a.append(&mut b);
-                Ok(a)
-            },
-        );
-        let ways = ways?.unwrap_or_default();
-        let (relations, t3) = run_blocks_on(
-            &self.pool,
-            &blocks,
-            threads,
-            token,
-            |b| osmxml::collect_relations(input, b.start, b.end).map_err(Error::Parse),
-            |mut a: Vec<_>, mut b| {
-                a.append(&mut b);
-                Ok(a)
-            },
-        );
-        let relations = relations?.unwrap_or_default();
-
         let started = Instant::now();
-        let features = osmxml::assemble(&ways, &relations, &nodes, filter);
-        t1.split = split;
-        t1.process += t2.process + t3.process;
-        t1.merge += t2.merge + t3.merge + started.elapsed();
-        Ok((features, t1))
+        let features = osmxml::assemble(table?.unwrap_or_default(), filter);
+        t.split = split;
+        t.merge += started.elapsed();
+        Ok((features, t))
     }
 
     /// The two-pipeline join (§4.5): partition pass, PBSM join pass,

@@ -28,7 +28,7 @@
 //!   published prefix.
 //! * **OSM XML** — relations resolve against a *global* node table,
 //!   so the scan only buffers during ingest and runs the ordinary
-//!   two-pass parse at seal.
+//!   collection pass and assembly at seal.
 //!
 //! Results are **bit-identical** to buffered execution for every
 //! format × mode × chunk size: parse fragments merge associatively,

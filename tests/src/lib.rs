@@ -168,3 +168,34 @@ impl StreamRunExt for Engine {
         Ok((out.collapse()?, batch, stream))
     }
 }
+
+/// The torture RNG: deterministic, replayable via `ATGIS_FAULT_SEED`.
+pub struct XorShift64(u64);
+
+impl XorShift64 {
+    /// Seeded from `ATGIS_FAULT_SEED`, or a fixed default; prints the
+    /// seed so a failing run can be replayed.
+    pub fn from_env() -> XorShift64 {
+        let seed = std::env::var("ATGIS_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5eed_cafe_u64);
+        println!("torture seed: {seed} (replay with ATGIS_FAULT_SEED={seed})");
+        XorShift64(seed.max(1))
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// A uniform-ish draw from `0..n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}

@@ -307,7 +307,7 @@ fn batch_execution_matches_sequential_everywhere() {
     }
 }
 
-/// The XML path (two-pass parse + node-table joins) through the batch
+/// The XML path (collection pass + node-table joins) through the batch
 /// layer.
 #[test]
 fn batch_execution_matches_sequential_on_xml() {
@@ -340,6 +340,62 @@ fn batch_execution_matches_sequential_on_xml() {
     assert_eq!(warm, want);
     assert_eq!(s_cold.scan_passes, 2, "partition pass + node-table pass");
     assert_eq!(s_warm.scan_passes, 0, "both XML passes cached");
+}
+
+/// The fused XML collection pass is block-parallel: however the file
+/// is cut — one block, or more blocks than lines in places — and
+/// however many workers fold the pieces, `Engine::run` must answer
+/// as the one-block, one-thread run (itself checked against the
+/// sequential oracle) does. Runs over the generator's
+/// one-way-per-line layout and over the same document with every
+/// `<nd>` on a line of its own, so cuts fall inside ways.
+#[test]
+fn xml_answers_are_identical_across_threads_and_block_counts() {
+    let n = 60u64;
+    let one_per_line = write_osm_xml(&OsmGenerator::new(331).generate(n as usize));
+    let multi_line = String::from_utf8(one_per_line.clone())
+        .expect("generated XML is UTF-8")
+        .replace("<nd ", "\n  <nd ")
+        .into_bytes();
+    let mix = vec![
+        Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0)),
+        Query::aggregation(Mbr::new(-8.0, 42.0, 6.0, 58.0)),
+        Query::join(n / 2),
+    ];
+    for (layout, bytes) in [("one per line", one_per_line), ("multi-line", multi_line)] {
+        let ds = materialize(bytes, Format::OsmXml);
+        let serial = Engine::builder()
+            .threads(1)
+            .block_multiplier(1)
+            .cell_size(2.0)
+            .build();
+        let want = serial.execb(&mix, &ds).unwrap();
+        let everything = BaselineQuery::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+        let BaselineAnswer::Matches(ids) = oracle(&ds, Format::OsmXml, &everything) else {
+            panic!("containment answers with matches");
+        };
+        let mut got: Vec<u64> = want[0].matches().iter().map(|m| m.id).collect();
+        got.sort_unstable();
+        assert_eq!(got, ids, "{layout}: one block, one thread != oracle");
+        assert!(
+            ids.len() >= n as usize / 2,
+            "{layout}: the query must select"
+        );
+        for threads in [1usize, 2, 3] {
+            for multiplier in [1usize, 8, 32] {
+                let engine = Engine::builder()
+                    .threads(threads)
+                    .block_multiplier(multiplier)
+                    .cell_size(2.0)
+                    .build();
+                let got = engine.execb(&mix, &ds).unwrap();
+                assert_eq!(
+                    got, want,
+                    "{layout}, threads={threads} multiplier={multiplier}"
+                );
+            }
+        }
+    }
 }
 
 /// A `QuerySession` must keep answering identically while its
@@ -657,7 +713,7 @@ fn scheduled_multi_dataset_batch_matches_sequential() {
     assert_eq!(grouped[1][0], engine.exec1(&qb, &ds_w).unwrap());
 }
 
-/// The XML path (two-pass parse, node-table joins) through the
+/// The XML path (collection pass, node-table joins) through the
 /// scheduler.
 #[test]
 fn scheduled_batch_matches_sequential_on_xml() {

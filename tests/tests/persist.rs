@@ -25,6 +25,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
+use atgis_tests::XorShift64;
 
 /// Spatially coherent dataset (sorted by centroid longitude, like a
 /// real regional export) so shard MBR pruning is in play and the
@@ -75,33 +76,6 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
         Query::aggregation(Mbr::new(6.0, 56.0, 10.0, 60.0)),
         Query::join(objects / 2),
     ]
-}
-
-/// The torture RNG: deterministic, replayable via `ATGIS_FAULT_SEED`.
-struct XorShift64(u64);
-
-impl XorShift64 {
-    fn from_env() -> XorShift64 {
-        let seed = std::env::var("ATGIS_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0x5eed_cafe_u64);
-        println!("torture seed: {seed} (replay with ATGIS_FAULT_SEED={seed})");
-        XorShift64(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
 }
 
 /// The identity matrix: save → fresh engine on the same store

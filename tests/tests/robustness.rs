@@ -11,17 +11,21 @@
 //!   outcome;
 //! - the engine, its worker pool, and the scheduler stay fully
 //!   serviceable after every cancelled, timed-out, or failed batch:
-//!   the next identical batch is bit-identical to solo execution.
+//!   the next identical batch is bit-identical to solo execution;
+//! - hostile bytes at the OSM-XML boundary — a document truncated at
+//!   any offset, seeded bit flips (replay with `ATGIS_FAULT_SEED`) —
+//!   parse to `Ok` or a structured `ParseError`, never a panic or a
+//!   hang.
 
 use atgis::stream::ChunkSource;
 use atgis::{
     chunk_channel, CancelToken, Dataset, Engine, Error, ExecOptions, Query, QueryError,
     QueryResult, QueryScheduler, QuerySession, SliceChunkSource,
 };
-use atgis_datagen::{write_geojson, OsmGenerator};
-use atgis_formats::Format;
+use atgis_datagen::{write_geojson, write_osm_xml, OsmGenerator};
+use atgis_formats::{osmxml, Format, MetadataFilter};
 use atgis_geometry::Mbr;
-use atgis_tests::{RunExt, SchedRunExt, SessionRunExt};
+use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, XorShift64};
 
 fn engine(threads: usize) -> Engine {
     Engine::builder().threads(threads).cell_size(2.0).build()
@@ -391,4 +395,96 @@ fn session_cancellable_batch_round_trip() {
             .unwrap(),
         want
     );
+}
+
+/// A small OSM-XML document with every construct the scanner knows:
+/// declaration, DOCTYPE, comment, nodes with extra attributes, multi-
+/// line ways with tags, and a relation — followed by generated data.
+fn hostile_xml_seed_document() -> Vec<u8> {
+    let mut doc = br#"<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE osm SYSTEM "osm.dtd">
+<!-- hand-written head -->
+<osm version="0.6">
+ <node id="1" version="2" user="a > b" lat="0.0" lon="0.0"/>
+ <node id="2" lat="0.0" lon="1.0"/>
+ <node id="3" lat="1.0" lon="1.0"><tag k="name" v="corner"/></node>
+ <way id="10">
+  <nd ref="1"/>
+  <nd ref="2"/>
+  <nd ref="3"/>
+  <nd ref="1"/>
+  <tag k="building" v="yes"/>
+ </way>
+ <relation id="20"><member type="way" ref="10" role="outer"/><tag k="type" v="multipolygon"/></relation>
+"#
+    .to_vec();
+    let generated = write_osm_xml(&OsmGenerator::new(77).generate(6));
+    let body = generated
+        .windows(5)
+        .position(|w| w == b"<node")
+        .expect("generated nodes");
+    doc.extend_from_slice(&generated[body..]);
+    doc
+}
+
+/// Every way into the XML layer a caller has: the whole-document
+/// parse (with and without a tag filter, which reads the borrowed tag
+/// spans), the collector started at an arbitrary offset as a block
+/// would be, and the block-parallel engine path.
+fn parse_xml_everywhere(engine: &Engine, bytes: &[u8], what: &str) {
+    let building = MetadataFilter::KeyEquals {
+        key: "building".into(),
+        value: "yes".into(),
+    };
+    for filter in [MetadataFilter::All, building] {
+        // `Ok` or `Err(ParseError)`: returning at all is the assertion.
+        let _ = osmxml::parse(bytes, &filter);
+    }
+    let _ = osmxml::collect_block(bytes, bytes.len() / 3, bytes.len() * 2 / 3);
+    // A panic on a pool worker would come back as `TaskPanicked`.
+    let dataset = Dataset::from_bytes(bytes.to_vec(), Format::OsmXml);
+    match engine.exec1(
+        &Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0)),
+        &dataset,
+    ) {
+        Ok(_) | Err(Error::Parse(_)) => {}
+        Err(other) => panic!("{what}: neither an answer nor a parse error: {other}"),
+    }
+}
+
+#[test]
+fn xml_truncated_at_every_offset_is_ok_or_a_parse_error() {
+    let doc = hostile_xml_seed_document();
+    assert!(
+        !osmxml::parse(&doc, &MetadataFilter::All)
+            .unwrap()
+            .is_empty(),
+        "the untruncated document parses"
+    );
+    let engine = Engine::builder().threads(2).block_multiplier(8).build();
+    for cut in 0..doc.len() {
+        parse_xml_everywhere(&engine, &doc[..cut], &format!("truncated at {cut}"));
+    }
+}
+
+#[test]
+fn xml_with_seeded_bit_flips_is_ok_or_a_parse_error() {
+    let doc = hostile_xml_seed_document();
+    let mut rng = XorShift64::from_env();
+    let engine = Engine::builder().threads(2).block_multiplier(8).build();
+    for _ in 0..64 {
+        let mut bytes = doc.clone();
+        // One to three flips, so that some land in the same element.
+        let mut flipped = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let (at, bit) = (rng.below(bytes.len()), rng.below(8));
+            bytes[at] ^= 1 << bit;
+            flipped.push((at, bit));
+        }
+        parse_xml_everywhere(
+            &engine,
+            &bytes,
+            &format!("flipped (offset, bit) {flipped:?}"),
+        );
+    }
 }
