@@ -1,6 +1,6 @@
 //! Scheduler throughput: a duplicate-heavy 16-query mixed batch
 //! through the `QueryScheduler` (predicate dedup + admission) vs the
-//! unscheduled shared-scan `execute_batch` (the multi-tenant serving
+//! unscheduled shared-scan `QuerySession::run` (the multi-tenant serving
 //! extension — not a paper figure; the `fig_sched` experiment).
 //!
 //! Both groups report aggregate throughput over the same served

@@ -3,12 +3,12 @@
 //!
 //! AT-GIS's throughput comes from doing query processing *inside* the
 //! scan; a multi-tenant server extends that story by amortising the
-//! scan itself. [`Engine::execute_batch`] compiles submitted queries
-//! into a batch plan: every query contributes a per-query
-//! aggregate sink to **one** [`MultiSink`] fan-out, so a single
-//! transducer pass (the engine's configured PAT/FAT/Adaptive mode for
-//! the dataset's format) parses each geometry once and dispatches it
-//! to every member. Join-class queries additionally share one
+//! scan itself. [`Engine::run`] compiles submitted queries — a single
+//! query is a batch of one — into a batch plan: every query
+//! contributes a per-query aggregate sink to **one** [`MultiSink`]
+//! fan-out, so a single transducer pass (the engine's configured
+//! PAT/FAT/Adaptive mode for the dataset's format) parses each
+//! geometry once and dispatches it to every member. Join-class queries additionally share one
 //! side-agnostic [`PartitionIndex`] — the partition store plus its
 //! skew-refined [`PartitionMap`] — and one [`ReparseCache`], so the
 //! partition pass, hot-cell splitting and candidate re-parsing are all
@@ -19,23 +19,24 @@
 //! The layering is plan → scan → aggregate:
 //!
 //! 1. **plan** — classify each query ([`Query::scan_class`]), build
-//!    its sink, and register join specs ([`crate::join::JoinSpec`]:
+//!    its sink, and register join specs (`JoinSpec`:
 //!    threshold-resolved sides, refine-stage perimeter bounds);
 //! 2. **scan** — one pass over the raw bytes with the
 //!    [`MultiSink`] prototype (the partition sink rides along when the
-//!    index is not already cached). The pass is either the buffered
-//!    `single_pass` over a materialised [`Dataset`] or the
-//!    **streaming scan** (`crate::stream::StreamingScan`) fed chunk
-//!    by chunk from a [`crate::stream::ChunkSource`] — both produce
-//!    the same finished sinks, bit-identically;
+//!    index is not already cached). The source decides the pass:
+//!    the buffered `single_pass` over a materialised [`Dataset`], a
+//!    scatter–gather over its [`ShardSet`], or the **streaming scan**
+//!    (`crate::stream::StreamingScan`) fed chunk by chunk from a
+//!    [`crate::stream::ChunkSource`] — all produce the same finished
+//!    sinks, bit-identically;
 //! 3. **aggregate** — extract per-query results; join-class queries
 //!    fan out over a flattened (query × partition) job space
 //!    ([`crate::executor::run_grid_on`]) sharing the index and the
 //!    re-parse cache, then deduplicate per query.
 //!
-//! Results are **bit-identical** to per-query [`Engine::execute`]
-//! calls: member sinks see an absorb/combine structure whose final
-//! fold is order-canonical (list aggregates concatenate in document
+//! Results are **bit-identical** to running each query alone: member
+//! sinks see an absorb/combine structure whose final fold is
+//! order-canonical (list aggregates concatenate in document
 //! order, numeric aggregates are exact — see [`crate::exact`]), and
 //! join pairs are canonicalised by the final sort + dedup.
 //!
@@ -156,7 +157,7 @@ impl PartitionIndex {
 }
 
 /// Dataset-level cache of [`PartitionIndex`]es keyed by partitioning
-/// configuration. [`Engine::execute_batch`] uses a fresh cache per
+/// configuration. [`Engine::run`] uses a fresh cache per
 /// call (queries of one batch share the index); [`QuerySession`] keeps
 /// one alive so later batches skip the partition pass entirely.
 pub struct IndexCache {
@@ -439,12 +440,7 @@ impl QuerySession {
         format: Format,
         size_hint: Option<usize>,
     ) -> Result<Self> {
-        let cfg = engine.config();
-        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
-        let sink: Box<dyn AggregateSink> = match cfg.store {
-            StoreKind::Array => Box::new(partition_proto::<ArrayStore>(grid, cfg)),
-            StoreKind::List => Box::new(partition_proto::<ListStore>(grid, cfg)),
-        };
+        let sink = partition_sink(engine.config());
         let scan = StreamingScan::new(&engine, format, MultiSink::new(vec![sink]), size_hint)?;
         let dataset = Dataset::from_stream_buffer(scan.buffer().clone(), 0, format);
         Ok(QuerySession {
@@ -536,8 +532,6 @@ impl QuerySession {
         // Any shard layout bounded the (shorter) streaming prefix;
         // rebuild on demand against the sealed dataset.
         recover(self.shard_sets.lock()).clear();
-        let cfg = self.engine.config();
-        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
         let sink = multi
             .into_sinks()
             .pop()
@@ -549,124 +543,23 @@ impl QuerySession {
             self.seal_failed = true;
             return Err(Error::TaskPanicked(m.to_string()));
         }
-        let (store, map, refine) = match cfg.store {
-            StoreKind::Array => {
-                let agg: PartitionAgg<ArrayStore> = downcast_sink(sink);
-                let (s, m, r) = finish_index(cfg, grid, agg);
-                (IndexStore::Array(s), m, r)
-            }
-            StoreKind::List => {
-                let agg: PartitionAgg<ListStore> = downcast_sink(sink);
-                let (s, m, r) = finish_index(cfg, grid, agg);
-                (IndexStore::List(s), m, r)
-            }
-        };
-        let xml_table = if self.dataset.format() == Format::OsmXml {
-            Some(Arc::new(
-                self.engine.xml_geometry_table(&self.dataset, None)?,
-            ))
-        } else {
-            None
-        };
-        self.cache.insert(
-            index_key(cfg),
-            Arc::new(PartitionIndex {
-                store,
-                map,
-                refine,
-                xml_table,
-            }),
-        );
+        let index = seal_index(&self.engine, &self.dataset, sink, None)?;
+        self.cache
+            .insert(index_key(self.engine.config()), Arc::new(index));
         // The seal built the one artifact worth keeping; spill it so
         // the next process skips the parse entirely.
         self.write_through(1, Vec::new());
         Ok(stats)
     }
 
-    /// Executes one query (a batch of one — join-class queries still
-    /// benefit from the cached partition index).
-    #[deprecated(note = "use QuerySession::run with ExecOptions")]
-    pub fn execute(&self, query: &Query) -> Result<QueryResult> {
-        self.run(std::slice::from_ref(query), &ExecOptions::new())?
-            .into_single()
-    }
-
-    /// Executes a batch of queries over the session dataset with a
-    /// shared scan (see [`Engine::execute_batch`]), reusing the
-    /// session's cached partition index when join-class queries
-    /// recur. On a streaming session mid-ingest, single-pass queries
-    /// run over the queryable prefix and join-class queries error
-    /// until [`QuerySession::finish`] seals the index.
-    #[deprecated(note = "use QuerySession::run with ExecOptions")]
-    pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        self.run(queries, &ExecOptions::new())?.collapse()
-    }
-
-    /// [`QuerySession::execute_batch`] with the amortisation
-    /// breakdown.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().timed()")]
-    pub fn execute_batch_timed(&self, queries: &[Query]) -> Result<(Vec<QueryResult>, BatchStats)> {
-        let out = self.run(queries, &ExecOptions::new().timed())?;
-        let stats = out.batch.clone().expect("timed run reports batch stats");
-        Ok((out.collapse()?, stats))
-    }
-
-    /// [`QuerySession::execute_batch`] under a cooperative
-    /// [`CancelToken`] shared by the whole batch (see
-    /// [`Engine::execute_cancellable`] for the cancellation contract).
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().cancellable(token)")]
-    pub fn execute_batch_cancellable(
-        &self,
-        queries: &[Query],
-        token: &CancelToken,
-    ) -> Result<Vec<QueryResult>> {
-        self.run(queries, &ExecOptions::new().cancellable(token))?
-            .collapse()
-    }
-
-    /// The **fault-isolated** batch entry point: per-query
-    /// `Result`s instead of one all-or-nothing `Result`. A panic in
-    /// one query's sink yields `Err(`[`QueryError::Panicked`]`)` for
-    /// that query alone — its batch mates complete bit-identically to
-    /// solo execution, and the session (pool, caches, dataset) stays
-    /// fully serviceable. Whole-batch failures (parse/I/O errors,
-    /// cancellation, deadline) still surface as the outer `Err`.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().isolated()")]
-    pub fn execute_batch_isolated(
-        &self,
-        queries: &[Query],
-        token: Option<&CancelToken>,
-    ) -> Result<Vec<std::result::Result<QueryResult, QueryError>>> {
-        let out = self.run(
-            queries,
-            &ExecOptions::new().isolated().cancellable_opt(token),
-        )?;
-        Ok(out.outcomes)
-    }
-
-    /// [`QuerySession::execute_batch_isolated`] with the amortisation
-    /// breakdown.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().isolated().timed()")]
-    pub fn execute_batch_isolated_timed(
-        &self,
-        queries: &[Query],
-        token: Option<&CancelToken>,
-    ) -> Result<(
-        Vec<std::result::Result<QueryResult, QueryError>>,
-        BatchStats,
-    )> {
-        let out = self.run(
-            queries,
-            &ExecOptions::new().isolated().timed().cancellable_opt(token),
-        )?;
-        let stats = out.batch.expect("timed run reports batch stats");
-        Ok((out.outcomes, stats))
-    }
-
-    /// The unified entry point: executes `queries` under
-    /// [`ExecOptions`] — cancellation/deadline, fault isolation,
-    /// timing, and sharded scatter–gather all come from the options
-    /// struct instead of a method-name permutation.
+    /// The unified entry point: executes `queries` over the session
+    /// dataset under [`ExecOptions`] — cancellation/deadline, fault
+    /// isolation, timing, and sharded scatter–gather all come from the
+    /// options struct — reusing the session's cached partition index
+    /// when join-class queries recur. On a streaming session
+    /// mid-ingest, single-pass queries run over the queryable prefix
+    /// and join-class queries error until [`QuerySession::finish`]
+    /// seals the index.
     pub fn run(&self, queries: &[Query], opts: &ExecOptions) -> Result<RunOutcome> {
         let token = opts.effective_token();
         let shards = opts.shards.resolve(self.engine.threads());
@@ -709,20 +602,14 @@ impl QuerySession {
         shards: usize,
     ) -> Result<(Vec<QueryOutcome>, BatchStats)> {
         self.guard_lifecycle(queries)?;
-        if shards > 1 && self.ingest.is_none() {
-            let set = self.shard_set(shards, token)?;
-            if set.len() > 1 {
-                return execute_sharded_impl(
-                    &self.engine,
-                    queries,
-                    &self.dataset,
-                    &self.cache,
-                    &set,
-                    token,
-                );
-            }
-        }
-        execute_batch_impl(&self.engine, queries, &self.dataset, &self.cache, token)
+        let set = if shards > 1 && self.ingest.is_none() {
+            Some(self.shard_set(shards, token)?)
+        } else {
+            None
+        };
+        let source = Source::dataset(&self.dataset, set.as_deref());
+        let (outcomes, stats, _) = execute(&self.engine, queries, source, &self.cache, token)?;
+        Ok((outcomes, stats))
     }
 
     /// Rejects calls that violate the session lifecycle with
@@ -747,41 +634,72 @@ impl QuerySession {
     }
 }
 
-/// Builds the side-agnostic partition-pass prototype: everything tags
-/// left (`id < u64::MAX`) and no perimeter prefilter runs, so one
-/// index serves every join spec.
-fn partition_proto<S: PartitionStore + Clone>(
-    grid: GridSpec,
-    cfg: &EngineBuilder,
-) -> PartitionAgg<S> {
-    PartitionAgg {
-        grid,
-        store: S::new(grid.num_cells()),
-        entries: Vec::new(),
-        associative: cfg.partition_phase == PartitionPhase::Associative,
-        id_threshold: u64::MAX,
-        min_perimeter_left: None,
-        max_perimeter_right: None,
+/// The partition-pass sink in the configured store kind: one
+/// side-agnostic index that serves every join spec.
+fn partition_sink(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
+    fn proto<S: PartitionStore + Clone + 'static>(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
+        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
+        Box::new(PartitionAgg {
+            grid,
+            store: S::new(grid.num_cells()),
+            entries: Vec::new(),
+            associative: cfg.partition_phase == PartitionPhase::Associative,
+        })
+    }
+    match cfg.store {
+        StoreKind::Array => proto::<ArrayStore>(cfg),
+        StoreKind::List => proto::<ListStore>(cfg),
     }
 }
 
-/// Finishes a partition sink into store + refined map (scattering the
-/// entry list first under the separate partition phase).
-fn finish_index<S: PartitionStore + Clone>(
-    cfg: &EngineBuilder,
-    grid: GridSpec,
-    mut agg: PartitionAgg<S>,
-) -> (S, PartitionMap, Duration) {
-    if cfg.partition_phase == PartitionPhase::Separate {
-        for e in std::mem::take(&mut agg.entries) {
-            for cell in grid.cells_for(&e.mbr) {
-                agg.store.push(cell, e);
+/// Seals a finished partition sink into a [`PartitionIndex`]: the
+/// entry list scatters first under the separate partition phase, the
+/// map is skew-refined, and OSM XML adds the node-table pass its
+/// re-parsing needs (cached with the index, so warm batches skip it).
+fn seal_index(
+    engine: &Engine,
+    dataset: &Dataset,
+    sink: Box<dyn AggregateSink>,
+    token: Option<&CancelToken>,
+) -> Result<PartitionIndex> {
+    fn refine_store<S: PartitionStore + Clone + 'static>(
+        cfg: &EngineBuilder,
+        sink: Box<dyn AggregateSink>,
+    ) -> (S, PartitionMap, Duration) {
+        let mut agg: PartitionAgg<S> = downcast_sink(sink);
+        if cfg.partition_phase == PartitionPhase::Separate {
+            for e in std::mem::take(&mut agg.entries) {
+                for cell in agg.grid.cells_for(&e.mbr) {
+                    agg.store.push(cell, e);
+                }
             }
         }
+        let started = Instant::now();
+        let map = PartitionMap::adaptive(&agg.grid, &agg.store, &cfg.adaptive);
+        (agg.store, map, started.elapsed())
     }
-    let started = Instant::now();
-    let map = PartitionMap::adaptive(&grid, &agg.store, &cfg.adaptive);
-    (agg.store, map, started.elapsed())
+    let cfg = engine.config();
+    let (store, map, refine) = match cfg.store {
+        StoreKind::Array => {
+            let (s, m, r) = refine_store::<ArrayStore>(cfg, sink);
+            (IndexStore::Array(s), m, r)
+        }
+        StoreKind::List => {
+            let (s, m, r) = refine_store::<ListStore>(cfg, sink);
+            (IndexStore::List(s), m, r)
+        }
+    };
+    let xml_table = if dataset.format() == Format::OsmXml {
+        Some(Arc::new(engine.xml_geometry_table(dataset, token)?))
+    } else {
+        None
+    };
+    Ok(PartitionIndex {
+        store,
+        map,
+        refine,
+        xml_table,
+    })
 }
 
 /// Runs the flattened (query × partition) join fan-out: one shared
@@ -818,16 +736,13 @@ fn run_join_grid<S: PartitionStore + Sync>(
     )
 }
 
-/// Everything the scan step needs, prepared identically for the
-/// buffered and streamed paths: the compiled plan (with the partition
-/// sink already appended when an index must be built), the cache
-/// probe, and the grid. One preparation function so the two paths can
-/// never diverge on index keying or sink setup.
+/// Everything the scan step needs, prepared identically for every
+/// source: the compiled plan (with the partition sink already appended
+/// when an index must be built) and the cache probe.
 struct ScanPrep {
     plan: BatchPlan,
     cached: Option<Arc<PartitionIndex>>,
     key: Option<IndexKey>,
-    grid: GridSpec,
     /// Sink count before the partition sink was (possibly) appended —
     /// the partition sink's position in the finished fan-out.
     single_pass_sinks: usize,
@@ -841,132 +756,115 @@ fn prepare_scan(engine: &Engine, queries: &[Query], cache: &IndexCache) -> ScanP
     let cached = key.as_ref().and_then(|k| cache.get(k));
     let build_index = needs_index && cached.is_none();
     let single_pass_sinks = plan.sinks.len();
-    let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
     if build_index {
-        match cfg.store {
-            StoreKind::Array => plan
-                .sinks
-                .push(Box::new(partition_proto::<ArrayStore>(grid, cfg))),
-            StoreKind::List => plan
-                .sinks
-                .push(Box::new(partition_proto::<ListStore>(grid, cfg))),
-        }
+        plan.sinks.push(partition_sink(cfg));
     }
     ScanPrep {
         plan,
         cached,
         key,
-        grid,
         single_pass_sinks,
     }
 }
 
-/// The batch executor behind [`Engine::execute_batch`] and
-/// [`QuerySession::execute_batch`]: plan, buffered shared scan,
-/// per-query aggregation (see the module docs for the layering).
-pub(crate) fn execute_batch_impl(
-    engine: &Engine,
-    queries: &[Query],
-    dataset: &Dataset,
-    cache: &IndexCache,
-    token: Option<&CancelToken>,
-) -> Result<(
-    Vec<std::result::Result<QueryResult, QueryError>>,
-    BatchStats,
-)> {
-    let mut stats = BatchStats {
-        queries: queries.len() as u64,
-        per_query: vec![BatchQueryStats::default(); queries.len()],
-        ..BatchStats::default()
-    };
-    if queries.is_empty() {
-        return Ok((Vec::new(), stats));
-    }
-
-    // ---- plan, then the buffered shared scan: every sink rides one
-    // parse pass (the partition sink too, when the index is not
-    // cached) ----
-    let mut prep = prepare_scan(engine, queries, cache);
-    let mut finished: Vec<Option<Box<dyn AggregateSink>>> = Vec::new();
-    if !prep.plan.sinks.is_empty() {
-        let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
-        let (merged, t) =
-            engine.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
-        finished = merged.into_sinks().into_iter().map(Some).collect();
-        stats.scan_passes += 1;
-        stats.shared_scan = t;
-    }
-
-    let results = finish_batch(
-        engine,
-        queries,
-        &prep.plan,
-        finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
-        dataset,
-        cache,
-        &mut stats,
-        token,
-        None,
-    )?;
-    Ok((results, stats))
+/// Where a batch's bytes come from — the one thing buffered, sharded
+/// and streamed execution differ in. Only the scan step of [`execute`]
+/// looks at it; planning and the aggregate step are shared.
+pub(crate) enum Source<'a> {
+    /// A materialised dataset, scanned in one pass.
+    Whole(&'a Dataset),
+    /// A materialised dataset scattered over byte-range shards.
+    Sharded(&'a Dataset, &'a ShardSet),
+    /// A one-shot chunk stream in the given format: the dataset
+    /// materialises **inside** the scan (sealed zero-copy stream
+    /// buffer), and fragments for later chunks spawn while earlier
+    /// ones merge.
+    Stream(&'a mut dyn ChunkSource, Format),
 }
 
-/// The streaming batch executor behind
-/// [`Engine::execute_streaming_batch`]: the same plan and aggregate
-/// steps as [`execute_batch_impl`], but the shared scan is fed from a
-/// [`ChunkSource`] as the bytes arrive — fragments for later chunks
-/// spawn while earlier ones merge, and the dataset materialises
-/// **inside** the scan (sealed zero-copy stream buffer) instead of
-/// before it.
-pub(crate) fn execute_streaming_batch_impl(
+impl<'a> Source<'a> {
+    /// A materialised dataset, scattered over `set` when the layout
+    /// holds more than one shard (one shard is the whole dataset).
+    pub(crate) fn dataset(dataset: &'a Dataset, set: Option<&'a ShardSet>) -> Self {
+        match set {
+            Some(set) if set.len() > 1 => Source::Sharded(dataset, set),
+            _ => Source::Whole(dataset),
+        }
+    }
+}
+
+/// The batch executor behind every `run` entry point: plan, one shared
+/// scan of `source`, per-query aggregation (see the module docs for
+/// the layering). A streamed source also reports its ingest
+/// statistics.
+pub(crate) fn execute(
     engine: &Engine,
     queries: &[Query],
-    source: &mut dyn ChunkSource,
-    format: Format,
+    source: Source<'_>,
     cache: &IndexCache,
     token: Option<&CancelToken>,
-) -> Result<(Vec<crate::result::QueryOutcome>, BatchStats, StreamStats)> {
+) -> Result<(Vec<QueryOutcome>, BatchStats, Option<StreamStats>)> {
     let mut stats = BatchStats {
         queries: queries.len() as u64,
         per_query: vec![BatchQueryStats::default(); queries.len()],
+        shards: match &source {
+            Source::Sharded(_, set) => Some(ShardStats {
+                shards: set.len() as u64,
+                per_shard: vec![ShardTiming::default(); set.len()],
+                ..ShardStats::default()
+            }),
+            _ => None,
+        },
         ..BatchStats::default()
     };
     if queries.is_empty() {
-        return Ok((Vec::new(), stats, StreamStats::default()));
+        let stream = matches!(source, Source::Stream(..)).then(StreamStats::default);
+        return Ok((Vec::new(), stats, stream));
     }
 
-    // ---- plan (shared with the buffered path), then the streamed
-    // shared scan ----
+    // ---- plan, then the one scan: every sink rides it (the partition
+    // sink too, when the index is not cached) ----
     let mut prep = prepare_scan(engine, queries, cache);
-    let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
-    let mut scan = StreamingScan::new(engine, format, proto, source.size_hint())?;
-    drive(&mut scan, engine, source, token)?;
-    let (multi, dataset, timings, stream_stats) = scan.seal_cancellable(engine, token)?;
-    stats.scan_passes += 1;
-    stats.shared_scan = timings;
-    let finished: Vec<Option<Box<dyn AggregateSink>>> =
-        multi.into_sinks().into_iter().map(Some).collect();
+    let sinks = std::mem::take(&mut prep.plan.sinks);
+    let sealed: Dataset;
+    let mut stream = None;
+    let (finished, dataset, shard_set) = match source {
+        Source::Whole(dataset) => {
+            let mut finished = Vec::new();
+            if !sinks.is_empty() {
+                let proto = MultiSink::new(sinks);
+                let (merged, t) =
+                    engine.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
+                finished = merged.into_sinks().into_iter().map(Some).collect();
+                stats.scan_passes += 1;
+                stats.shared_scan = t;
+            }
+            (finished, dataset, None)
+        }
+        Source::Sharded(dataset, set) => {
+            let finished = scan_shards(
+                engine, queries, &prep, sinks, dataset, set, &mut stats, token,
+            )?;
+            (finished, dataset, Some(set))
+        }
+        Source::Stream(chunks, format) => {
+            let proto = MultiSink::new(sinks);
+            let mut scan = StreamingScan::new(engine, format, proto, chunks.size_hint())?;
+            drive(&mut scan, engine, chunks, token)?;
+            let (merged, dataset, t, stream_stats) = scan.seal_cancellable(engine, token)?;
+            stats.scan_passes += 1;
+            stats.shared_scan = t;
+            stream = Some(stream_stats);
+            sealed = dataset;
+            let finished = merged.into_sinks().into_iter().map(Some).collect();
+            (finished, &sealed, None)
+        }
+    };
 
     let results = finish_batch(
-        engine,
-        queries,
-        &prep.plan,
-        finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
-        &dataset,
-        cache,
-        &mut stats,
-        token,
-        None,
+        engine, queries, prep, finished, dataset, cache, &mut stats, token, shard_set,
     )?;
-    Ok((results, stats, stream_stats))
+    Ok((results, stats, stream))
 }
 
 /// Tombstone-aware gather of one shard's sink into the accumulated
@@ -990,38 +888,26 @@ fn gather_sink(
     }
 }
 
-/// The sharded scatter–gather executor: every shard of `set` scans
-/// only its own byte range into **fresh** per-query sinks (the
-/// aggregate identity), pruned queries never scatter, and the
-/// gathered per-query sinks are bit-identical to one shared scan
-/// because the underlying transducers are associative (see
-/// [`crate::shard`]). Fault isolation is per shard: a panic while
+/// The sharded scan step: every shard of `set` scans only its own
+/// byte range into **fresh** per-query sinks (the aggregate identity),
+/// pruned queries never scatter, and the gathered per-query sinks —
+/// seeded with `bases`, the plan's fresh sinks — are bit-identical to
+/// one shared scan because the underlying transducers are associative
+/// (see [`crate::shard`]). Fault isolation is per shard: a panic while
 /// scanning one shard tombstones only the queries scattered there.
-pub(crate) fn execute_sharded_impl(
+#[allow(clippy::too_many_arguments)]
+fn scan_shards(
     engine: &Engine,
     queries: &[Query],
+    prep: &ScanPrep,
+    bases: Vec<Box<dyn AggregateSink>>,
     dataset: &Dataset,
-    cache: &IndexCache,
     set: &ShardSet,
+    stats: &mut BatchStats,
     token: Option<&CancelToken>,
-) -> Result<(Vec<QueryOutcome>, BatchStats)> {
+) -> Result<Vec<Option<Box<dyn AggregateSink>>>> {
     let nshards = set.len();
-    let mut stats = BatchStats {
-        queries: queries.len() as u64,
-        per_query: vec![BatchQueryStats::default(); queries.len()],
-        shards: Some(ShardStats {
-            shards: nshards as u64,
-            per_shard: vec![ShardTiming::default(); nshards],
-            ..ShardStats::default()
-        }),
-        ..BatchStats::default()
-    };
-    if queries.is_empty() {
-        return Ok((Vec::new(), stats));
-    }
-
-    let mut prep = prepare_scan(engine, queries, cache);
-    let build_index = prep.plan.sinks.len() > prep.single_pass_sinks;
+    let build_index = bases.len() > prep.single_pass_sinks;
 
     // ---- prune: which shards each query scatters to ----
     let masks: Vec<Vec<bool>> = queries.iter().map(|q| set.scatter_mask(q)).collect();
@@ -1046,10 +932,7 @@ pub(crate) fn execute_sharded_impl(
 
     // The global plan's fresh sinks are the gather bases (a fresh sink
     // is the aggregate's identity element).
-    let mut finished: Vec<Option<Box<dyn AggregateSink>>> = std::mem::take(&mut prep.plan.sinks)
-        .into_iter()
-        .map(Some)
-        .collect();
+    let mut finished: Vec<Option<Box<dyn AggregateSink>>> = bases.into_iter().map(Some).collect();
 
     // ---- scatter ----
     // XML needs the whole node table for relations, so the parse runs
@@ -1087,10 +970,7 @@ pub(crate) fn execute_sharded_impl(
                     Box::new(FailedSink::new("taken")),
                 ));
             } else {
-                shard_sinks.push(match cfg.store {
-                    StoreKind::Array => Box::new(partition_proto::<ArrayStore>(prep.grid, cfg)),
-                    StoreKind::List => Box::new(partition_proto::<ListStore>(prep.grid, cfg)),
-                });
+                shard_sinks.push(partition_sink(cfg));
             }
         }
         let proto = MultiSink::new(shard_sinks);
@@ -1169,29 +1049,12 @@ pub(crate) fn execute_sharded_impl(
     if scanned {
         stats.scan_passes += 1;
     }
-
-    let results = finish_batch(
-        engine,
-        queries,
-        &prep.plan,
-        finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
-        dataset,
-        cache,
-        &mut stats,
-        token,
-        Some(set),
-    )?;
-    Ok((results, stats))
+    Ok(finished)
 }
 
-/// The aggregate step shared by the buffered and streamed scan paths:
-/// build/fetch the partition index, extract single-pass results, run
-/// the flattened join fan-out. Per-query fault isolation happens
-/// here: a member sink that panicked mid-scan (now a
+/// The aggregate step after any scan: build/fetch the partition index,
+/// extract single-pass results, run the flattened join fan-out.
+/// Per-query fault isolation happens here: a member sink that panicked mid-scan (now a
 /// [`AggregateSink::panic_message`] tombstone) turns into that
 /// query's `Err(`[`QueryError::Panicked`]`)` — its batch mates'
 /// results are extracted normally.
@@ -1199,18 +1062,20 @@ pub(crate) fn execute_sharded_impl(
 fn finish_batch(
     engine: &Engine,
     queries: &[Query],
-    plan: &BatchPlan,
+    prep: ScanPrep,
     mut finished: Vec<Option<Box<dyn AggregateSink>>>,
-    single_pass_sinks: usize,
-    cached: Option<Arc<PartitionIndex>>,
-    key: Option<IndexKey>,
-    grid: GridSpec,
     dataset: &Dataset,
     cache: &IndexCache,
     stats: &mut BatchStats,
     token: Option<&CancelToken>,
     shard_set: Option<&ShardSet>,
-) -> Result<Vec<std::result::Result<QueryResult, QueryError>>> {
+) -> Result<Vec<QueryOutcome>> {
+    let ScanPrep {
+        plan,
+        cached,
+        key,
+        single_pass_sinks,
+    } = prep;
     let cfg = engine.config();
     let needs_index = !plan.join_specs.is_empty();
     let scan_total = stats.shared_scan.total();
@@ -1242,33 +1107,10 @@ fn finish_batch(
                     }
                     return Err(Error::TaskPanicked(m.to_string()));
                 }
-                let (store, map, refine) = match cfg.store {
-                    StoreKind::Array => {
-                        let agg: PartitionAgg<ArrayStore> = downcast_sink(sink);
-                        let (s, m, r) = finish_index(cfg, grid, agg);
-                        (IndexStore::Array(s), m, r)
-                    }
-                    StoreKind::List => {
-                        let agg: PartitionAgg<ListStore> = downcast_sink(sink);
-                        let (s, m, r) = finish_index(cfg, grid, agg);
-                        (IndexStore::List(s), m, r)
-                    }
-                };
-                // XML joins re-parse through the node table; build it
-                // once and cache it with the index, so warm batches
-                // skip this pass along with the partition pass.
-                let xml_table = if dataset.format() == Format::OsmXml {
+                let built = Arc::new(seal_index(engine, dataset, sink, token)?);
+                if built.xml_table.is_some() {
                     stats.scan_passes += 1;
-                    Some(Arc::new(engine.xml_geometry_table(dataset, token)?))
-                } else {
-                    None
-                };
-                let built = Arc::new(PartitionIndex {
-                    store,
-                    map,
-                    refine,
-                    xml_table,
-                });
+                }
                 cache.insert(
                     key.expect("key exists when an index is needed"),
                     built.clone(),
@@ -1688,19 +1530,7 @@ mod tests {
             shards: None,
         };
         let results = finish_batch(
-            &engine,
-            &queries,
-            &prep.plan,
-            finished,
-            prep.single_pass_sinks,
-            prep.cached,
-            prep.key,
-            prep.grid,
-            &ds,
-            &cache,
-            &mut stats,
-            None,
-            None,
+            &engine, &queries, prep, finished, &ds, &cache, &mut stats, None, None,
         )
         .unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &solo[0]);

@@ -4,7 +4,7 @@
 //! caller (a tenant front end, a timeout wrapper, a test harness) and
 //! the execution layers underneath
 //! ([`crate::scheduler::QueryScheduler`] →
-//! [`crate::Engine::execute_batch`] / streaming ingest →
+//! [`crate::Engine::run`] / streaming ingest →
 //! [`crate::executor`] region fan-out → the [`crate::pool`] worker job
 //! loop). Workers poll the token **once per work unit** (a scan
 //! region, a streamed chunk, a join partition), so a cancelled or
@@ -15,8 +15,8 @@
 //!
 //! The fast path is a single relaxed atomic load; the deadline (when
 //! set) costs one monotonic clock read per check. A token is never
-//! required: every `*_cancellable` entry point has an uncancellable
-//! sibling that passes no token and pays nothing.
+//! required: an [`crate::ExecOptions`] without one passes no token and
+//! pays nothing.
 //!
 //! ```
 //! use atgis::cancel::{CancelToken, Interrupt};

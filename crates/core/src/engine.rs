@@ -1,26 +1,25 @@
 //! The AT-GIS engine: translates Table 3 queries into parallel
 //! pipeline executions over raw datasets (§4).
 
+use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
-use crate::exec::{self, ExecOptions, Isolation, RunOutcome};
+use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on};
-use crate::join::{pbsm_join_mapped_on, JoinOptions, ProbeStrategy, Reparser};
-use crate::partition::{
-    AdaptiveConfig, ArrayStore, GridSpec, ListStore, PartEntry, PartitionMap, PartitionStore,
-};
-use crate::pipeline::{ContainmentAgg, FatGeoJsonFrag, FatWktFrag, MetricsAgg, QueryAggregate};
+use crate::join::{ProbeStrategy, Reparser};
+use crate::partition::{AdaptiveConfig, GridSpec, PartEntry, PartitionStore};
+use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
 use crate::pool::WorkerPool;
 use crate::query::{FilterStrategy, Query};
-use crate::result::{JoinPair, QueryResult};
-use crate::stats::{BatchQueryStats, BatchStats, JoinDecisions, JoinTimings, Timings};
+use crate::shard::ShardSet;
+use crate::stats::Timings;
 use crate::{Error, Result};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
 use atgis_formats::{fixed_blocks, marker_blocks, Format, Mode, ParseError};
-use atgis_geometry::{measures, DistanceModel, Geometry, Mbr, Polygon};
+use atgis_geometry::{Geometry, Mbr, Polygon};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which data structure holds partitions (§4.4 / Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -223,39 +222,6 @@ pub struct Engine {
     persist: Option<Arc<crate::persist::PersistStore>>,
 }
 
-/// Timing breakdown of one query execution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecutionStats {
-    /// Single-pass pipeline timings (containment/aggregation; the
-    /// partition pipeline of joins).
-    pub pipeline: Timings,
-    /// Join-specific timings when the query joins.
-    pub join: Option<JoinTimings>,
-    /// Skew-adaptive split and probe decisions when the query joins.
-    pub decisions: Option<JoinDecisions>,
-}
-
-/// Synthesises the batch-shaped breakdown for [`Engine::run`]'s
-/// single-query fast path, so a timed one-query `run` reports the same
-/// stats surface as the batch executor.
-fn single_query_batch_stats(es: &ExecutionStats) -> BatchStats {
-    let scan = es.pipeline.total();
-    let wall = es.join.as_ref().map_or(scan, |j| scan + j.total());
-    BatchStats {
-        queries: 1,
-        scan_passes: 1,
-        shared_scan: es.pipeline,
-        per_query: vec![BatchQueryStats {
-            scan,
-            join: es.join,
-            decisions: es.decisions,
-            finalize: Duration::ZERO,
-            wall,
-        }],
-        shards: None,
-    }
-}
-
 impl Engine {
     /// Starts building an engine.
     pub fn builder() -> EngineBuilder {
@@ -293,14 +259,12 @@ impl Engine {
     /// The unified entry point: executes `queries` over `dataset`
     /// under one [`ExecOptions`] request — cancellation, deadline,
     /// timing, fault isolation and sharded scatter–gather are fields,
-    /// not method-name permutations (see [`crate::exec`] for the
-    /// legacy-name migration table).
+    /// not method-name permutations (see [`crate::exec`]).
     ///
-    /// A single whole-batch query takes the direct single-query path
-    /// (no fan-out plumbing); everything else runs the shared-scan
-    /// batch executor, sharded when [`ExecOptions::shards`] asks for
-    /// it. Results are bit-identical across all of these paths and
-    /// across every shard count.
+    /// Every call is one shared-scan batch ([`crate::batch`]): a single
+    /// query is a batch of one, and [`ExecOptions::shards`] only swaps
+    /// the scan step for a scatter–gather over a [`ShardSet`]. Results
+    /// are bit-identical across batch mates and every shard count.
     ///
     /// ```
     /// use atgis::{Dataset, Engine, ExecOptions, Query};
@@ -321,7 +285,7 @@ impl Engine {
     ///     .unwrap();
     /// let stats = out.shard_stats().expect("sharded run");
     /// assert!(stats.shards >= 1);
-    /// // Bit-identical to the single-query, single-node path.
+    /// // Bit-identical to the same query alone, on one node.
     /// let solo = engine
     ///     .run(&queries[..1], &dataset, &ExecOptions::new())
     ///     .unwrap();
@@ -335,346 +299,19 @@ impl Engine {
     ) -> Result<RunOutcome> {
         let token = opts.effective_token();
         let shards = opts.shards.resolve(self.threads());
-        // Single-query fast path: no fan-out plumbing, no per-feature
-        // dynamic dispatch — the hot path of every latency benchmark.
-        if queries.len() == 1 && shards <= 1 && opts.isolation == Isolation::WholeBatch {
-            let (result, es) = self.run_single(&queries[0], dataset, token.as_ref())?;
-            let batch = opts.timing.then(|| single_query_batch_stats(&es));
-            return exec::finish_run(vec![Ok(result)], batch, None, None, opts);
-        }
-        let cache = crate::batch::IndexCache::new();
-        let (outcomes, stats) = if shards > 1 {
-            let set = crate::shard::ShardSet::build(self, dataset, shards, token.as_ref())?;
-            if set.len() > 1 {
-                crate::batch::execute_sharded_impl(
-                    self,
-                    queries,
-                    dataset,
-                    &cache,
-                    &set,
-                    token.as_ref(),
-                )?
-            } else {
-                crate::batch::execute_batch_impl(self, queries, dataset, &cache, token.as_ref())?
-            }
+        let set = if shards > 1 {
+            Some(ShardSet::build(self, dataset, shards, token.as_ref())?)
         } else {
-            crate::batch::execute_batch_impl(self, queries, dataset, &cache, token.as_ref())?
+            None
         };
+        let (outcomes, stats, _) = batch::execute(
+            self,
+            queries,
+            Source::dataset(dataset, set.as_ref()),
+            &IndexCache::new(),
+            token.as_ref(),
+        )?;
         exec::finish_run(outcomes, Some(stats), None, None, opts)
-    }
-
-    /// Executes a query, discarding timings.
-    #[deprecated(note = "use Engine::run with ExecOptions")]
-    pub fn execute(&self, query: &Query, dataset: &Dataset) -> Result<QueryResult> {
-        self.run(std::slice::from_ref(query), dataset, &ExecOptions::new())?
-            .into_single()
-    }
-
-    /// [`Engine::execute`] under a cooperative [`CancelToken`]: the
-    /// scan observes the token at region/block granularity, so a
-    /// cancelled (or past-deadline) query stops within one in-flight
-    /// work unit and returns [`Error::Cancelled`] /
-    /// [`Error::DeadlineExceeded`] instead of its result. The engine,
-    /// its pool and any shared caches remain fully usable afterwards.
-    ///
-    /// ```
-    /// use atgis::{CancelToken, Dataset, Engine, Error, ExecOptions, Query};
-    /// use atgis_formats::Format;
-    /// use atgis_geometry::Mbr;
-    ///
-    /// let bytes = atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(9).generate(50));
-    /// let dataset = Dataset::from_bytes(bytes, Format::GeoJson);
-    /// let engine = Engine::builder().build();
-    /// let token = CancelToken::new();
-    /// token.cancel();
-    /// let err = engine
-    ///     .run(
-    ///         &[Query::containment(Mbr::new(-10.0, 40.0, 10.0, 60.0))],
-    ///         &dataset,
-    ///         &ExecOptions::new().cancellable(&token),
-    ///     )
-    ///     .unwrap_err();
-    /// assert!(matches!(err, Error::Cancelled));
-    /// ```
-    #[deprecated(note = "use Engine::run with ExecOptions::new().cancellable(token)")]
-    pub fn execute_cancellable(
-        &self,
-        query: &Query,
-        dataset: &Dataset,
-        token: &CancelToken,
-    ) -> Result<QueryResult> {
-        self.run(
-            std::slice::from_ref(query),
-            dataset,
-            &ExecOptions::new().cancellable(token),
-        )?
-        .into_single()
-    }
-
-    /// Executes a batch of queries over one dataset with a **shared
-    /// structural scan**: all queries ride one parse pass (per-query
-    /// aggregates fan out from each decoded geometry), join-class
-    /// queries share one partition index and one re-parse cache, and
-    /// every result is bit-identical to calling [`Engine::execute`]
-    /// per query. Results come back in submission order.
-    ///
-    /// For repeated batches over the same dataset, prefer
-    /// [`crate::batch::QuerySession`], which additionally caches the
-    /// partition index across calls; for multi-tenant traffic
-    /// (duplicate predicates, repeated batches, outlier isolation),
-    /// hold a [`crate::scheduler::QueryScheduler`].
-    ///
-    /// ```
-    /// use atgis::{Dataset, Engine, Query};
-    /// use atgis_formats::Format;
-    /// use atgis_geometry::Mbr;
-    ///
-    /// let bytes = atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(4).generate(80));
-    /// let dataset = Dataset::from_bytes(bytes, Format::GeoJson);
-    /// let engine = Engine::builder().threads(2).build();
-    /// let queries = vec![
-    ///     Query::containment(Mbr::new(-10.0, 40.0, 10.0, 60.0)),
-    ///     Query::aggregation(Mbr::new(-6.0, 44.0, 4.0, 56.0)),
-    ///     Query::join(40),
-    /// ];
-    ///
-    /// // One parse pass serves all three queries…
-    /// let batched = engine
-    ///     .run(&queries, &dataset, &atgis::ExecOptions::new())
-    ///     .unwrap()
-    ///     .collapse()
-    ///     .unwrap();
-    /// // …and every result is bit-identical to executing alone.
-    /// for (q, batch_result) in queries.iter().zip(&batched) {
-    ///     let solo = engine
-    ///         .run(std::slice::from_ref(q), &dataset, &atgis::ExecOptions::new())
-    ///         .unwrap()
-    ///         .into_single()
-    ///         .unwrap();
-    ///     assert_eq!(&solo, batch_result);
-    /// }
-    /// ```
-    #[deprecated(note = "use Engine::run with ExecOptions")]
-    pub fn execute_batch(&self, queries: &[Query], dataset: &Dataset) -> Result<Vec<QueryResult>> {
-        self.run(queries, dataset, &ExecOptions::new())?.collapse()
-    }
-
-    /// [`Engine::execute_batch`] with the per-query and shared-scan
-    /// amortisation breakdown.
-    #[deprecated(note = "use Engine::run with ExecOptions::new().timed()")]
-    pub fn execute_batch_timed(
-        &self,
-        queries: &[Query],
-        dataset: &Dataset,
-    ) -> Result<(Vec<QueryResult>, crate::stats::BatchStats)> {
-        let out = self.run(queries, dataset, &ExecOptions::new().timed())?;
-        let stats = out.batch.clone().expect("timed run reports batch stats");
-        Ok((out.collapse()?, stats))
-    }
-
-    /// [`Engine::execute_batch`] under a cooperative [`CancelToken`]
-    /// shared by the whole batch (see [`Engine::execute_cancellable`]
-    /// for the cancellation contract).
-    #[deprecated(note = "use Engine::run with ExecOptions::new().cancellable(token)")]
-    pub fn execute_batch_cancellable(
-        &self,
-        queries: &[Query],
-        dataset: &Dataset,
-        token: &CancelToken,
-    ) -> Result<Vec<QueryResult>> {
-        self.run(queries, dataset, &ExecOptions::new().cancellable(token))?
-            .collapse()
-    }
-
-    /// The **fault-isolated** batch form: per-query `Result`s instead
-    /// of one all-or-nothing `Result`. A panic in one query's
-    /// aggregate sink yields `Err(`[`crate::QueryError::Panicked`]`)`
-    /// for that query alone; its batch mates complete bit-identically
-    /// to solo execution and the engine (pool included) stays fully
-    /// serviceable. Whole-batch failures — parse/I/O errors,
-    /// cancellation, an elapsed deadline — surface as the outer `Err`.
-    #[deprecated(note = "use Engine::run with ExecOptions::new().isolated()")]
-    pub fn execute_batch_isolated(
-        &self,
-        queries: &[Query],
-        dataset: &Dataset,
-        token: Option<&CancelToken>,
-    ) -> Result<Vec<std::result::Result<QueryResult, crate::QueryError>>> {
-        Ok(self
-            .run(
-                queries,
-                dataset,
-                &ExecOptions::new().isolated().cancellable_opt(token),
-            )?
-            .outcomes)
-    }
-
-    /// Executes batches over **multiple datasets** in one call: each
-    /// `(dataset, queries)` group routes through a transient
-    /// [`crate::scheduler::QueryScheduler`] — predicates deduplicate
-    /// within each group and admission may split scan-heavy outliers
-    /// into their own waves — and results come back grouped exactly
-    /// like the input. For long-lived serving (warm partition indexes
-    /// and the cross-batch aggregate cache), hold a
-    /// [`crate::scheduler::QueryScheduler`] instead.
-    #[deprecated(note = "use QueryScheduler::run_multi with ExecOptions")]
-    pub fn execute_multi_batch(
-        &self,
-        groups: &[(&Dataset, &[Query])],
-    ) -> Result<Vec<Vec<QueryResult>>> {
-        self.multi_batch_core(groups, &ExecOptions::new())
-            .map(|(r, _)| r)
-    }
-
-    /// [`Engine::execute_multi_batch`] with the combined scheduling
-    /// breakdown.
-    #[deprecated(note = "use QueryScheduler::run_multi with ExecOptions::new().timed()")]
-    pub fn execute_multi_batch_timed(
-        &self,
-        groups: &[(&Dataset, &[Query])],
-    ) -> Result<(Vec<Vec<QueryResult>>, crate::stats::SchedulerStats)> {
-        self.multi_batch_core(groups, &ExecOptions::new().timed())
-    }
-
-    /// Shared body of the deprecated multi-batch conveniences: route
-    /// each `(dataset, queries)` group through a transient
-    /// [`crate::scheduler::QueryScheduler`] and regroup the flat
-    /// results.
-    fn multi_batch_core(
-        &self,
-        groups: &[(&Dataset, &[Query])],
-        opts: &ExecOptions,
-    ) -> Result<(Vec<Vec<QueryResult>>, crate::stats::SchedulerStats)> {
-        use crate::scheduler::{QueryScheduler, ScheduledQuery};
-        let scheduler = QueryScheduler::new(self.clone());
-        let mut batch = Vec::new();
-        let mut sizes = Vec::with_capacity(groups.len());
-        for (dataset, queries) in groups {
-            let id = scheduler.register((*dataset).clone());
-            sizes.push(queries.len());
-            batch.extend(queries.iter().map(|q| ScheduledQuery::new(id, q.clone())));
-        }
-        let out = scheduler.run_multi(&batch, &opts.clone().timed())?;
-        let stats = out
-            .scheduler
-            .clone()
-            .expect("timed run reports scheduler stats");
-        let mut flat = out.collapse()?.into_iter();
-        let grouped = sizes
-            .into_iter()
-            .map(|n| flat.by_ref().take(n).collect())
-            .collect();
-        Ok((grouped, stats))
-    }
-
-    /// Executes a query and reports per-phase timings.
-    #[deprecated(note = "use Engine::run with ExecOptions::new().timed()")]
-    pub fn execute_timed(
-        &self,
-        query: &Query,
-        dataset: &Dataset,
-    ) -> Result<(QueryResult, ExecutionStats)> {
-        self.run_single(query, dataset, None)
-    }
-
-    /// [`Engine::execute_timed`] under an optional [`CancelToken`]
-    /// (see [`Engine::execute_cancellable`] for the cancellation
-    /// contract).
-    #[deprecated(note = "use Engine::run with ExecOptions::new().timed().cancellable_opt(token)")]
-    pub fn execute_timed_cancellable(
-        &self,
-        query: &Query,
-        dataset: &Dataset,
-        token: Option<&CancelToken>,
-    ) -> Result<(QueryResult, ExecutionStats)> {
-        self.run_single(query, dataset, token)
-    }
-
-    /// The direct single-query executor — [`Engine::run`]'s fast path
-    /// for one whole-batch query (no fan-out plumbing, no per-feature
-    /// dynamic dispatch).
-    pub(crate) fn run_single(
-        &self,
-        query: &Query,
-        dataset: &Dataset,
-        token: Option<&CancelToken>,
-    ) -> Result<(QueryResult, ExecutionStats)> {
-        match query {
-            Query::Containment { region } => {
-                let proto = ContainmentAgg::new(Arc::new(region.clone()));
-                let (agg, t) =
-                    self.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
-                let mut matches = agg.matches;
-                matches.sort_by_key(|m| m.offset);
-                Ok((
-                    QueryResult::Matches(matches),
-                    ExecutionStats {
-                        pipeline: t,
-                        join: None,
-                        decisions: None,
-                    },
-                ))
-            }
-            Query::Aggregation {
-                region,
-                metrics,
-                model,
-                strategy,
-            } => {
-                let strategy = self.resolve_strategy(*strategy, region);
-                let proto = MetricsAgg::new(Arc::new(region.clone()), metrics, *model, strategy);
-                let (agg, t) =
-                    self.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
-                Ok((
-                    QueryResult::Aggregate(agg.values()),
-                    ExecutionStats {
-                        pipeline: t,
-                        join: None,
-                        decisions: None,
-                    },
-                ))
-            }
-            Query::Join { id_threshold } => {
-                let (pairs, stats) = self.run_join(dataset, *id_threshold, None, None, token)?;
-                Ok((QueryResult::Joined(pairs), stats))
-            }
-            Query::Combined {
-                id_threshold,
-                min_perimeter_left,
-                max_perimeter_right,
-            } => {
-                let (pairs, mut stats) = self.run_join(
-                    dataset,
-                    *id_threshold,
-                    Some(*min_perimeter_left),
-                    Some(*max_perimeter_right),
-                    token,
-                )?;
-                // Final aggregation over joined pairs:
-                // ST_Area(ST_Union(d1, d2)).
-                let started = Instant::now();
-                let reparse_table = self.geometry_table(dataset, &pairs, token)?;
-                let mut total = 0.0;
-                for p in &pairs {
-                    if let Some(t) = token {
-                        t.check()?;
-                    }
-                    let a = &reparse_table[&p.left_offset];
-                    let b = &reparse_table[&p.right_offset];
-                    total += crate::operators::union_area(a, b);
-                }
-                if let Some(j) = stats.join.as_mut() {
-                    j.dedup += started.elapsed();
-                }
-                Ok((
-                    QueryResult::Combined {
-                        pairs: pairs.len() as u64,
-                        total_union_area: total,
-                    },
-                    stats,
-                ))
-            }
-        }
     }
 
     /// Resolves `FilterStrategy::Auto` with the paper's ~25% rule: the
@@ -932,153 +569,9 @@ impl Engine {
         Ok((features, t))
     }
 
-    /// The two-pipeline join (§4.5): partition pass, PBSM join pass,
-    /// duplicate elimination.
-    fn run_join(
-        &self,
-        dataset: &Dataset,
-        id_threshold: u64,
-        min_perimeter_left: Option<f64>,
-        max_perimeter_right: Option<f64>,
-        token: Option<&CancelToken>,
-    ) -> Result<(Vec<JoinPair>, ExecutionStats)> {
-        let grid = GridSpec::new(self.config.grid_extent, self.config.cell_deg);
-        match self.config.store {
-            StoreKind::Array => self.run_join_with_store::<ArrayStore>(
-                dataset,
-                grid,
-                id_threshold,
-                min_perimeter_left,
-                max_perimeter_right,
-                token,
-            ),
-            StoreKind::List => self.run_join_with_store::<ListStore>(
-                dataset,
-                grid,
-                id_threshold,
-                min_perimeter_left,
-                max_perimeter_right,
-                token,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_join_with_store<S: PartitionStore + Sync + Clone + 'static>(
-        &self,
-        dataset: &Dataset,
-        grid: GridSpec,
-        id_threshold: u64,
-        min_perimeter_left: Option<f64>,
-        max_perimeter_right: Option<f64>,
-        token: Option<&CancelToken>,
-    ) -> Result<(Vec<JoinPair>, ExecutionStats)> {
-        // Pass 1: parse + bound + partition.
-        let proto: PartitionAgg<S> = PartitionAgg {
-            grid,
-            store: S::new(grid.num_cells()),
-            entries: Vec::new(),
-            associative: self.config.partition_phase == PartitionPhase::Associative,
-            id_threshold,
-            min_perimeter_left,
-            max_perimeter_right,
-        };
-        let (mut agg, mut t_partition) =
-            self.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
-        if self.config.partition_phase == PartitionPhase::Separate {
-            // Sequential partitioning step (§4.4: "it is possible to
-            // perform the partitioning as a sequential step after the
-            // processing pipeline").
-            let started = Instant::now();
-            for e in std::mem::take(&mut agg.entries) {
-                for cell in grid.cells_for(&e.mbr) {
-                    agg.store.push(cell, e);
-                }
-            }
-            t_partition.merge += started.elapsed();
-        }
-
-        // Partition-map refinement: per-cell load statistics, hot-cell
-        // splitting (identity map when adaptive partitioning is off).
-        let started = Instant::now();
-        let map = PartitionMap::adaptive(&grid, &agg.store, &self.config.adaptive);
-        let refine = started.elapsed();
-
-        // Pass 2: the join pipeline.
-        let started = Instant::now();
-        let input = dataset.bytes();
-        let xml_table = if dataset.format() == Format::OsmXml {
-            Some(self.xml_geometry_table(dataset, token)?)
-        } else {
-            None
-        };
-        let reparse = make_reparser(input, dataset.format(), xml_table.as_ref());
-        let outcome = pbsm_join_mapped_on(
-            &self.pool,
-            &agg.store,
-            &map,
-            reparse.as_ref(),
-            JoinOptions {
-                threads: self.config.threads,
-                sort_batch: self.config.sort_batch,
-                probe: self.config.probe,
-                ..JoinOptions::default()
-            },
-            token,
-        )?;
-        let join_time = started.elapsed() - outcome.dedup;
-
-        Ok((
-            outcome.pairs,
-            ExecutionStats {
-                pipeline: t_partition,
-                join: Some(JoinTimings {
-                    partition: t_partition,
-                    refine,
-                    join: Timings {
-                        split: Default::default(),
-                        process: join_time,
-                        merge: Default::default(),
-                    },
-                    dedup: outcome.dedup,
-                }),
-                decisions: Some(outcome.decisions),
-            },
-        ))
-    }
-
-    /// Parses the dataset once into an offset→geometry table (used for
-    /// XML joins, where re-parsing a relation needs the node table,
-    /// and for the combined query's final aggregation).
-    fn geometry_table(
-        &self,
-        dataset: &Dataset,
-        pairs: &[JoinPair],
-        token: Option<&CancelToken>,
-    ) -> Result<HashMap<u64, Geometry>> {
-        let needed: std::collections::HashSet<u64> = pairs
-            .iter()
-            .flat_map(|p| [p.left_offset, p.right_offset])
-            .collect();
-        let input = dataset.bytes();
-        let xml_table = if dataset.format() == Format::OsmXml {
-            Some(self.xml_geometry_table(dataset, token)?)
-        } else {
-            None
-        };
-        let reparse = make_reparser(input, dataset.format(), xml_table.as_ref());
-        let mut table = HashMap::with_capacity(needed.len());
-        // Lengths are recoverable from the collected features; for
-        // GeoJSON/WKT the reparser only needs the offset.
-        for off in needed {
-            if let Some(t) = token {
-                t.check()?;
-            }
-            table.insert(off, reparse(off, u32::MAX)?);
-        }
-        Ok(table)
-    }
-
+    /// Parses the dataset once into an offset→geometry table: XML
+    /// joins re-parse through it, since a relation's geometry needs
+    /// the node table.
     pub(crate) fn xml_geometry_table(
         &self,
         dataset: &Dataset,
@@ -1163,19 +656,16 @@ pub(crate) fn parse_wkt_rows(
     Ok(())
 }
 
-/// Pass-1 aggregate for joins: bounds geometries and partitions them
-/// (associatively, or collecting entries for a separate phase). The
-/// batch layer reuses it side-agnostically (`id_threshold = u64::MAX`
-/// tags everything left, no filters) to build one shared index.
+/// The join partition pass: bounds geometries and partitions them
+/// (associatively, or collecting entries for a separate phase) into
+/// one side-agnostic index that every join-class query of a batch
+/// reads; sides resolve per query at join time.
 #[derive(Clone)]
 pub(crate) struct PartitionAgg<S: PartitionStore + Clone> {
     pub(crate) grid: GridSpec,
     pub(crate) store: S,
     pub(crate) entries: Vec<PartEntry>,
     pub(crate) associative: bool,
-    pub(crate) id_threshold: u64,
-    pub(crate) min_perimeter_left: Option<f64>,
-    pub(crate) max_perimeter_right: Option<f64>,
 }
 
 impl<S: PartitionStore + Clone> QueryAggregate for PartitionAgg<S> {
@@ -1184,23 +674,10 @@ impl<S: PartitionStore + Clone> QueryAggregate for PartitionAgg<S> {
     }
 
     fn absorb(&mut self, f: &RawFeature) {
-        let left = f.id < self.id_threshold;
-        // The combined query's perimeter pre-filters run here,
-        // inside the partition pipeline (ordering filters before the
-        // join, §7 "it can order filtering operations to minimise the
-        // cost of joins").
-        if left {
-            if let Some(min) = self.min_perimeter_left {
-                if measures::perimeter(&f.geometry, DistanceModel::Spherical) <= min {
-                    return;
-                }
-            }
-        } else if let Some(max) = self.max_perimeter_right {
-            if measures::perimeter(&f.geometry, DistanceModel::Spherical) >= max {
-                return;
-            }
-        }
-        let entry = PartEntry::from_feature(f, left);
+        // The side tag is persisted with the index but never read: it
+        // keeps the historical all-left value so snapshot bytes stay
+        // unchanged.
+        let entry = PartEntry::from_feature(f, f.id < u64::MAX);
         if self.associative {
             for cell in self.grid.cells_for(&entry.mbr) {
                 self.store.push(cell, entry);
@@ -1224,6 +701,8 @@ impl<S: PartitionStore + Clone> QueryAggregate for PartitionAgg<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::QueryResult;
+    use crate::stats::JoinDecisions;
     use crate::testutil::RunExt;
     use atgis_datagen::{write_geojson, write_wkt, OsmGenerator};
 
@@ -1235,6 +714,17 @@ mod tests {
             Format::OsmXml => atgis_datagen::write_osm_xml(&ds),
         };
         Dataset::from_bytes(bytes, format)
+    }
+
+    /// A timed one-query run: the result plus the join's decisions.
+    fn timed_join(engine: &Engine, q: &Query, ds: &Dataset) -> (QueryResult, JoinDecisions) {
+        let out = engine
+            .run(std::slice::from_ref(q), ds, &ExecOptions::new().timed())
+            .unwrap();
+        let decisions = out.batch.as_ref().unwrap().per_query[0]
+            .decisions
+            .expect("join reports decisions");
+        (out.into_single().unwrap(), decisions)
     }
 
     #[test]
@@ -1497,11 +987,9 @@ mod tests {
             .cell_size(4.0)
             .partition_target(4)
             .build();
-        let (u, us) = uniform.run_single(&q, &ds, None).unwrap();
-        let (a, ast) = adaptive.run_single(&q, &ds, None).unwrap();
+        let (u, ud) = timed_join(&uniform, &q, &ds);
+        let (a, ad) = timed_join(&adaptive, &q, &ds);
         assert_eq!(u.joined(), a.joined());
-        let ud = us.decisions.expect("join reports decisions");
-        let ad = ast.decisions.expect("join reports decisions");
         assert_eq!(ud.map.split_cells, 0, "uniform never splits");
         assert!(ad.map.split_cells > 0, "tiny target must split: {ad:?}");
         assert!(ad.map.slots > ud.map.slots);
@@ -1519,10 +1007,9 @@ mod tests {
             .cell_size(4.0)
             .probe_strategy(crate::join::ProbeStrategy::RTree)
             .build();
-        let (s, _) = sweep.run_single(&q, &ds, None).unwrap();
-        let (r, rs) = rtree.run_single(&q, &ds, None).unwrap();
+        let (s, _) = timed_join(&sweep, &q, &ds);
+        let (r, d) = timed_join(&rtree, &q, &ds);
         assert_eq!(s.joined(), r.joined());
-        let d = rs.decisions.unwrap();
         assert!(
             d.rtree_partitions > 0,
             "forced probe must be recorded: {d:?}"
@@ -1538,5 +1025,26 @@ mod tests {
         for p in r.joined() {
             assert!(p.left_id < 15 && p.right_id >= 15);
         }
+    }
+
+    #[test]
+    fn timed_solo_xml_join_reports_every_parse_pass() {
+        // A one-query run is a batch of one, so its stats count the
+        // partition pass and the node-table pass exactly as the same
+        // join does inside a larger batch.
+        let ds = dataset(30, Format::OsmXml);
+        let engine = Engine::builder().cell_size(2.0).build();
+        let join = Query::join(15);
+        let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+        let timed = ExecOptions::new().timed();
+        let solo = engine
+            .run(std::slice::from_ref(&join), &ds, &timed)
+            .unwrap();
+        let mixed = engine.run(&[join, world], &ds, &timed).unwrap();
+        let (solo, mixed) = (solo.batch.unwrap(), mixed.batch.unwrap());
+        assert_eq!(solo.scan_passes, 2, "partition pass + node-table pass");
+        assert_eq!(solo.scan_passes, mixed.scan_passes);
+        assert!(solo.per_query[0].decisions.is_some());
+        assert!(mixed.per_query[0].decisions.is_some());
     }
 }

@@ -1,27 +1,15 @@
 //! The unified request API: one [`ExecOptions`] consumed by one `run`
 //! entry point per layer.
 //!
-//! The execution layers historically grew a combinatorial `execute*`
-//! surface (`_timed` × `_cancellable` × `_isolated` × `_batch` ×
-//! `_multi` × `_streaming` × `_prioritized` — ~30 names). Every axis
-//! of that matrix is now a field on [`ExecOptions`]:
-//!
-//! | legacy axis          | [`ExecOptions`] field                    |
-//! |----------------------|------------------------------------------|
-//! | `_cancellable`       | `token: Some(..)` / `deadline: Some(..)` |
-//! | `_timed`             | `timing: true`                           |
-//! | `_isolated`          | `isolation: Isolation::PerQuery`         |
-//! | `_prioritized`       | `priority` (scheduler layer)             |
-//! | *(new)* shard fan-out| `shards: ShardPolicy`                    |
-//!
-//! and every layer keeps exactly one entry point:
+//! Cancellation, deadline, timing, per-query fault isolation,
+//! scheduler priority and shard fan-out are fields on [`ExecOptions`],
+//! not method names, and every layer keeps exactly one entry point:
 //! [`crate::Engine::run`] / [`crate::Engine::run_streaming`],
 //! [`crate::batch::QuerySession::run`], and
 //! [`crate::scheduler::QueryScheduler::run`] /
 //! [`crate::scheduler::QueryScheduler::run_multi`] /
 //! [`crate::scheduler::QueryScheduler::run_streaming`]. All of them
-//! return a [`RunOutcome`]. The legacy names survive as thin
-//! `#[deprecated]` wrappers that delegate here and stay bit-identical.
+//! return a [`RunOutcome`].
 //!
 //! ```
 //! use atgis::{Dataset, Engine, ExecOptions, Query};
@@ -53,8 +41,7 @@ use crate::{Error, Result};
 /// How query failures inside a batch surface to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Isolation {
-    /// The first failing query fails the whole `run` call (the classic
-    /// collapse semantics of `execute_batch`).
+    /// The first failing query fails the whole `run` call.
     #[default]
     WholeBatch,
     /// Failures are tombstoned per query: [`RunOutcome::outcomes`]
@@ -121,6 +108,31 @@ impl ExecOptions {
     }
 
     /// Attach a cancellation token (cloned; all clones share state).
+    /// The scan observes it at region/block granularity, so a
+    /// cancelled (or past-deadline) run stops within one in-flight work
+    /// unit and returns [`Error::Cancelled`] /
+    /// [`Error::DeadlineExceeded`]; the engine, its pool and any shared
+    /// caches stay fully usable afterwards.
+    ///
+    /// ```
+    /// use atgis::{CancelToken, Dataset, Engine, Error, ExecOptions, Query};
+    /// use atgis_formats::Format;
+    /// use atgis_geometry::Mbr;
+    ///
+    /// let bytes = atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(9).generate(50));
+    /// let dataset = Dataset::from_bytes(bytes, Format::GeoJson);
+    /// let engine = Engine::builder().build();
+    /// let token = CancelToken::new();
+    /// token.cancel();
+    /// let err = engine
+    ///     .run(
+    ///         &[Query::containment(Mbr::new(-10.0, 40.0, 10.0, 60.0))],
+    ///         &dataset,
+    ///         &ExecOptions::new().cancellable(&token),
+    ///     )
+    ///     .unwrap_err();
+    /// assert!(matches!(err, Error::Cancelled));
+    /// ```
     pub fn cancellable(mut self, token: &CancelToken) -> Self {
         self.token = Some(token.clone());
         self

@@ -20,13 +20,10 @@
 //!    partitions can match repeatedly; pairs are sorted by offsets and
 //!    deduplicated before the result returns (§4.5).
 
-use crate::cancel::CancelToken;
-use crate::executor::run_indexed_on;
 use crate::partition::{PartEntry, PartitionMap, PartitionStore};
-use crate::pool::{recover, WorkerPool};
+use crate::pool::recover;
 use crate::result::JoinPair;
 use crate::stats::JoinDecisions;
-use crate::Error;
 use atgis_formats::ParseError;
 use atgis_geometry::relate::intersects;
 use atgis_geometry::{measures, DistanceModel, Geometry};
@@ -84,68 +81,36 @@ impl ReparseCache {
 /// engine provides it, for OSM XML it captures the node table).
 pub type Reparser<'a> = dyn Fn(u64, u32) -> Result<Geometry, ParseError> + Sync + 'a;
 
-/// How a partition entry's join side is decided.
+/// The per-query semantics of one join over the shared, side-agnostic
+/// partition index: the side rule (`id < threshold` is left, decided at
+/// join time) plus the combined query's perimeter bounds, enforced at
+/// the refinement stage where the parsed geometry is in hand anyway.
 #[derive(Debug, Clone, Copy)]
-pub enum SideRule {
-    /// Entries were tagged during the partition pass
-    /// ([`PartEntry::left_side`]) — the single-query path, where the
-    /// pass knows the query's threshold.
-    Tagged,
-    /// Side derived from the object id at join time (`id < threshold`
-    /// is left) — the batch path, where one side-agnostic partition
-    /// index serves queries with different thresholds.
-    Threshold(u64),
-}
-
-impl SideRule {
-    #[inline]
-    fn is_left(&self, e: &PartEntry) -> bool {
-        match self {
-            SideRule::Tagged => e.left_side,
-            SideRule::Threshold(t) => e.id < *t,
-        }
-    }
-}
-
-/// The per-query semantics of one join execution over a (possibly
-/// shared) partition index: side resolution plus the combined query's
-/// perimeter bounds. In the single-query path the bounds are enforced
-/// during the partition pass (filter-before-join ordering); over a
-/// shared index they move to the refinement stage, where the parsed
-/// geometry is in hand anyway — the accepted pair set is identical
-/// because both filters are per-object predicates.
-#[derive(Debug, Clone, Copy)]
-pub struct JoinSpec {
-    /// Side resolution.
-    pub side: SideRule,
+pub(crate) struct JoinSpec {
+    /// Objects with `id < threshold` are the left side.
+    pub(crate) threshold: u64,
     /// Keep left objects only when their perimeter exceeds this.
-    pub min_perimeter_left: Option<f64>,
+    pub(crate) min_perimeter_left: Option<f64>,
     /// Keep right objects only when their perimeter is below this.
-    pub max_perimeter_right: Option<f64>,
+    pub(crate) max_perimeter_right: Option<f64>,
 }
 
 impl JoinSpec {
-    /// The single-query spec: sides tagged at partition time, no
-    /// refine-stage filters.
-    pub fn tagged() -> Self {
+    /// A plain join: sides from the id threshold, no perimeter bounds.
+    pub(crate) fn threshold(t: u64) -> Self {
         JoinSpec {
-            side: SideRule::Tagged,
-            min_perimeter_left: None,
-            max_perimeter_right: None,
-        }
-    }
-
-    /// A batch spec: sides from the id threshold.
-    pub fn threshold(t: u64) -> Self {
-        JoinSpec {
-            side: SideRule::Threshold(t),
+            threshold: t,
             min_perimeter_left: None,
             max_perimeter_right: None,
         }
     }
 
     /// Adds the combined query's perimeter bounds.
-    pub fn with_perimeter_bounds(mut self, min_left: Option<f64>, max_right: Option<f64>) -> Self {
+    pub(crate) fn with_perimeter_bounds(
+        mut self,
+        min_left: Option<f64>,
+        max_right: Option<f64>,
+    ) -> Self {
         self.min_perimeter_left = min_left;
         self.max_perimeter_right = max_right;
         self
@@ -248,86 +213,9 @@ pub struct JoinOutcome {
     pub decisions: JoinDecisions,
 }
 
-/// Executes the join pipeline over every partition, returning
-/// deduplicated pairs plus the time spent on duplicate elimination.
-/// Runs on the process-wide shared pool; the engine uses
-/// [`pbsm_join_on`] with its own persistent pool.
-pub fn pbsm_join<S: PartitionStore + Sync>(
-    store: &S,
-    reparse: &Reparser<'_>,
-    options: JoinOptions,
-) -> crate::Result<(Vec<JoinPair>, Duration)> {
-    pbsm_join_on(WorkerPool::global(), store, reparse, options)
-}
-
-/// [`pbsm_join`] on a caller-supplied worker pool (uniform map: one
-/// partition per grid cell).
-pub fn pbsm_join_on<S: PartitionStore + Sync>(
-    pool: &WorkerPool,
-    store: &S,
-    reparse: &Reparser<'_>,
-    options: JoinOptions,
-) -> crate::Result<(Vec<JoinPair>, Duration)> {
-    let map = PartitionMap::uniform(store);
-    pbsm_join_mapped_on(pool, store, &map, reparse, options, None).map(|o| (o.pairs, o.dedup))
-}
-
-/// The full join pipeline over an explicit (possibly skew-adaptive)
-/// partition map — the single-query engine entry point (sides tagged
-/// at partition time, private re-parse cache). The optional
-/// [`CancelToken`] is observed between partitions: a tripped token
-/// skips every not-yet-started partition and the join returns
-/// [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
-pub fn pbsm_join_mapped_on<S: PartitionStore + Sync>(
-    pool: &WorkerPool,
-    store: &S,
-    map: &PartitionMap,
-    reparse: &Reparser<'_>,
-    options: JoinOptions,
-    token: Option<&CancelToken>,
-) -> crate::Result<JoinOutcome> {
-    let cache = ReparseCache::new(options.sort_batch);
-    pbsm_join_spec_on(
-        pool,
-        store,
-        map,
-        &JoinSpec::tagged(),
-        reparse,
-        &cache,
-        options,
-        token,
-    )
-}
-
-/// The join pipeline with explicit per-query semantics and a
-/// caller-owned [`ReparseCache`] — the batch entry point: N queries
-/// over one shared partition index pass their own [`JoinSpec`]s and
-/// share one cache, so replicated objects parse once per *batch*.
-#[allow(clippy::too_many_arguments)]
-pub fn pbsm_join_spec_on<S: PartitionStore + Sync>(
-    pool: &WorkerPool,
-    store: &S,
-    map: &PartitionMap,
-    spec: &JoinSpec,
-    reparse: &Reparser<'_>,
-    cache: &ReparseCache,
-    options: JoinOptions,
-    token: Option<&CancelToken>,
-) -> crate::Result<JoinOutcome> {
-    // Fan out over occupied slots only: the default grid is sparse
-    // (tens of thousands of cells, a handful holding entries) and an
-    // empty slot contributes nothing to the fold.
-    let occupied = map.occupied_slots(store);
-    let per_slot: Vec<SlotResult> =
-        run_indexed_on(pool, occupied.len(), options.threads, token, |i| {
-            join_partition(store, map, occupied[i], spec, reparse, cache, &options)
-        })?;
-    fold_slot_results(map, per_slot.into_iter()).map_err(Error::Parse)
-}
-
-/// Folds per-partition results into the deduplicated outcome —
-/// shared by the slot-parallel path above and the batch layer's
-/// flattened (query × slot) fan-out.
+/// Folds per-partition results into one query's deduplicated outcome
+/// (the batch layer runs the slots as a flattened query × slot
+/// fan-out).
 pub(crate) fn fold_slot_results(
     map: &PartitionMap,
     per_slot: impl Iterator<Item = SlotResult>,
@@ -383,7 +271,7 @@ pub(crate) fn join_partition<S: PartitionStore>(
     let mut lefts: Vec<PartEntry> = Vec::new();
     let mut rights: Vec<PartEntry> = Vec::new();
     map.for_each_entry(store, slot, |e| {
-        if spec.side.is_left(e) {
+        if e.id < spec.threshold {
             lefts.push(*e);
         } else {
             rights.push(*e);
@@ -469,10 +357,9 @@ pub(crate) fn join_partition<S: PartitionStore>(
             } else {
                 (&other_g, &adj_g)
             };
-            // The combined query's perimeter bounds, enforced here
-            // when the partition pass could not (shared index): the
-            // predicates are per-object, so rejecting pairs whose
-            // member fails is identical to never partitioning it.
+            // The combined query's perimeter bounds: the predicates
+            // are per-object, so rejecting pairs whose member fails is
+            // identical to never partitioning it.
             if spec.filters_perimeter() {
                 if let Some(min) = spec.min_perimeter_left {
                     if perimeter_of(l.offset, lg) <= min {
@@ -642,6 +529,45 @@ mod tests {
         ])
     }
 
+    /// The fixtures put ids below this on the left side.
+    const LEFT_BELOW: u64 = 10;
+
+    /// One query's whole join stage, as the batch layer runs it: every
+    /// occupied slot through [`join_partition`] on the shared pool,
+    /// folded by [`fold_slot_results`].
+    fn join_all<S: PartitionStore + Sync>(
+        store: &S,
+        map: &PartitionMap,
+        spec: &JoinSpec,
+        reparse: &Reparser<'_>,
+        options: JoinOptions,
+    ) -> JoinOutcome {
+        let cache = ReparseCache::new(options.sort_batch);
+        let slots = map.occupied_slots(store);
+        let per_slot = crate::executor::run_indexed(slots.len(), options.threads, |i| {
+            join_partition(store, map, slots[i], spec, reparse, &cache, &options)
+        })
+        .unwrap();
+        fold_slot_results(map, per_slot.into_iter()).unwrap()
+    }
+
+    /// [`join_all`] over the uniform map with a plain threshold spec.
+    fn join_pairs<S: PartitionStore + Sync>(
+        store: &S,
+        reparse: &Reparser<'_>,
+        options: JoinOptions,
+    ) -> Vec<JoinPair> {
+        let map = PartitionMap::uniform(store);
+        join_all(
+            store,
+            &map,
+            &JoinSpec::threshold(LEFT_BELOW),
+            reparse,
+            options,
+        )
+        .pairs
+    }
+
     #[test]
     fn mbr_compare_finds_all_intersections() {
         let lefts = vec![entry(1, 0.0, 0.0, 2.0, true), entry(2, 5.0, 5.0, 1.0, true)];
@@ -723,7 +649,7 @@ mod tests {
     fn pbsm_join_finds_pairs_and_dedups() {
         let (store, squares) = join_fixture::<ArrayStore>();
         let reparse = square_reparser(squares);
-        let (pairs, _) = pbsm_join(&store, &reparse, JoinOptions::default()).unwrap();
+        let pairs = join_pairs(&store, &reparse, JoinOptions::default());
         assert_eq!(pairs.len(), 1, "exactly one intersecting pair: {pairs:?}");
         assert_eq!((pairs[0].left_id, pairs[0].right_id), (1, 10));
     }
@@ -733,8 +659,8 @@ mod tests {
         let (astore, squares) = join_fixture::<ArrayStore>();
         let (lstore, _) = join_fixture::<ListStore>();
         let reparse = square_reparser(squares);
-        let (a, _) = pbsm_join(&astore, &reparse, JoinOptions::default()).unwrap();
-        let (l, _) = pbsm_join(&lstore, &reparse, JoinOptions::default()).unwrap();
+        let a = join_pairs(&astore, &reparse, JoinOptions::default());
+        let l = join_pairs(&lstore, &reparse, JoinOptions::default());
         assert_eq!(a, l);
     }
 
@@ -742,11 +668,9 @@ mod tests {
     fn small_sort_batches_do_not_change_results() {
         let (store, squares) = join_fixture::<ArrayStore>();
         let reparse = square_reparser(squares);
-        let base = pbsm_join(&store, &reparse, JoinOptions::default())
-            .unwrap()
-            .0;
+        let base = join_pairs(&store, &reparse, JoinOptions::default());
         for sort_batch in [1, 2, 3] {
-            let got = pbsm_join(
+            let got = join_pairs(
                 &store,
                 &reparse,
                 JoinOptions {
@@ -754,9 +678,7 @@ mod tests {
                     sort_batch,
                     ..JoinOptions::default()
                 },
-            )
-            .unwrap()
-            .0;
+            );
             assert_eq!(got, base, "sort_batch={sort_batch}");
         }
     }
@@ -765,26 +687,22 @@ mod tests {
     fn multithreaded_join_is_deterministic() {
         let (store, squares) = join_fixture::<ArrayStore>();
         let reparse = square_reparser(squares);
-        let single = pbsm_join(
+        let single = join_pairs(
             &store,
             &reparse,
             JoinOptions {
                 threads: 1,
                 ..JoinOptions::default()
             },
-        )
-        .unwrap()
-        .0;
-        let multi = pbsm_join(
+        );
+        let multi = join_pairs(
             &store,
             &reparse,
             JoinOptions {
                 threads: 4,
                 ..JoinOptions::default()
             },
-        )
-        .unwrap()
-        .0;
+        );
         assert_eq!(single, multi);
     }
 
@@ -792,7 +710,7 @@ mod tests {
     fn empty_sides_produce_no_pairs() {
         let store = ArrayStore::new(4);
         let reparse = square_reparser(HashMap::new());
-        let (pairs, _) = pbsm_join(&store, &reparse, JoinOptions::default()).unwrap();
+        let pairs = join_pairs(&store, &reparse, JoinOptions::default());
         assert!(pairs.is_empty());
     }
 
@@ -895,8 +813,9 @@ mod tests {
 
     #[test]
     fn threshold_side_rule_matches_tagged_partitioning() {
-        // A side-agnostic index (all entries tagged left) joined with
-        // SideRule::Threshold must equal the tagged fixture join.
+        // Sides come from the id threshold at join time, never from
+        // the entries' persisted side tags: an index with every entry
+        // tagged left must join exactly like the tagged fixture.
         let (store, squares) = join_fixture::<ArrayStore>();
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
         let mut untagged = ArrayStore::new(grid.num_cells());
@@ -912,60 +831,26 @@ mod tests {
             });
         }
         let reparse = square_reparser(squares);
-        let pool = WorkerPool::global();
-        let map = PartitionMap::uniform(&store);
-        let tagged =
-            pbsm_join_mapped_on(pool, &store, &map, &reparse, JoinOptions::default(), None)
-                .unwrap();
-        let cache = ReparseCache::new(JoinOptions::default().sort_batch);
-        // The fixture puts ids < 10 on the left.
-        let spec = JoinSpec::threshold(10);
-        let by_threshold = pbsm_join_spec_on(
-            pool,
-            &untagged,
-            &map,
-            &spec,
-            &reparse,
-            &cache,
-            JoinOptions::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(tagged.pairs, by_threshold.pairs);
-        assert!(!tagged.pairs.is_empty());
+        let tagged = join_pairs(&store, &reparse, JoinOptions::default());
+        let by_threshold = join_pairs(&untagged, &reparse, JoinOptions::default());
+        assert_eq!(tagged, by_threshold);
+        assert!(!tagged.is_empty());
     }
 
     #[test]
     fn refine_stage_perimeter_bounds_filter_pairs() {
         let (store, squares) = join_fixture::<ArrayStore>();
         let reparse = square_reparser(squares);
-        let pool = WorkerPool::global();
         let map = PartitionMap::uniform(&store);
-        let cache = ReparseCache::new(64);
-        let unfiltered = pbsm_join_spec_on(
-            pool,
-            &store,
-            &map,
-            &JoinSpec::tagged(),
-            &reparse,
-            &cache,
-            JoinOptions::default(),
-            None,
-        )
-        .unwrap();
+        let options = JoinOptions {
+            sort_batch: 64,
+            ..JoinOptions::default()
+        };
+        let spec = JoinSpec::threshold(LEFT_BELOW);
+        let unfiltered = join_all(&store, &map, &spec, &reparse, options);
         assert!(!unfiltered.pairs.is_empty());
-        let strict = JoinSpec::tagged().with_perimeter_bounds(Some(1e12), None);
-        let filtered = pbsm_join_spec_on(
-            pool,
-            &store,
-            &map,
-            &strict,
-            &reparse,
-            &cache,
-            JoinOptions::default(),
-            None,
-        )
-        .unwrap();
+        let strict = spec.with_perimeter_bounds(Some(1e12), None);
+        let filtered = join_all(&store, &map, &strict, &reparse, options);
         assert!(
             filtered.pairs.is_empty(),
             "an impossible left bound rejects every pair"
@@ -982,16 +867,14 @@ mod tests {
             ProbeStrategy::Sweep,
             ProbeStrategy::RTree,
         ] {
-            let (pairs, _) = pbsm_join(
+            results.push(join_pairs(
                 &store,
                 &reparse,
                 JoinOptions {
                     probe,
                     ..JoinOptions::default()
                 },
-            )
-            .unwrap();
-            results.push(pairs);
+            ));
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
@@ -1005,25 +888,25 @@ mod tests {
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
         let mut store = ArrayStore::new(grid.num_cells());
         let mut squares = HashMap::new();
+        // Even positions are the left side: ids below 30.
         for i in 0..60u64 {
-            let left = i % 2 == 0;
+            let id = if i % 2 == 0 { i / 2 } else { 30 + i / 2 };
             let x = (i % 10) as f64 * 0.18;
             let y = (i / 10) as f64 * 0.3;
             let poly = square_at(x, y, 0.25);
             let e = PartEntry {
-                id: i,
-                offset: i,
+                id,
+                offset: id,
                 len: 0,
                 mbr: poly.mbr(),
-                left_side: left,
+                left_side: id < 30,
             };
             for cell in grid.cells_for(&e.mbr) {
                 store.push(cell, e);
             }
-            squares.insert(i, poly);
+            squares.insert(id, poly);
         }
         let reparse = square_reparser(squares);
-        let pool = WorkerPool::global();
         let uniform = PartitionMap::uniform(&store);
         let adaptive = PartitionMap::adaptive(
             &grid,
@@ -1034,24 +917,9 @@ mod tests {
             },
         );
         assert!(adaptive.stats().split_cells > 0, "{:?}", adaptive.stats());
-        let a = pbsm_join_mapped_on(
-            pool,
-            &store,
-            &uniform,
-            &reparse,
-            JoinOptions::default(),
-            None,
-        )
-        .unwrap();
-        let b = pbsm_join_mapped_on(
-            pool,
-            &store,
-            &adaptive,
-            &reparse,
-            JoinOptions::default(),
-            None,
-        )
-        .unwrap();
+        let spec = JoinSpec::threshold(30);
+        let a = join_all(&store, &uniform, &spec, &reparse, JoinOptions::default());
+        let b = join_all(&store, &adaptive, &spec, &reparse, JoinOptions::default());
         assert_eq!(a.pairs, b.pairs);
         assert!(!a.pairs.is_empty(), "fixture must produce pairs");
         assert_eq!(

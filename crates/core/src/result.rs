@@ -83,8 +83,8 @@ pub type QueryOutcome = std::result::Result<QueryResult, QueryError>;
 
 /// The result of executing a [`crate::Query`]. `PartialEq` compares
 /// results exactly (including float aggregates bit-for-bit) — the
-/// contract the batch layer is held to: `execute_batch(qs)` must
-/// equal `qs.map(execute)` member-wise.
+/// contract the batch layer is held to: a batch `run(qs)` must equal
+/// running each query alone, member-wise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
     /// Containment query output.

@@ -6,7 +6,7 @@
 //! this module decides **what each batch should contain** and reuses
 //! work *across* batches and *across* tenants. A [`QueryScheduler`]
 //! sits between callers (a multi-tenant server front end) and
-//! [`QuerySession`]/[`Engine::execute_batch`], applying three policies
+//! [`QuerySession::run`], applying three policies
 //! before any work is dispatched:
 //!
 //! 1. **Predicate deduplication** — queries with an identical
@@ -38,16 +38,15 @@
 //! batch machinery, deduplication shares the *same* sink a solo run
 //! would build, and cached results are the deterministic outputs of
 //! earlier identical executions, scheduled results are
-//! **bit-identical** to per-query [`Engine::execute`] — the
-//! differential suite holds the scheduler to that across threads ×
-//! modes × formats.
+//! **bit-identical** to running each query alone through
+//! [`Engine::run`] — the differential suite holds the scheduler to
+//! that across threads × modes × formats.
 //!
 //! The scheduler also lifts batch execution to **multiple datasets**
-//! in one call: [`QueryScheduler::execute_multi`] takes
+//! in one call: [`QueryScheduler::run_multi`] takes
 //! `(dataset, query)` pairs, groups them per dataset, routes each
 //! group through the policies above, and returns results in
-//! submission order (see also [`Engine::execute_multi_batch`] for the
-//! engine-level one-shot form).
+//! submission order.
 //!
 //! ```
 //! use atgis::{Dataset, Engine, ExecOptions, Query, QueryScheduler};
@@ -76,7 +75,7 @@
 //! assert_eq!(warm.scan_passes, 0);
 //! ```
 
-use crate::batch::QuerySession;
+use crate::batch::{self, IndexCache, QuerySession, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::engine::Engine;
@@ -84,7 +83,7 @@ use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::pool::recover;
 use crate::query::{FilterStrategy, Metric, Query, ScanClass};
 use crate::result::{QueryError, QueryOutcome, QueryResult};
-use crate::stats::{SchedulerStats, StreamStats, WaveStats};
+use crate::stats::{SchedulerStats, WaveStats};
 use crate::stream::ChunkSource;
 use crate::{Error, Result};
 use atgis_formats::Format;
@@ -128,7 +127,7 @@ impl std::fmt::Display for Priority {
 }
 
 /// One `(dataset, query)` pair of a multi-dataset batch
-/// ([`QueryScheduler::execute_multi`]), carrying the submitting
+/// ([`QueryScheduler::run_multi`]), carrying the submitting
 /// tenant's SLO class.
 #[derive(Debug, Clone)]
 pub struct ScheduledQuery {
@@ -763,183 +762,6 @@ impl QueryScheduler {
         exec::finish_run(outcomes, None, Some(stats), None, opts)
     }
 
-    /// Schedules one query (a batch of one still benefits from the
-    /// aggregate cache and the session's partition index).
-    #[deprecated(note = "use QueryScheduler::run with ExecOptions")]
-    pub fn execute(&self, id: DatasetId, query: &Query) -> Result<QueryResult> {
-        self.run(id, std::slice::from_ref(query), &ExecOptions::new())?
-            .into_single()
-    }
-
-    /// Schedules a batch against one dataset: predicates deduplicate,
-    /// cached aggregates short-circuit, the rest is admitted in waves
-    /// (see the module docs). Results come back in submission order,
-    /// bit-identical to per-query [`Engine::execute`].
-    #[deprecated(note = "use QueryScheduler::run with ExecOptions")]
-    pub fn execute_batch(&self, id: DatasetId, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        self.run(id, queries, &ExecOptions::new())?.collapse()
-    }
-
-    /// [`QueryScheduler::execute_batch`] with the scheduling
-    /// breakdown: dedup/cache hits, per-wave batch stats, completion
-    /// latencies.
-    #[deprecated(note = "use QueryScheduler::run with ExecOptions::new().timed()")]
-    pub fn execute_batch_timed(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-    ) -> Result<(Vec<QueryResult>, SchedulerStats)> {
-        let out = self.run(id, queries, &ExecOptions::new().timed())?;
-        let stats = out
-            .scheduler
-            .clone()
-            .expect("timed run reports scheduler stats");
-        Ok((out.collapse()?, stats))
-    }
-
-    /// [`QueryScheduler::execute_batch`] under a cooperative
-    /// [`CancelToken`] (optionally deadline-carrying) shared by the
-    /// whole batch: the token is observed at region/partition
-    /// granularity inside every wave, so a cancelled or past-deadline
-    /// batch stops within one in-flight work unit per worker and
-    /// returns [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
-    #[deprecated(note = "use QueryScheduler::run with ExecOptions::new().cancellable(token)")]
-    pub fn execute_batch_cancellable(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-        token: &CancelToken,
-    ) -> Result<Vec<QueryResult>> {
-        self.run(id, queries, &ExecOptions::new().cancellable(token))?
-            .collapse()
-    }
-
-    /// The **fault-isolated** scheduled batch: per-query `Result`s
-    /// plus the scheduling breakdown. A panic in one query's
-    /// aggregate sink fails only that query (and its dedup
-    /// duplicates, which share the sink) with
-    /// [`QueryError::Panicked`]; batch mates complete bit-identically
-    /// to solo execution and the scheduler stays fully serviceable.
-    /// When the `token` trips mid-batch, queries already resolved
-    /// keep their results and the rest report
-    /// [`QueryError::Cancelled`] / [`QueryError::DeadlineExceeded`].
-    /// [`SchedulerStats::cancelled`],
-    /// [`SchedulerStats::deadline_exceeded`] and
-    /// [`SchedulerStats::task_panics`] tally the failures. Only
-    /// non-query failures (unknown id, I/O or parse errors) surface
-    /// as the outer `Err`.
-    #[deprecated(note = "use QueryScheduler::run with ExecOptions::new().isolated().timed()")]
-    pub fn execute_batch_isolated_timed(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-        token: Option<&CancelToken>,
-    ) -> Result<(
-        Vec<std::result::Result<QueryResult, QueryError>>,
-        SchedulerStats,
-    )> {
-        let out = self.run(
-            id,
-            queries,
-            &ExecOptions::new().isolated().timed().cancellable_opt(token),
-        )?;
-        let stats = out.scheduler.expect("timed run reports scheduler stats");
-        Ok((out.outcomes, stats))
-    }
-
-    /// [`QueryScheduler::execute_batch_isolated_timed`] with an
-    /// explicit SLO class per query (`classes` parallels `queries`).
-    /// Admission forms waves **per class, interactive first**: every
-    /// [`Priority::Interactive`] wave (shared wave, then outliers by
-    /// ascending cost) completes before any [`Priority::Batch`] wave
-    /// starts, so an interactive query never queues behind a batch
-    /// outlier's solo wave. A predicate submitted at both classes is
-    /// deduplicated into its **highest-priority** submission's wave —
-    /// sharing a sink can only move a query *earlier*. Per-class
-    /// completion-latency percentiles come back via
-    /// [`SchedulerStats::class_latency_percentiles`].
-    #[deprecated(note = "use QueryScheduler::run_multi with per-query ScheduledQuery priorities")]
-    pub fn execute_batch_prioritized(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-        classes: &[Priority],
-        token: Option<&CancelToken>,
-    ) -> Result<(
-        Vec<std::result::Result<QueryResult, QueryError>>,
-        SchedulerStats,
-    )> {
-        if classes.len() != queries.len() {
-            return Err(Error::Unsupported(format!(
-                "{} queries but {} priority classes",
-                queries.len(),
-                classes.len()
-            )));
-        }
-        let batch: Vec<ScheduledQuery> = queries
-            .iter()
-            .zip(classes)
-            .map(|(q, &c)| ScheduledQuery::with_priority(id, q.clone(), c))
-            .collect();
-        let out = self.run_multi(
-            &batch,
-            &ExecOptions::new().isolated().timed().cancellable_opt(token),
-        )?;
-        let stats = out.scheduler.expect("timed run reports scheduler stats");
-        Ok((out.outcomes, stats))
-    }
-
-    /// Schedules a batch spanning **multiple datasets** in one call:
-    /// pairs group by dataset, each group runs through the full
-    /// policy stack, and results return in submission order.
-    #[deprecated(note = "use QueryScheduler::run_multi with ExecOptions")]
-    pub fn execute_multi(&self, batch: &[ScheduledQuery]) -> Result<Vec<QueryResult>> {
-        self.run_multi(batch, &ExecOptions::new())?.collapse()
-    }
-
-    /// [`QueryScheduler::execute_multi`] with the combined scheduling
-    /// breakdown (waves of all groups, latencies in submission
-    /// order).
-    #[deprecated(note = "use QueryScheduler::run_multi with ExecOptions::new().timed()")]
-    pub fn execute_multi_timed(
-        &self,
-        batch: &[ScheduledQuery],
-    ) -> Result<(Vec<QueryResult>, SchedulerStats)> {
-        let out = self.run_multi(batch, &ExecOptions::new().timed())?;
-        let stats = out
-            .scheduler
-            .clone()
-            .expect("timed run reports scheduler stats");
-        Ok((out.collapse()?, stats))
-    }
-
-    /// Schedules a batch over a **one-shot streamed** dataset:
-    /// predicates deduplicate so every distinct sink rides the single
-    /// chunk-fed pass ([`Engine::execute_streaming_batch`]), and the
-    /// duplicates fan out on completion. A stream is consumed exactly
-    /// once, so admission cannot split waves and nothing persists for
-    /// the aggregate cache — for repeated traffic over streamed data,
-    /// seal a [`QuerySession::streaming`] session and
-    /// [`QueryScheduler::adopt`] it instead.
-    #[deprecated(note = "use QueryScheduler::run_streaming with ExecOptions")]
-    pub fn execute_streaming_batch(
-        &self,
-        queries: &[Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<(Vec<QueryResult>, SchedulerStats, StreamStats)> {
-        let out = self.run_streaming(queries, source, format, &ExecOptions::new().timed())?;
-        let stats = out
-            .scheduler
-            .clone()
-            .expect("timed run reports scheduler stats");
-        let stream = out
-            .stream
-            .clone()
-            .expect("streaming run reports stream stats");
-        Ok((out.collapse()?, stats, stream))
-    }
-
     /// Streaming counterpart of [`QueryScheduler::run`]: deduplicates
     /// `queries`, runs the unique predicates through **one chunk-fed
     /// pass** ([`Engine::run_streaming`]), and fans the finished
@@ -962,16 +784,13 @@ impl QueryScheduler {
         let key_refs: Vec<&QueryKey> = keys.iter().collect();
         let (unique, representative) = self.dedup_plan(&key_refs, &mut stats);
         let unique_queries: Vec<Query> = unique.iter().map(|&i| queries[i].clone()).collect();
-        let cache = crate::batch::IndexCache::new();
-        let (unique_outcomes, batch_stats, stream_stats) =
-            crate::batch::execute_streaming_batch_impl(
-                &self.engine,
-                &unique_queries,
-                source,
-                format,
-                &cache,
-                token.as_ref(),
-            )?;
+        let (unique_outcomes, batch_stats, stream_stats) = batch::execute(
+            &self.engine,
+            &unique_queries,
+            Source::Stream(source, format),
+            &IndexCache::new(),
+            token.as_ref(),
+        )?;
         let elapsed = started.elapsed();
         stats.scan_passes = batch_stats.scan_passes;
         stats.waves.push(WaveStats {
@@ -1008,7 +827,7 @@ impl QueryScheduler {
                 Ok(_) => {}
             }
         }
-        exec::finish_run(outcomes, None, Some(stats), Some(stream_stats), opts)
+        exec::finish_run(outcomes, None, Some(stats), stream_stats, opts)
     }
 
     /// Deduplicates a list of predicate keys: returns the indexes of
@@ -1083,9 +902,8 @@ impl QueryScheduler {
         }
     }
 
-    /// The shared per-dataset execution path behind both
-    /// [`QueryScheduler::execute_batch_timed`] and each group of
-    /// [`QueryScheduler::execute_multi_timed`]: cache probe → dedup →
+    /// The per-dataset execution path behind each group of
+    /// [`QueryScheduler::run_multi`]: cache probe → dedup →
     /// admission waves → fan-out. Results are per-query: a sink
     /// panic, a cancellation or an elapsed deadline fails the
     /// affected queries (an interrupted wave fails all of its
@@ -1566,17 +1384,6 @@ mod tests {
         for r in got {
             assert_eq!(r.unwrap(), want);
         }
-    }
-
-    #[test]
-    fn mismatched_class_list_is_rejected() {
-        let scheduler = QueryScheduler::new(engine());
-        let id = scheduler.register(dataset(932, 10));
-        let q = Query::containment(Mbr::new(0.0, 0.0, 1.0, 1.0));
-        #[allow(deprecated)]
-        let mismatched =
-            scheduler.execute_batch_prioritized(id, std::slice::from_ref(&q), &[], None);
-        assert!(mismatched.is_err());
     }
 
     #[test]

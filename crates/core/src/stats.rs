@@ -144,7 +144,7 @@ pub struct BatchQueryStats {
     pub wall: Duration,
 }
 
-/// What one `execute_batch` call did: per-query breakdowns plus the
+/// What one batch `run` call did: per-query breakdowns plus the
 /// shared-scan amortisation the batch achieved.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {

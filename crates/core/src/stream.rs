@@ -36,6 +36,7 @@
 //! accumulate in [`crate::exact::ExactSum`]s whose correctly-rounded
 //! totals are independent of chunking, blocking and thread count.
 
+use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::{Dataset, StreamBuffer};
 use crate::engine::{parse_wkt_rows, Engine};
@@ -321,7 +322,7 @@ fn merge_frag<A: QueryAggregate>(
 ///
 /// Used directly by `QuerySession::ingest_chunk` (synchronous,
 /// pool released between calls so prefix queries can interleave) and
-/// through [`drive`] by `Engine::execute_streaming*` (pipelined:
+/// through [`drive`] by `Engine::run_streaming` (pipelined:
 /// a pump thread reads ahead while regions scan and merge).
 pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     buf: Arc<StreamBuffer>,
@@ -684,61 +685,19 @@ fn process_pat<A: QueryAggregate>(
 }
 
 impl Engine {
-    /// Executes one query over a dataset that **arrives while the
-    /// query runs**: chunks from `source` feed the scan pipeline as
-    /// they appear, fragments merge incrementally, and join-class
-    /// queries run against the index sealed at end of stream. The
-    /// result is bit-identical to buffering the whole stream and
-    /// calling [`Engine::execute`] — for every format, execution mode
-    /// and chunk size.
-    ///
-    /// ```
-    /// use atgis::{Engine, Query, SliceChunkSource};
-    /// use atgis_formats::Format;
-    /// use atgis_geometry::Mbr;
-    ///
-    /// let bytes = atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(5).generate(80));
-    /// let engine = Engine::builder().threads(2).build();
-    /// let query = Query::aggregation(Mbr::new(-10.0, 40.0, 10.0, 60.0));
-    ///
-    /// // Feed the bytes in 1 KiB chunks, scanning as they arrive…
-    /// let mut source = SliceChunkSource::new(&bytes, 1024);
-    /// let streamed = engine
-    ///     .execute_streaming(&query, &mut source, Format::GeoJson)
-    ///     .unwrap();
-    ///
-    /// // …bit-identical to buffering everything first.
-    /// let buffered = engine
-    ///     .execute(&query, &atgis::Dataset::from_bytes(bytes, Format::GeoJson))
-    ///     .unwrap();
-    /// assert_eq!(streamed, buffered);
-    /// ```
-    #[deprecated(note = "use Engine::run_streaming with ExecOptions")]
-    pub fn execute_streaming(
-        &self,
-        query: &crate::query::Query,
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<crate::result::QueryResult> {
-        self.run_streaming(
-            std::slice::from_ref(query),
-            source,
-            format,
-            &ExecOptions::new(),
-        )?
-        .into_single()
-    }
-
-    /// The unified streaming entry point: executes `queries` over a
-    /// one-shot chunk-fed stream under [`ExecOptions`] — cancellation
-    /// and deadline observed per chunk and per scan region, fault
-    /// isolation and timing selected by the options struct. One-shot
-    /// streams never shard ([`crate::ShardPolicy`] is ignored: the
-    /// byte length needed to split the input only exists once the
-    /// scan is over); use [`crate::QuerySession::run`] after sealing
-    /// a streaming session for sharded re-execution. Results are
-    /// bit-identical to buffering the whole stream and calling
-    /// [`Engine::run`].
+    /// The streaming entry point: executes `queries` over a dataset
+    /// that **arrives while the queries run** — chunks from `source`
+    /// feed one shared scan as they appear, fragments merge
+    /// incrementally, and join-class queries run against the index
+    /// sealed at end of stream. Cancellation and deadline are observed
+    /// per chunk and per scan region; fault isolation and timing come
+    /// from the [`ExecOptions`]. One-shot streams never shard
+    /// ([`crate::ShardPolicy`] is ignored: the byte length needed to
+    /// split the input only exists once the scan is over); use
+    /// [`crate::QuerySession::run`] after sealing a streaming session
+    /// for sharded re-execution. Results are bit-identical to
+    /// buffering the whole stream and calling [`Engine::run`] — for
+    /// every format, execution mode and chunk size.
     ///
     /// ```
     /// use atgis::{Engine, ExecOptions, Query, SliceChunkSource};
@@ -771,105 +730,14 @@ impl Engine {
         opts: &ExecOptions,
     ) -> Result<RunOutcome> {
         let token = opts.effective_token();
-        let cache = crate::batch::IndexCache::new();
-        let (outcomes, batch_stats, stream_stats) = crate::batch::execute_streaming_batch_impl(
+        let (outcomes, batch_stats, stream_stats) = batch::execute(
             self,
             queries,
-            source,
-            format,
-            &cache,
+            Source::Stream(source, format),
+            &IndexCache::new(),
             token.as_ref(),
         )?;
-        exec::finish_run(outcomes, Some(batch_stats), None, Some(stream_stats), opts)
-    }
-
-    /// Executes a batch of queries over a streamed dataset with one
-    /// shared chunk-fed scan (the streaming analogue of
-    /// [`Engine::execute_batch`]). Results come back in submission
-    /// order, bit-identical to the buffered batch.
-    #[deprecated(note = "use Engine::run_streaming with ExecOptions")]
-    pub fn execute_streaming_batch(
-        &self,
-        queries: &[crate::query::Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<Vec<crate::result::QueryResult>> {
-        self.run_streaming(queries, source, format, &ExecOptions::new())?
-            .collapse()
-    }
-
-    /// [`Engine::execute_streaming_batch`] with the amortisation
-    /// breakdown and the stream's ingestion statistics (chunk count,
-    /// peak live fragments, ingest wait).
-    #[deprecated(note = "use Engine::run_streaming with ExecOptions::new().timed()")]
-    pub fn execute_streaming_batch_timed(
-        &self,
-        queries: &[crate::query::Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<(
-        Vec<crate::result::QueryResult>,
-        crate::stats::BatchStats,
-        StreamStats,
-    )> {
-        let out = self.run_streaming(queries, source, format, &ExecOptions::new().timed())?;
-        let batch = out.batch.clone().expect("timed run reports batch stats");
-        let stream = out
-            .stream
-            .clone()
-            .expect("streaming run reports stream stats");
-        Ok((out.collapse()?, batch, stream))
-    }
-
-    /// [`Engine::execute_streaming`] under a cooperative
-    /// [`CancelToken`]: the token is observed per chunk in the ingest
-    /// loop and per region in the scan fan-out, so a cancelled or
-    /// past-deadline stream stops within one work unit and returns
-    /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
-    #[deprecated(note = "use Engine::run_streaming with ExecOptions::new().cancellable(token)")]
-    pub fn execute_streaming_cancellable(
-        &self,
-        query: &crate::query::Query,
-        source: &mut dyn ChunkSource,
-        format: Format,
-        token: &CancelToken,
-    ) -> Result<crate::result::QueryResult> {
-        self.run_streaming(
-            std::slice::from_ref(query),
-            source,
-            format,
-            &ExecOptions::new().cancellable(token),
-        )?
-        .into_single()
-    }
-
-    /// The **fault-isolated** streaming batch: per-query `Result`s
-    /// (a panicking aggregate sink fails only its own query), plus
-    /// the batch and stream statistics — including the transient
-    /// chunk-read retry count ([`StreamStats::retries`]). Whole-batch
-    /// failures (I/O, parse, cancellation, deadline) surface as the
-    /// outer `Err`.
-    #[deprecated(note = "use Engine::run_streaming with ExecOptions::new().isolated().timed()")]
-    pub fn execute_streaming_batch_isolated(
-        &self,
-        queries: &[crate::query::Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-        token: Option<&CancelToken>,
-    ) -> Result<(
-        Vec<crate::result::QueryOutcome>,
-        crate::stats::BatchStats,
-        StreamStats,
-    )> {
-        let out = self.run_streaming(
-            queries,
-            source,
-            format,
-            &ExecOptions::new().isolated().timed().cancellable_opt(token),
-        )?;
-        let batch = out.batch.expect("timed run reports batch stats");
-        let stream = out.stream.expect("streaming run reports stream stats");
-        Ok((out.outcomes, batch, stream))
+        exec::finish_run(outcomes, Some(batch_stats), None, stream_stats, opts)
     }
 }
 

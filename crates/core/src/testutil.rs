@@ -2,8 +2,7 @@
 //! "execute this and give me the collapsed result" without spelling
 //! the options struct at every call site. Everything here delegates
 //! to [`Engine::run`] / [`QuerySession::run`] /
-//! [`QueryScheduler::run`] — no test goes through the deprecated
-//! compatibility wrappers.
+//! [`QueryScheduler::run`].
 
 use crate::batch::QuerySession;
 use crate::dataset::Dataset;

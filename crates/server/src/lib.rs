@@ -16,7 +16,7 @@
 //!   [`atgis::CancelToken`]: a wire cancel frame, a client disconnect,
 //!   or a per-request deadline trips it. A single dispatcher drains
 //!   the submission queue into
-//!   [`execute_batch_prioritized`](atgis::QueryScheduler::execute_batch_prioritized)
+//!   [`run_multi`](atgis::QueryScheduler::run_multi)
 //!   calls, so co-arriving requests share scans and interactive-class
 //!   work is admitted ahead of batch outliers.
 //! - [`Client`] — a small blocking client used by the examples, the

@@ -5,7 +5,7 @@
 //! submissions; one writer thread per connection drains a channel of
 //! encoded response frames (so the dispatcher never blocks on a slow
 //! client socket); a single **dispatcher** thread drains the shared
-//! queue into [`QueryScheduler::execute_batch_prioritized`] calls —
+//! queue into [`QueryScheduler::run_multi`] calls —
 //! requests that arrive together share scans, and the scheduler's
 //! class-ordered admission keeps interactive work ahead of batch
 //! outliers.

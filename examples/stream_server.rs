@@ -14,7 +14,7 @@
 //! 3. after sealing, **join-class** traffic is served from the warm
 //!    index cache (zero parse passes), exactly like a pinned session.
 //!
-//! A second act runs the one-shot pipeline — `execute_streaming_batch`
+//! A second act runs the one-shot pipeline — `Engine::run_streaming`
 //! over a file source — and checks it against buffered execution.
 
 use atgis::{chunk_channel, Dataset, Engine, ExecOptions, Query, QuerySession};

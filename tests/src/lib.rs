@@ -10,12 +10,11 @@ use atgis::stats::{BatchStats, SchedulerStats};
 use atgis::{
     Dataset, Engine, ExecOptions, Query, QueryResult, QueryScheduler, QuerySession, Result,
 };
+use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 
 /// Test sugar over the unified [`ExecOptions`] API: "execute this,
 /// default options, collapsed result". Every method delegates to
-/// [`Engine::run`] / [`QuerySession::run`] / [`QueryScheduler::run`];
-/// nothing here touches the deprecated `execute*` compatibility
-/// wrappers.
+/// [`Engine::run`] / [`QuerySession::run`] / [`QueryScheduler::run`].
 pub trait RunExt {
     /// One query, default options.
     fn exec1(&self, query: &Query, dataset: &Dataset) -> Result<QueryResult>;
@@ -197,5 +196,74 @@ impl XorShift64 {
     /// A uniform-ish draw from `0..n`.
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
+    }
+}
+
+/// The `atgis_baselines::sequential` oracle's answer to each query
+/// over `dataset` — one thread, one parse pass, nested-loop join, no
+/// code shared with the engine's executor. `None` for combined
+/// queries, which the oracle has no counterpart for.
+pub fn oracle_answers(dataset: &Dataset, queries: &[Query]) -> Vec<Option<BaselineAnswer>> {
+    queries
+        .iter()
+        .map(|q| {
+            let baseline = match q {
+                Query::Containment { region } => BaselineQuery::Containment(region.clone()),
+                Query::Aggregation { region, .. } => BaselineQuery::Aggregation(region.clone()),
+                Query::Join { id_threshold } => BaselineQuery::Join(*id_threshold),
+                Query::Combined { .. } => return None,
+            };
+            Some(
+                sequential::execute(dataset.bytes(), dataset.format(), &baseline)
+                    .expect("the oracle parses its own input"),
+            )
+        })
+        .collect()
+}
+
+/// Asserts every result agrees with its [`oracle_answers`] entry:
+/// identical match ids and join pairs, identical counts, and area and
+/// perimeter sums within float-summation-order noise (the oracle folds
+/// left to right).
+pub fn assert_agrees_with_oracle(
+    answers: &[Option<BaselineAnswer>],
+    results: &[QueryResult],
+    label: &str,
+) {
+    assert_eq!(
+        answers.len(),
+        results.len(),
+        "{label}: one answer per query"
+    );
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+    for (i, (answer, got)) in answers.iter().zip(results).enumerate() {
+        match (answer, got) {
+            (None, _) => {}
+            (Some(BaselineAnswer::Matches(want)), QueryResult::Matches(matches)) => {
+                let mut ids: Vec<u64> = matches.iter().map(|m| m.id).collect();
+                ids.sort_unstable();
+                assert_eq!(&ids, want, "{label}: query {i} matches != oracle");
+            }
+            (
+                Some(BaselineAnswer::Aggregate(count, area, perimeter)),
+                QueryResult::Aggregate(v),
+            ) => {
+                assert_eq!(v.count, *count, "{label}: query {i} count != oracle");
+                assert!(
+                    close(v.total_area, *area) && close(v.total_perimeter, *perimeter),
+                    "{label}: query {i} sums {v:?} != oracle ({area}, {perimeter})"
+                );
+            }
+            (Some(BaselineAnswer::Pairs(want)), QueryResult::Joined(pairs)) => {
+                let mut got: Vec<(u64, u64)> =
+                    pairs.iter().map(|p| (p.left_id, p.right_id)).collect();
+                got.sort_unstable();
+                got.dedup();
+                let mut want = want.clone();
+                want.dedup();
+                assert_eq!(got, want, "{label}: query {i} pairs != oracle");
+            }
+            (Some(want), got) => panic!("{label}: query {i} answered {got:?}, oracle {want:?}"),
+        }
     }
 }

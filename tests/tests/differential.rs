@@ -16,7 +16,7 @@ use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{RunExt, SchedRunExt, SessionRunExt};
+use atgis_tests::{assert_agrees_with_oracle, oracle_answers, RunExt, SchedRunExt, SessionRunExt};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Thread counts exercised for every engine configuration.
@@ -265,10 +265,11 @@ fn batch_mixes(n: u64) -> Vec<Vec<Query>> {
     ]
 }
 
-/// `execute_batch(qs)` must be **bit-identical** to `qs.map(execute)`
-/// — exact float equality, exact orders — for every query-kind mix,
-/// across threads × PAT/FAT/Adaptive × uniform/adaptive partitioning,
-/// on both single-pass formats.
+/// A batch `run(qs)` must be **bit-identical** to running each query
+/// alone — exact float equality, exact orders — and agree with the
+/// sequential oracle, for every query-kind mix, across threads ×
+/// PAT/FAT/Adaptive × uniform/adaptive partitioning, on both
+/// single-pass formats.
 #[test]
 fn batch_execution_matches_sequential_everywhere() {
     for format in [Format::GeoJson, Format::Wkt] {
@@ -278,6 +279,10 @@ fn batch_execution_matches_sequential_everywhere() {
             n as usize,
             format,
         );
+        let answers: Vec<_> = batch_mixes(n)
+            .iter()
+            .map(|mix| oracle_answers(&ds, mix))
+            .collect();
         for threads in THREADS {
             for target in PARTITION_TARGETS {
                 for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
@@ -295,6 +300,7 @@ fn batch_execution_matches_sequential_everywhere() {
                             "{format:?} threads={threads} target={target} mode={mode:?} mix={mi}"
                         );
                         assert_eq!(got, want, "batch != sequential [{config}]");
+                        assert_agrees_with_oracle(&answers[mi], &got, &config);
                         assert_eq!(
                             stats.scan_passes, 1,
                             "every mix runs exactly one shared pass [{config}]"
@@ -317,11 +323,13 @@ fn batch_execution_matches_sequential_on_xml() {
         Query::aggregation(Mbr::new(-8.0, 42.0, 6.0, 58.0)),
         Query::join(20),
     ];
+    let answers = oracle_answers(&ds, &mix);
     for threads in THREADS {
         let engine = Engine::builder().threads(threads).cell_size(2.0).build();
         let want: Vec<QueryResult> = mix.iter().map(|q| engine.exec1(q, &ds).unwrap()).collect();
         let got = engine.execb(&mix, &ds).unwrap();
         assert_eq!(got, want, "xml batch threads={threads}");
+        assert_agrees_with_oracle(&answers, &got, &format!("xml batch threads={threads}"));
     }
 
     // The XML node-table pass is cached with the partition index:
@@ -333,6 +341,7 @@ fn batch_execution_matches_sequential_on_xml() {
         .iter()
         .map(|q| engine.exec1(q, &ds).unwrap())
         .collect();
+    assert_agrees_with_oracle(&oracle_answers(&ds, &join_only), &want, "xml join");
     let session = QuerySession::new(engine, ds);
     let (cold, s_cold) = session.execb_timed(&join_only).unwrap();
     let (warm, s_warm) = session.execb_timed(&join_only).unwrap();
@@ -370,15 +379,13 @@ fn xml_answers_are_identical_across_threads_and_block_counts() {
             .cell_size(2.0)
             .build();
         let want = serial.execb(&mix, &ds).unwrap();
-        let everything = BaselineQuery::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
-        let BaselineAnswer::Matches(ids) = oracle(&ds, Format::OsmXml, &everything) else {
-            panic!("containment answers with matches");
-        };
-        let mut got: Vec<u64> = want[0].matches().iter().map(|m| m.id).collect();
-        got.sort_unstable();
-        assert_eq!(got, ids, "{layout}: one block, one thread != oracle");
+        assert_agrees_with_oracle(
+            &oracle_answers(&ds, &mix),
+            &want,
+            &format!("{layout}: one block, one thread"),
+        );
         assert!(
-            ids.len() >= n as usize / 2,
+            want[0].matches().len() >= n as usize / 2,
             "{layout}: the query must select"
         );
         for threads in [1usize, 2, 3] {
@@ -423,6 +430,7 @@ fn session_batches_stay_consistent_across_cache_states() {
             .iter()
             .map(|q| engine.exec1(q, &ds).unwrap())
             .collect();
+        assert_agrees_with_oracle(&oracle_answers(&ds, &joins), &want, "session joins");
         let session = QuerySession::new(engine, ds.clone());
         let (cold, s_cold) = session.execb_timed(&joins).unwrap();
         let (warm, s_warm) = session.execb_timed(&joins).unwrap();
@@ -503,8 +511,9 @@ fn scheduler_configs() -> Vec<(String, SchedulerConfig)> {
 
 /// Scheduled execution — predicate dedup, aggregate caching,
 /// admission waves, in every combination — must stay **bit-identical**
-/// to `qs.map(execute)` across threads × modes × formats, on the
-/// first (cold) batch and on the repeat (cache-served) batch.
+/// to running each query alone (itself held to the sequential oracle)
+/// across threads × modes × formats, on the first (cold) batch and on
+/// the repeat (cache-served) batch.
 #[test]
 fn scheduled_batch_execution_matches_sequential_everywhere() {
     for format in [Format::GeoJson, Format::Wkt] {
@@ -515,6 +524,7 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
             format,
         );
         let mix = duplicate_heavy_mix(n);
+        let answers = oracle_answers(&ds, &mix);
         for threads in THREADS {
             for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
                 let engine = Engine::builder()
@@ -524,6 +534,11 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
                     .build();
                 let want: Vec<QueryResult> =
                     mix.iter().map(|q| engine.exec1(q, &ds).unwrap()).collect();
+                assert_agrees_with_oracle(
+                    &answers,
+                    &want,
+                    &format!("{format:?} threads={threads} mode={mode:?}"),
+                );
                 for (cname, config) in scheduler_configs() {
                     let scheduler = QueryScheduler::with_config(engine.clone(), config);
                     let id = scheduler.register(ds.clone());
@@ -575,6 +590,8 @@ fn scheduled_batch_cache_invalidation_on_dataset_update() {
             .map(|q| engine.exec1(q, &ds_v2).unwrap())
             .collect();
         assert_ne!(want_v1, want_v2, "generations must be distinguishable");
+        assert_agrees_with_oracle(&oracle_answers(&ds_v1, &queries), &want_v1, "v1");
+        assert_agrees_with_oracle(&oracle_answers(&ds_v2, &queries), &want_v2, "v2");
 
         let scheduler = QueryScheduler::new(engine);
         let id = scheduler.register(ds_v1);
@@ -617,6 +634,8 @@ fn scheduled_batch_over_sealed_streaming_session() {
         .iter()
         .map(|q| engine.exec1(q, &ds_v2).unwrap())
         .collect();
+    assert_agrees_with_oracle(&oracle_answers(&ds_v1, &mix), &want_v1, "v1");
+    assert_agrees_with_oracle(&oracle_answers(&ds_v2, &mix), &want_v2, "v2");
 
     // Ingest chunk by chunk, seal, adopt into the scheduler.
     let mut session = QuerySession::streaming(engine.clone(), Format::GeoJson).unwrap();
@@ -653,9 +672,8 @@ fn scheduled_batch_over_sealed_streaming_session() {
 }
 
 /// Multi-dataset batches: one call spanning several registered
-/// datasets (and `Engine::execute_multi_batch`'s one-shot form) must
-/// equal per-dataset sequential execution, with dedup scoped per
-/// dataset.
+/// datasets must equal per-dataset sequential execution, with dedup
+/// scoped per dataset.
 #[test]
 fn scheduled_multi_dataset_batch_matches_sequential() {
     let n = 60u64;
@@ -698,19 +716,14 @@ fn scheduled_multi_dataset_batch_matches_sequential() {
         "identical predicates on different datasets are different work"
     );
     assert_ne!(got[0], got[1], "the two datasets answer differently");
-
-    // The engine-level lift returns the same results grouped.
-    let groups: Vec<(&Dataset, &[Query])> = vec![
-        (&ds_g, std::slice::from_ref(&qa)),
-        (&ds_w, std::slice::from_ref(&qb)),
-    ];
-    // Wrapper equivalence: the deprecated engine-level lift must stay
-    // bit-identical to the scheduler path above.
-    #[allow(deprecated)]
-    let grouped = engine.execute_multi_batch(&groups).unwrap();
-    assert_eq!(grouped.len(), 2);
-    assert_eq!(grouped[0][0], engine.exec1(&qa, &ds_g).unwrap());
-    assert_eq!(grouped[1][0], engine.exec1(&qb, &ds_w).unwrap());
+    for (i, sq) in batch.iter().enumerate() {
+        let ds = if sq.dataset == g { &ds_g } else { &ds_w };
+        assert_agrees_with_oracle(
+            &oracle_answers(ds, std::slice::from_ref(&sq.query)),
+            std::slice::from_ref(&got[i]),
+            &format!("multi-dataset query {i}"),
+        );
+    }
 }
 
 /// The XML path (collection pass, node-table joins) through the
@@ -722,6 +735,7 @@ fn scheduled_batch_matches_sequential_on_xml() {
     let engine = Engine::builder().threads(2).cell_size(2.0).build();
     let mix = duplicate_heavy_mix(n);
     let want: Vec<QueryResult> = mix.iter().map(|q| engine.exec1(q, &ds).unwrap()).collect();
+    assert_agrees_with_oracle(&oracle_answers(&ds, &mix), &want, "xml scheduled");
     let scheduler = QueryScheduler::new(engine);
     let id = scheduler.register(ds);
     let (cold, _) = scheduler.execb_timed(id, &mix).unwrap();

@@ -9,16 +9,17 @@
 //! per-shard fault-isolation contract: one shard's panic tombstones
 //! exactly the queries scattered to it.
 //!
-//! A companion test pins the deprecated `execute*` wrappers
-//! bit-identical to the unified `run` API they delegate to.
+//! Every unsharded reference is itself held to the
+//! `atgis_baselines::sequential` oracle, so "sharded ≡ single-node"
+//! never compares the executor with only itself.
 
 use atgis::{
-    Dataset, Engine, ExecOptions, Query, QueryResult, QueryScheduler, QuerySession, ShardPolicy,
-    ShardSet,
+    Dataset, Engine, ExecOptions, Query, QueryResult, QuerySession, ShardPolicy, ShardSet,
 };
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
+use atgis_tests::{assert_agrees_with_oracle, oracle_answers};
 
 /// Spatially coherent dataset: generated objects sorted by centroid
 /// longitude before serialisation — the storage order of a real
@@ -63,13 +64,15 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 
 /// The identity matrix: shard counts {1, 2, 4, 8} × threads {1, 3} ×
 /// Pat/Fat/Adaptive × GeoJSON/WKT/XML × containment/aggregation/join,
-/// each sharded run compared against the same engine's unsharded run.
+/// each sharded run compared against the same engine's unsharded run,
+/// which in turn must agree with the sequential oracle.
 #[test]
 fn sharded_is_bit_identical_across_the_matrix() {
     const OBJECTS: usize = 400;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let dataset = sorted_dataset(7, OBJECTS, format);
         let queries = mixed_batch(OBJECTS as u64);
+        let answers = oracle_answers(&dataset, &queries);
         for threads in [1usize, 3] {
             for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
                 let engine = engine(threads, mode);
@@ -77,6 +80,11 @@ fn sharded_is_bit_identical_across_the_matrix() {
                     .run(&queries, &dataset, &ExecOptions::new())
                     .and_then(|o| o.collapse())
                     .expect("single-node oracle");
+                assert_agrees_with_oracle(
+                    &answers,
+                    &oracle,
+                    &format!("{format:?}/{mode:?}/threads={threads}"),
+                );
                 for shards in [1usize, 2, 4, 8] {
                     let got = engine
                         .run(&queries, &dataset, &ExecOptions::new().sharded(shards))
@@ -99,12 +107,14 @@ fn sharded_is_bit_identical_across_the_matrix() {
 fn auto_policy_matches_single_node() {
     let dataset = sorted_dataset(11, 500, Format::GeoJson);
     let queries = mixed_batch(500);
+    let answers = oracle_answers(&dataset, &queries);
     let engine = engine(3, Mode::Pat);
     let session = QuerySession::new(engine, dataset);
     let oracle = session
         .run(&queries, &ExecOptions::new())
         .and_then(|o| o.collapse())
         .expect("single-node oracle");
+    assert_agrees_with_oracle(&answers, &oracle, "auto policy");
     // Twice: the second run hits the session's cached ShardSet.
     for _ in 0..2 {
         let got = session
@@ -147,11 +157,13 @@ fn pruning_is_observable_and_exactly_accounted() {
         "a region disjoint from the dataset prunes every shard"
     );
 
+    let answers = oracle_answers(&dataset, &queries);
     let session = QuerySession::new(engine, dataset);
     let oracle = session
         .run(&queries, &ExecOptions::new())
         .and_then(|o| o.collapse())
         .expect("single-node oracle");
+    assert_agrees_with_oracle(&answers, &oracle, "pruning");
     let out = session
         .run(&queries, &ExecOptions::new().sharded(shards).timed())
         .expect("sharded run");
@@ -187,68 +199,6 @@ fn pruning_is_observable_and_exactly_accounted() {
     );
 }
 
-/// The deprecated `execute*` wrappers must stay bit-identical to the
-/// unified `run` API they now delegate to — the compatibility
-/// contract of the API redesign.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_match_the_run_api() {
-    let dataset = sorted_dataset(31, 300, Format::GeoJson);
-    let queries = mixed_batch(300);
-    let single = Query::containment(Mbr::new(-2.0, 48.0, 2.0, 52.0));
-    let engine = engine(2, Mode::Pat);
-
-    // Engine layer.
-    let run1 = engine
-        .run(std::slice::from_ref(&single), &dataset, &ExecOptions::new())
-        .and_then(|o| o.into_single())
-        .expect("run");
-    assert_eq!(engine.execute(&single, &dataset).expect("execute"), run1);
-
-    let runb = engine
-        .run(&queries, &dataset, &ExecOptions::new())
-        .and_then(|o| o.collapse())
-        .expect("run batch");
-    assert_eq!(
-        engine
-            .execute_batch(&queries, &dataset)
-            .expect("execute_batch"),
-        runb
-    );
-
-    let (wrapped, wstats) = engine
-        .execute_batch_timed(&queries, &dataset)
-        .expect("execute_batch_timed");
-    let out = engine
-        .run(&queries, &dataset, &ExecOptions::new().timed())
-        .expect("timed run");
-    assert_eq!(out.batch.as_ref().expect("stats").queries, wstats.queries);
-    assert_eq!(out.collapse().expect("results"), wrapped);
-
-    // Session layer.
-    let session = QuerySession::new(engine.clone(), dataset.clone());
-    let run_iso: Vec<_> = session
-        .run(&queries, &ExecOptions::new().isolated())
-        .expect("isolated run")
-        .outcomes;
-    let wrap_iso = session
-        .execute_batch_isolated(&queries, None)
-        .expect("wrapper");
-    assert_eq!(run_iso, wrap_iso);
-
-    // Scheduler layer.
-    let scheduler = QueryScheduler::new(engine);
-    let id = scheduler.register(dataset);
-    let runs = scheduler
-        .run(id, &queries, &ExecOptions::new())
-        .and_then(|o| o.collapse())
-        .expect("scheduler run");
-    assert_eq!(
-        scheduler.execute_batch(id, &queries).expect("wrapper"),
-        runs
-    );
-}
-
 /// Per-shard fault isolation, driven by the shard-targeted failpoint
 /// `shard.scan.N`: panicking exactly one shard must tombstone exactly
 /// the queries scattered to it (per `ShardSet::scatter_mask`), while
@@ -280,6 +230,7 @@ mod fault_isolation {
             .run(&queries, &dataset, &ExecOptions::new())
             .and_then(|o| o.collapse())
             .expect("clean oracle");
+        assert_agrees_with_oracle(&oracle_answers(&dataset, &queries), &oracle, "clean run");
 
         fault::arm("shard.scan.1", FaultAction::Panic("shard 1 down".into()));
         let isolated = engine

@@ -1,16 +1,18 @@
-//! Streaming-differential suite: `execute_streaming` must be
-//! **bit-identical** to buffered `execute` for every format ×
+//! Streaming-differential suite: `Engine::run_streaming` must be
+//! **bit-identical** to a buffered `Engine::run` for every format ×
 //! execution mode × chunk size — including chunk boundaries that fall
 //! inside multi-byte markers, UTF-8 escapes, numbers and XML
 //! entities — plus boundary-torture cases (empty final chunk,
-//! chunk-per-byte) and the bounded-fragment-memory guarantee.
+//! chunk-per-byte) and the bounded-fragment-memory guarantee. Every
+//! buffered reference is itself held to the `atgis_baselines`
+//! sequential oracle.
 
 use atgis::stream::SliceChunkSource;
 use atgis::{chunk_channel, Dataset, Engine, Query, QueryResult};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{RunExt, StreamRunExt};
+use atgis_tests::{assert_agrees_with_oracle, oracle_answers, RunExt, StreamRunExt};
 
 fn engine(threads: usize, mode: Mode) -> Engine {
     Engine::builder()
@@ -40,8 +42,9 @@ fn full_queries(n_objects: u64) -> Vec<Query> {
 }
 
 /// The core differential: for each query, a buffered run over the
-/// materialised bytes must equal a streamed run over the same bytes
-/// cut into `chunk_len`-sized chunks, exactly (floats included).
+/// materialised bytes must agree with the sequential oracle and equal
+/// a streamed run over the same bytes cut into `chunk_len`-sized
+/// chunks, exactly (floats included).
 fn assert_streamed_equals_buffered(
     e: &Engine,
     bytes: &[u8],
@@ -51,8 +54,14 @@ fn assert_streamed_equals_buffered(
     label: &str,
 ) {
     let ds = Dataset::from_bytes(bytes.to_vec(), format);
+    let answers = oracle_answers(&ds, queries);
     for (qi, q) in queries.iter().enumerate() {
         let want = e.exec1(q, &ds).unwrap();
+        assert_agrees_with_oracle(
+            &answers[qi..=qi],
+            std::slice::from_ref(&want),
+            &format!("{label} buffered query#{qi}"),
+        );
         let mut source = SliceChunkSource::new(bytes, chunk_len);
         let got = e.stream1(q, &mut source, format).unwrap();
         assert_eq!(got, want, "{label} chunk={chunk_len} query#{qi}");
@@ -151,10 +160,12 @@ fn streaming_batch_differential_across_threads() {
     let bytes = bytes_for(Format::GeoJson, 27, 70);
     let ds = Dataset::from_bytes(bytes.clone(), Format::GeoJson);
     let queries = full_queries(70);
+    let answers = oracle_answers(&ds, &queries);
     for threads in [1usize, 2, 8] {
         for mode in [Mode::Pat, Mode::Fat] {
             let e = engine(threads, mode);
             let want = e.execb(&queries, &ds).unwrap();
+            assert_agrees_with_oracle(&answers, &want, &format!("threads={threads} mode={mode:?}"));
             let mut source = SliceChunkSource::new(&bytes, 2048);
             let (got, stats, _) = e
                 .streamb_timed(&queries, &mut source, Format::GeoJson)
@@ -202,6 +213,8 @@ fn streaming_channel_feed_with_empty_chunks_and_empty_final_chunk() {
     let e = engine(2, Mode::Pat);
     let q = Query::aggregation(Mbr::new(-11.0, 39.0, 11.0, 61.0));
     let want = e.exec1(&q, &ds).unwrap();
+    let answers = oracle_answers(&ds, std::slice::from_ref(&q));
+    assert_agrees_with_oracle(&answers, std::slice::from_ref(&want), "channel feed");
 
     let (tx, mut rx) = chunk_channel(4);
     let feed = bytes.clone();
@@ -224,6 +237,8 @@ fn streaming_empty_input_matches_buffered_empty() {
     let q = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
     let empty = Dataset::from_bytes(Vec::new(), Format::Wkt);
     let want = e.exec1(&q, &empty).unwrap();
+    let answers = oracle_answers(&empty, std::slice::from_ref(&q));
+    assert_agrees_with_oracle(&answers, std::slice::from_ref(&want), "empty input");
     let mut source = SliceChunkSource::new(&[], 4);
     let got = e.stream1(&q, &mut source, Format::Wkt).unwrap();
     assert_eq!(got, want);
@@ -246,6 +261,11 @@ fn sweep_all_chunk_lengths(bytes: &[u8], format: Format, modes: &[Mode]) {
         let ds = Dataset::from_bytes(bytes.to_vec(), format);
         let want_w = e.exec1(&world, &ds).unwrap();
         let want_a = e.exec1(&agg, &ds).unwrap();
+        assert_agrees_with_oracle(
+            &oracle_answers(&ds, &[world.clone(), agg.clone()]),
+            &[want_w.clone(), want_a.clone()],
+            &format!("{format:?}/{mode:?} buffered"),
+        );
         assert!(
             !want_w.matches().is_empty(),
             "torture input must select features ({format:?})"
@@ -323,6 +343,8 @@ fn torture_eof_exactly_at_marker_boundary() {
     let ds = Dataset::from_bytes(bytes.clone(), Format::GeoJson);
     let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
     let want = e.exec1(&world, &ds).unwrap();
+    let answers = oracle_answers(&ds, std::slice::from_ref(&world));
+    assert_agrees_with_oracle(&answers, std::slice::from_ref(&want), "eof at marker");
     // Chunk lengths engineered so chunk boundaries hit every marker
     // position at least once across the runs.
     let marker = b"{\"type\":\"Feature\"";
@@ -388,6 +410,8 @@ fn streaming_file_source_matches_in_memory() {
     let ds = Dataset::from_bytes(bytes.clone(), Format::GeoJson);
     let q = Query::join(25);
     let want = e.exec1(&q, &ds).unwrap();
+    let answers = oracle_answers(&ds, std::slice::from_ref(&q));
+    assert_agrees_with_oracle(&answers, std::slice::from_ref(&want), "file source");
     let mut source = atgis::FileChunkSource::open_with_chunk_len(&path, 1500).unwrap();
     let got = e.stream1(&q, &mut source, Format::GeoJson).unwrap();
     std::fs::remove_file(&path).ok();
