@@ -11,7 +11,6 @@
 //! who wins, crossover points, scaling knees — are the reproduction
 //! targets recorded in EXPERIMENTS.md.
 
-use atgis::engine::{PartitionPhase, StoreKind};
 use atgis::{Dataset, Engine, ExecOptions, FilterStrategy, Metric, Query, QueryResult};
 use atgis_baselines::{column_scan, indexed, sequential, BaselineQuery};
 use atgis_bench::cluster_sim;
@@ -520,48 +519,38 @@ fn fig14() {
 }
 
 fn fig15() {
-    println!("=== Fig 15: partition size, storage format and pipeline (seconds) ===");
+    println!("=== Fig 15: partition size (seconds) ===");
     let w = Workload::build(scaled(10000));
     let threshold = (w.objects / 2) as u64;
     let threads = host_threads();
-    for (store, store_name) in [(StoreKind::Array, "array"), (StoreKind::List, "list")] {
-        for (phase, phase_name) in [
-            (PartitionPhase::Associative, "associative"),
-            (PartitionPhase::Separate, "separate"),
-        ] {
-            println!("--- store={store_name} partitioning={phase_name} ---");
-            println!(
-                "{:>10} {:>12} {:>12} {:>12} {:>12}",
-                "cell(deg)", "part-P", "part-M", "join", "total"
-            );
-            for cell in [0.25, 0.5, 1.0, 2.0, 4.0] {
-                let e = Engine::builder()
-                    .threads(threads)
-                    .mode(Mode::Pat)
-                    .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
-                    .cell_size(cell)
-                    .store(store)
-                    .partition_phase(phase)
-                    .build();
-                let out = e
-                    .run(
-                        &[Query::join(threshold)],
-                        &w.osm_g,
-                        &ExecOptions::new().timed(),
-                    )
-                    .unwrap();
-                let stats = out.batch.expect("timed run reports batch stats");
-                let j = stats.per_query[0].join.expect("join stats");
-                println!(
-                    "{:>10.2} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-                    cell,
-                    secs(j.partition.split + j.partition.process),
-                    secs(j.partition.merge),
-                    secs(j.join.total() + j.dedup),
-                    secs(j.total()),
-                );
-            }
-        }
+    println!(
+        "{:>10} {:>12} {:>12} {:>12} {:>12}",
+        "cell(deg)", "part-P", "part-M", "join", "total"
+    );
+    for cell in [0.25, 0.5, 1.0, 2.0, 4.0] {
+        let e = Engine::builder()
+            .threads(threads)
+            .mode(Mode::Pat)
+            .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
+            .cell_size(cell)
+            .build();
+        let out = e
+            .run(
+                &[Query::join(threshold)],
+                &w.osm_g,
+                &ExecOptions::new().timed(),
+            )
+            .unwrap();
+        let stats = out.batch.expect("timed run reports batch stats");
+        let j = stats.per_query[0].join.expect("join stats");
+        println!(
+            "{:>10.2} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
+            cell,
+            secs(j.partition.split + j.partition.process),
+            secs(j.partition.merge),
+            secs(j.join.total() + j.dedup),
+            secs(j.total()),
+        );
     }
     println!();
 }

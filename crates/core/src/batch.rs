@@ -56,17 +56,13 @@
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
-use crate::engine::{
-    make_reparser, Engine, EngineBuilder, PartitionAgg, PartitionPhase, StoreKind,
-};
+use crate::engine::{make_reparser, Engine, EngineBuilder, PartitionAgg};
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::run_grid_on;
 use crate::join::{
     fold_slot_results, join_partition, JoinOptions, JoinSpec, ReparseCache, Reparser, SlotResult,
 };
-use crate::partition::{
-    ArrayStore, GridSpec, ListStore, PartitionMap, PartitionMapStats, PartitionStore,
-};
+use crate::partition::{ArrayStore, GridSpec, PartitionMap, PartitionMapStats};
 use crate::persist::{self, Snapshot};
 use crate::pipeline::{
     downcast_sink, AggregateSink, ContainmentAgg, FailedSink, MetricsAgg, MultiSink, QueryAggregate,
@@ -94,8 +90,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct IndexKey {
     pub(crate) cell_deg: u64,
     pub(crate) extent: [u64; 4],
-    pub(crate) store: StoreKind,
-    pub(crate) phase: PartitionPhase,
     pub(crate) adaptive: crate::partition::AdaptiveConfig,
 }
 
@@ -108,19 +102,8 @@ pub(crate) fn index_key(cfg: &EngineBuilder) -> IndexKey {
             cfg.grid_extent.max_x.to_bits(),
             cfg.grid_extent.max_y.to_bits(),
         ],
-        store: cfg.store,
-        phase: cfg.partition_phase,
         adaptive: cfg.adaptive,
     }
-}
-
-/// The store side of a [`PartitionIndex`], matching the engine's
-/// configured [`StoreKind`].
-pub(crate) enum IndexStore {
-    /// Flat per-cell arrays.
-    Array(ArrayStore),
-    /// Chunk lists.
-    List(ListStore),
 }
 
 /// A dataset-level spatial index shared by every join-class query of
@@ -130,7 +113,7 @@ pub(crate) enum IndexStore {
 /// with different thresholds — and the combined query's perimeter
 /// bounds, enforced at the refine stage — all read the same index.
 pub struct PartitionIndex {
-    pub(crate) store: IndexStore,
+    pub(crate) store: ArrayStore,
     pub(crate) map: PartitionMap,
     /// Time spent on map refinement (load stats + hot-cell splits).
     pub(crate) refine: Duration,
@@ -142,14 +125,6 @@ pub struct PartitionIndex {
 }
 
 impl PartitionIndex {
-    /// Shape of the refined partition map.
-    pub(crate) fn occupied_slots(&self) -> Vec<usize> {
-        match &self.store {
-            IndexStore::Array(s) => self.map.occupied_slots(s),
-            IndexStore::List(s) => self.map.occupied_slots(s),
-        }
-    }
-
     /// Shape of the (possibly refined) partition map.
     pub fn map_stats(&self) -> PartitionMapStats {
         self.map.stats()
@@ -634,61 +609,29 @@ impl QuerySession {
     }
 }
 
-/// The partition-pass sink in the configured store kind: one
-/// side-agnostic index that serves every join spec.
+/// The partition-pass sink: one side-agnostic index that serves every
+/// join spec.
 fn partition_sink(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
-    fn proto<S: PartitionStore + Clone + 'static>(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
-        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
-        Box::new(PartitionAgg {
-            grid,
-            store: S::new(grid.num_cells()),
-            entries: Vec::new(),
-            associative: cfg.partition_phase == PartitionPhase::Associative,
-        })
-    }
-    match cfg.store {
-        StoreKind::Array => proto::<ArrayStore>(cfg),
-        StoreKind::List => proto::<ListStore>(cfg),
-    }
+    let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
+    Box::new(PartitionAgg {
+        grid,
+        store: ArrayStore::new(grid.num_cells()),
+    })
 }
 
-/// Seals a finished partition sink into a [`PartitionIndex`]: the
-/// entry list scatters first under the separate partition phase, the
-/// map is skew-refined, and OSM XML adds the node-table pass its
-/// re-parsing needs (cached with the index, so warm batches skip it).
+/// Seals a finished partition sink into a [`PartitionIndex`]: the map
+/// is skew-refined, and OSM XML adds the node-table pass its re-parsing
+/// needs (cached with the index, so warm batches skip it).
 fn seal_index(
     engine: &Engine,
     dataset: &Dataset,
     sink: Box<dyn AggregateSink>,
     token: Option<&CancelToken>,
 ) -> Result<PartitionIndex> {
-    fn refine_store<S: PartitionStore + Clone + 'static>(
-        cfg: &EngineBuilder,
-        sink: Box<dyn AggregateSink>,
-    ) -> (S, PartitionMap, Duration) {
-        let mut agg: PartitionAgg<S> = downcast_sink(sink);
-        if cfg.partition_phase == PartitionPhase::Separate {
-            for e in std::mem::take(&mut agg.entries) {
-                for cell in agg.grid.cells_for(&e.mbr) {
-                    agg.store.push(cell, e);
-                }
-            }
-        }
-        let started = Instant::now();
-        let map = PartitionMap::adaptive(&agg.grid, &agg.store, &cfg.adaptive);
-        (agg.store, map, started.elapsed())
-    }
-    let cfg = engine.config();
-    let (store, map, refine) = match cfg.store {
-        StoreKind::Array => {
-            let (s, m, r) = refine_store::<ArrayStore>(cfg, sink);
-            (IndexStore::Array(s), m, r)
-        }
-        StoreKind::List => {
-            let (s, m, r) = refine_store::<ListStore>(cfg, sink);
-            (IndexStore::List(s), m, r)
-        }
-    };
+    let PartitionAgg { grid, store } = downcast_sink(sink);
+    let started = Instant::now();
+    let map = PartitionMap::adaptive(&grid, &store, &engine.config().adaptive);
+    let refine = started.elapsed();
     let xml_table = if dataset.format() == Format::OsmXml {
         Some(Arc::new(engine.xml_geometry_table(dataset, token)?))
     } else {
@@ -711,9 +654,9 @@ fn seal_index(
 /// than the whole join pass; an empty slot can only contribute the
 /// empty `SlotResult`, which the fold ignores.
 #[allow(clippy::too_many_arguments)]
-fn run_join_grid<S: PartitionStore + Sync>(
+fn run_join_grid(
     engine: &Engine,
-    store: &S,
+    store: &ArrayStore,
     map: &PartitionMap,
     specs: &[JoinSpec],
     reparse: &Reparser<'_>,
@@ -1169,7 +1112,6 @@ fn finish_batch(
         let reparse = make_reparser(input, dataset.format(), index.xml_table.as_deref());
         let options = JoinOptions {
             threads: engine.threads(),
-            sort_batch: cfg.sort_batch,
             probe: cfg.probe,
             ..JoinOptions::default()
         };
@@ -1177,7 +1119,7 @@ fn finish_batch(
         // several queries (or replicated into several partitions)
         // parse once.
         let shared_cache = ReparseCache::new(options.sort_batch);
-        let occupied = index.occupied_slots();
+        let occupied = index.map.occupied_slots(&index.store);
         // Single-node: one fan-out over every occupied slot. Sharded:
         // the occupied slots are distributed round-robin across
         // shards; each shard joins its own slots and the per-slot
@@ -1198,30 +1140,17 @@ fn finish_batch(
             if slots.is_empty() {
                 continue;
             }
-            let shard_results = match &index.store {
-                IndexStore::Array(s) => run_join_grid(
-                    engine,
-                    s,
-                    &index.map,
-                    &plan.join_specs,
-                    reparse.as_ref(),
-                    &shared_cache,
-                    &options,
-                    token,
-                    slots,
-                ),
-                IndexStore::List(s) => run_join_grid(
-                    engine,
-                    s,
-                    &index.map,
-                    &plan.join_specs,
-                    reparse.as_ref(),
-                    &shared_cache,
-                    &options,
-                    token,
-                    slots,
-                ),
-            };
+            let shard_results = run_join_grid(
+                engine,
+                &index.store,
+                &index.map,
+                &plan.join_specs,
+                reparse.as_ref(),
+                &shared_cache,
+                &options,
+                token,
+                slots,
+            );
             match shard_results {
                 Ok(per_query) => {
                     if shard_set.is_some() {
@@ -1408,25 +1337,6 @@ mod tests {
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
         assert!(!results[0].matches().is_empty());
-    }
-
-    #[test]
-    fn store_kinds_agree_in_batch() {
-        let ds = dataset(905, 60);
-        let queries = mixed_queries(60);
-        let a = Engine::builder()
-            .store(StoreKind::Array)
-            .cell_size(2.0)
-            .build()
-            .execb(&queries, &ds)
-            .unwrap();
-        let l = Engine::builder()
-            .store(StoreKind::List)
-            .cell_size(2.0)
-            .build()
-            .execb(&queries, &ds)
-            .unwrap();
-        assert_eq!(a, l);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on};
 use crate::join::{ProbeStrategy, Reparser};
-use crate::partition::{AdaptiveConfig, GridSpec, PartEntry, PartitionStore};
+use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
 use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
 use crate::pool::WorkerPool;
 use crate::query::{FilterStrategy, Query};
@@ -21,29 +21,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which data structure holds partitions (§4.4 / Fig. 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StoreKind {
-    /// Flat arrays: locality, linear-time merge.
-    #[default]
-    Array,
-    /// Chunk lists: constant-time merge, slower reads.
-    List,
-}
-
-/// Whether partitioning runs inside the associative pipeline or as a
-/// separate sequential phase after it (§5.6 / Fig. 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PartitionPhase {
-    /// Partition transducer inside the pipeline; stores merge
-    /// associatively.
-    #[default]
-    Associative,
-    /// The pipeline only bounds geometries; a sequential step
-    /// partitions the merged entry list.
-    Separate,
-}
-
 /// Engine configuration builder.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
@@ -52,9 +29,6 @@ pub struct EngineBuilder {
     block_multiplier: usize,
     pub(crate) cell_deg: f64,
     pub(crate) grid_extent: Mbr,
-    pub(crate) store: StoreKind,
-    pub(crate) partition_phase: PartitionPhase,
-    pub(crate) sort_batch: usize,
     pub(crate) adaptive: AdaptiveConfig,
     pub(crate) probe: ProbeStrategy,
     persist_root: Option<std::path::PathBuf>,
@@ -68,9 +42,6 @@ impl Default for EngineBuilder {
             block_multiplier: 4,
             cell_deg: 1.0,
             grid_extent: Mbr::new(-180.0, -90.0, 180.0, 90.0),
-            store: StoreKind::Array,
-            partition_phase: PartitionPhase::Associative,
-            sort_batch: 1 << 16,
             adaptive: AdaptiveConfig::default(),
             probe: ProbeStrategy::Auto,
             persist_root: None,
@@ -112,24 +83,6 @@ impl EngineBuilder {
     /// Extent covered by the partition grid.
     pub fn grid_extent(mut self, extent: Mbr) -> Self {
         self.grid_extent = extent;
-        self
-    }
-
-    /// Partition store data structure.
-    pub fn store(mut self, kind: StoreKind) -> Self {
-        self.store = kind;
-        self
-    }
-
-    /// Associative vs separate partitioning phase.
-    pub fn partition_phase(mut self, phase: PartitionPhase) -> Self {
-        self.partition_phase = phase;
-        self
-    }
-
-    /// SORT-stage batch size for joins.
-    pub fn sort_batch(mut self, n: usize) -> Self {
-        self.sort_batch = n.max(1);
         self
     }
 
@@ -656,44 +609,30 @@ pub(crate) fn parse_wkt_rows(
     Ok(())
 }
 
-/// The join partition pass: bounds geometries and partitions them
-/// (associatively, or collecting entries for a separate phase) into
-/// one side-agnostic index that every join-class query of a batch
-/// reads; sides resolve per query at join time.
+/// The join partition pass: bounds geometries and scatters them into
+/// grid cells inside the associative scan, building one side-agnostic
+/// index that every join-class query of a batch reads; sides resolve
+/// per query at join time.
 #[derive(Clone)]
-pub(crate) struct PartitionAgg<S: PartitionStore + Clone> {
+pub(crate) struct PartitionAgg {
     pub(crate) grid: GridSpec,
-    pub(crate) store: S,
-    pub(crate) entries: Vec<PartEntry>,
-    pub(crate) associative: bool,
+    pub(crate) store: ArrayStore,
 }
 
-impl<S: PartitionStore + Clone> QueryAggregate for PartitionAgg<S> {
+impl QueryAggregate for PartitionAgg {
     fn identity() -> Self {
         unreachable!("constructed by the engine with grid parameters")
     }
 
     fn absorb(&mut self, f: &RawFeature) {
-        // The side tag is persisted with the index but never read: it
-        // keeps the historical all-left value so snapshot bytes stay
-        // unchanged.
-        let entry = PartEntry::from_feature(f, f.id < u64::MAX);
-        if self.associative {
-            for cell in self.grid.cells_for(&entry.mbr) {
-                self.store.push(cell, entry);
-            }
-        } else {
-            self.entries.push(entry);
+        let entry = PartEntry::from_feature(f);
+        for cell in self.grid.cells_for(&entry.mbr) {
+            self.store.push(cell, entry);
         }
     }
 
-    fn combine(mut self, mut other: Self) -> Self {
-        if self.associative {
-            let store = std::mem::replace(&mut self.store, S::new(0));
-            self.store = store.merge(other.store);
-        } else {
-            self.entries.append(&mut other.entries);
-        }
+    fn combine(mut self, other: Self) -> Self {
+        self.store = self.store.merge(other.store);
         self
     }
 }
@@ -834,41 +773,6 @@ mod tests {
             }
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn join_store_kinds_agree() {
-        let ds = dataset(50, Format::GeoJson);
-        let q = Query::join(25);
-        let array = Engine::builder()
-            .store(StoreKind::Array)
-            .cell_size(2.0)
-            .build();
-        let list = Engine::builder()
-            .store(StoreKind::List)
-            .cell_size(2.0)
-            .build();
-        let a = array.exec1(&q, &ds).unwrap();
-        let l = list.exec1(&q, &ds).unwrap();
-        assert_eq!(a.joined(), l.joined());
-    }
-
-    #[test]
-    fn join_partition_phases_agree() {
-        let ds = dataset(50, Format::GeoJson);
-        let q = Query::join(25);
-        let assoc = Engine::builder()
-            .partition_phase(PartitionPhase::Associative)
-            .cell_size(2.0)
-            .build();
-        let sep = Engine::builder()
-            .partition_phase(PartitionPhase::Separate)
-            .cell_size(2.0)
-            .build();
-        assert_eq!(
-            assoc.exec1(&q, &ds).unwrap().joined(),
-            sep.exec1(&q, &ds).unwrap().joined()
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    partitions can match repeatedly; pairs are sorted by offsets and
 //!    deduplicated before the result returns (§4.5).
 
-use crate::partition::{PartEntry, PartitionMap, PartitionStore};
+use crate::partition::{ArrayStore, PartEntry, PartitionMap};
 use crate::pool::recover;
 use crate::result::JoinPair;
 use crate::stats::JoinDecisions;
@@ -131,7 +131,8 @@ impl JoinSpec {
 /// hot-cell splitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeStrategy {
-    /// Cost-based choice per partition (see [`JoinOptions::rtree_ratio`]).
+    /// Cost-based choice per partition: the R-tree when one side
+    /// dwarfs the other or the partition is dense, else the sweep.
     #[default]
     Auto,
     /// Always sort + sweep (the paper's prototype behaviour).
@@ -142,7 +143,7 @@ pub enum ProbeStrategy {
 
 /// Join pipeline configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct JoinOptions {
+pub(crate) struct JoinOptions {
     /// Worker threads for the partition-parallel phase. `0` (the
     /// default) inherits the machine parallelism
     /// (`std::thread::available_parallelism`), matching what an
@@ -258,8 +259,8 @@ pub(crate) fn fold_slot_results(
 /// Returns the pairs plus which compare algorithm ran (`None` when the
 /// partition was trivially empty on one side) and the partition's
 /// density.
-pub(crate) fn join_partition<S: PartitionStore>(
-    store: &S,
+pub(crate) fn join_partition(
+    store: &ArrayStore,
     map: &PartitionMap,
     slot: usize,
     spec: &JoinSpec,
@@ -495,16 +496,15 @@ fn mbr_compare(lefts: &[PartEntry], rights: &[PartEntry]) -> Vec<(PartEntry, Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{ArrayStore, GridSpec, ListStore};
+    use crate::partition::GridSpec;
     use atgis_geometry::{Mbr, Point, Polygon};
 
-    fn entry(id: u64, x: f64, y: f64, size: f64, left: bool) -> PartEntry {
+    fn entry(id: u64, x: f64, y: f64, size: f64) -> PartEntry {
         PartEntry {
             id,
             offset: id,
             len: 0,
             mbr: Mbr::new(x, y, x + size, y + size),
-            left_side: left,
         }
     }
 
@@ -535,8 +535,8 @@ mod tests {
     /// One query's whole join stage, as the batch layer runs it: every
     /// occupied slot through [`join_partition`] on the shared pool,
     /// folded by [`fold_slot_results`].
-    fn join_all<S: PartitionStore + Sync>(
-        store: &S,
+    fn join_all(
+        store: &ArrayStore,
         map: &PartitionMap,
         spec: &JoinSpec,
         reparse: &Reparser<'_>,
@@ -552,8 +552,8 @@ mod tests {
     }
 
     /// [`join_all`] over the uniform map with a plain threshold spec.
-    fn join_pairs<S: PartitionStore + Sync>(
-        store: &S,
+    fn join_pairs(
+        store: &ArrayStore,
         reparse: &Reparser<'_>,
         options: JoinOptions,
     ) -> Vec<JoinPair> {
@@ -570,11 +570,11 @@ mod tests {
 
     #[test]
     fn mbr_compare_finds_all_intersections() {
-        let lefts = vec![entry(1, 0.0, 0.0, 2.0, true), entry(2, 5.0, 5.0, 1.0, true)];
+        let lefts = vec![entry(1, 0.0, 0.0, 2.0), entry(2, 5.0, 5.0, 1.0)];
         let rights = vec![
-            entry(10, 1.0, 1.0, 2.0, false),
-            entry(11, 9.0, 9.0, 1.0, false),
-            entry(12, 5.5, 5.5, 0.2, false),
+            entry(10, 1.0, 1.0, 2.0),
+            entry(11, 9.0, 9.0, 1.0),
+            entry(12, 5.5, 5.5, 0.2),
         ];
         let mut pairs: Vec<(u64, u64)> = mbr_compare(&lefts, &rights)
             .iter()
@@ -588,17 +588,16 @@ mod tests {
     fn mbr_compare_brute_force_agreement() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mk = |id: u64, left: bool, rng: &mut rand::rngs::StdRng| {
+        let mk = |id: u64, rng: &mut rand::rngs::StdRng| {
             entry(
                 id,
                 rng.gen_range(-10.0..10.0),
                 rng.gen_range(-10.0..10.0),
                 rng.gen_range(0.1..3.0),
-                left,
             )
         };
-        let lefts: Vec<PartEntry> = (0..40).map(|i| mk(i, true, &mut rng)).collect();
-        let rights: Vec<PartEntry> = (100..160).map(|i| mk(i, false, &mut rng)).collect();
+        let lefts: Vec<PartEntry> = (0..40).map(|i| mk(i, &mut rng)).collect();
+        let rights: Vec<PartEntry> = (100..160).map(|i| mk(i, &mut rng)).collect();
         let mut got: Vec<(u64, u64)> = mbr_compare(&lefts, &rights)
             .iter()
             .map(|(l, r)| (l.id, r.id))
@@ -616,38 +615,38 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    fn join_fixture<S: PartitionStore + Sync>() -> (S, HashMap<u64, Polygon>) {
+    fn join_fixture() -> (ArrayStore, HashMap<u64, Polygon>) {
         // Grid of 2 cells; squares 1 and 2 on the left side, 10-12 on
         // the right. Square 1 overlaps 10; square 2 overlaps nothing;
         // square 1 also straddles both cells to create duplicates.
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
-        let mut store = S::new(grid.num_cells());
+        let mut store = ArrayStore::new(grid.num_cells());
         let mut squares = HashMap::new();
-        let mut add = |store: &mut S, id: u64, x: f64, y: f64, size: f64, left: bool| {
+        for (id, x, y, size) in [
+            (1, 1.5, 0.5, 1.0), // straddles cells 0 and 1
+            (2, 0.1, 1.5, 0.3),
+            (10, 2.0, 0.8, 1.0), // overlaps 1
+            (11, 3.5, 1.5, 0.4),
+            (12, 0.5, 0.1, 0.2),
+        ] {
             let poly = square_at(x, y, size);
             let e = PartEntry {
                 id,
                 offset: id,
                 len: 0,
                 mbr: poly.mbr(),
-                left_side: left,
             };
             for cell in grid.cells_for(&e.mbr) {
                 store.push(cell, e);
             }
             squares.insert(id, poly);
-        };
-        add(&mut store, 1, 1.5, 0.5, 1.0, true); // straddles cells 0 and 1
-        add(&mut store, 2, 0.1, 1.5, 0.3, true);
-        add(&mut store, 10, 2.0, 0.8, 1.0, false); // overlaps 1
-        add(&mut store, 11, 3.5, 1.5, 0.4, false);
-        add(&mut store, 12, 0.5, 0.1, 0.2, false);
+        }
         (store, squares)
     }
 
     #[test]
     fn pbsm_join_finds_pairs_and_dedups() {
-        let (store, squares) = join_fixture::<ArrayStore>();
+        let (store, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let pairs = join_pairs(&store, &reparse, JoinOptions::default());
         assert_eq!(pairs.len(), 1, "exactly one intersecting pair: {pairs:?}");
@@ -655,18 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn list_store_join_agrees_with_array_store() {
-        let (astore, squares) = join_fixture::<ArrayStore>();
-        let (lstore, _) = join_fixture::<ListStore>();
-        let reparse = square_reparser(squares);
-        let a = join_pairs(&astore, &reparse, JoinOptions::default());
-        let l = join_pairs(&lstore, &reparse, JoinOptions::default());
-        assert_eq!(a, l);
-    }
-
-    #[test]
     fn small_sort_batches_do_not_change_results() {
-        let (store, squares) = join_fixture::<ArrayStore>();
+        let (store, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let base = join_pairs(&store, &reparse, JoinOptions::default());
         for sort_batch in [1, 2, 3] {
@@ -685,7 +674,7 @@ mod tests {
 
     #[test]
     fn multithreaded_join_is_deterministic() {
-        let (store, squares) = join_fixture::<ArrayStore>();
+        let (store, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let single = join_pairs(
             &store,
@@ -725,20 +714,18 @@ mod tests {
     fn rtree_compare_agrees_with_sweep() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mk = |id: u64, left: bool, rng: &mut rand::rngs::StdRng| {
+        let mk = |id: u64, rng: &mut rand::rngs::StdRng| {
             entry(
                 id,
                 rng.gen_range(-10.0..10.0),
                 rng.gen_range(-10.0..10.0),
                 rng.gen_range(0.1..4.0),
-                left,
             )
         };
         for (nl, nr) in [(1usize, 50usize), (80, 10), (60, 60), (200, 3)] {
-            let lefts: Vec<PartEntry> = (0..nl as u64).map(|i| mk(i, true, &mut rng)).collect();
-            let rights: Vec<PartEntry> = (1000..1000 + nr as u64)
-                .map(|i| mk(i, false, &mut rng))
-                .collect();
+            let lefts: Vec<PartEntry> = (0..nl as u64).map(|i| mk(i, &mut rng)).collect();
+            let rights: Vec<PartEntry> =
+                (1000..1000 + nr as u64).map(|i| mk(i, &mut rng)).collect();
             let mut sweep: Vec<(u64, u64)> = mbr_compare(&lefts, &rights)
                 .iter()
                 .map(|(l, r)| (l.id, r.id))
@@ -813,33 +800,38 @@ mod tests {
 
     #[test]
     fn threshold_side_rule_matches_tagged_partitioning() {
-        // Sides come from the id threshold at join time, never from
-        // the entries' persisted side tags: an index with every entry
-        // tagged left must join exactly like the tagged fixture.
-        let (store, squares) = join_fixture::<ArrayStore>();
-        let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
-        let mut untagged = ArrayStore::new(grid.num_cells());
-        for cell in 0..grid.num_cells() {
-            store.for_each(cell, |e| {
-                untagged.push(
-                    cell,
-                    PartEntry {
-                        left_side: true,
-                        ..*e
-                    },
-                )
-            });
-        }
+        // Sides come from the id threshold at join time: for every
+        // threshold the one side-agnostic index joins exactly like a
+        // brute-force pass over the squares tagged left (id below the
+        // threshold) or right.
+        let (store, squares) = join_fixture();
+        let map = PartitionMap::uniform(&store);
+        let ids: Vec<u64> = squares.keys().copied().collect();
         let reparse = square_reparser(squares);
-        let tagged = join_pairs(&store, &reparse, JoinOptions::default());
-        let by_threshold = join_pairs(&untagged, &reparse, JoinOptions::default());
-        assert_eq!(tagged, by_threshold);
-        assert!(!tagged.is_empty());
+        for threshold in [0, 2, LEFT_BELOW, 11, 13] {
+            let spec = JoinSpec::threshold(threshold);
+            let got: Vec<(u64, u64)> =
+                join_all(&store, &map, &spec, &reparse, JoinOptions::default())
+                    .pairs
+                    .iter()
+                    .map(|p| (p.left_id, p.right_id))
+                    .collect();
+            let mut want = Vec::new();
+            for &l in ids.iter().filter(|&&id| id < threshold) {
+                for &r in ids.iter().filter(|&&id| id >= threshold) {
+                    if intersects(&reparse(l, 0).unwrap(), &reparse(r, 0).unwrap()) {
+                        want.push((l, r));
+                    }
+                }
+            }
+            want.sort_unstable();
+            assert_eq!(got, want, "threshold {threshold}");
+        }
     }
 
     #[test]
     fn refine_stage_perimeter_bounds_filter_pairs() {
-        let (store, squares) = join_fixture::<ArrayStore>();
+        let (store, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let map = PartitionMap::uniform(&store);
         let options = JoinOptions {
@@ -859,7 +851,7 @@ mod tests {
 
     #[test]
     fn probe_strategies_agree_on_join_results() {
-        let (store, squares) = join_fixture::<ArrayStore>();
+        let (store, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let mut results = Vec::new();
         for probe in [
@@ -899,7 +891,6 @@ mod tests {
                 offset: id,
                 len: 0,
                 mbr: poly.mbr(),
-                left_side: id < 30,
             };
             for cell in grid.cells_for(&e.mbr) {
                 store.push(cell, e);

@@ -187,7 +187,7 @@ pub use dataset::{Dataset, StreamBuffer};
 pub use engine::{Engine, EngineBuilder};
 pub use exact::ExactSum;
 pub use exec::{ExecOptions, Isolation, RunOutcome, ShardPolicy};
-pub use join::{JoinOptions, ProbeStrategy};
+pub use join::ProbeStrategy;
 pub use partition::{AdaptiveConfig, PartitionMap, PartitionMapStats};
 pub use persist::{PersistError, PersistStats, PersistStore, Snapshot};
 pub use query::{FilterStrategy, Metric, Query, ScanClass};

@@ -4,14 +4,13 @@
 //! (their MBRs plus source offsets) are scattered into fixed-size grid
 //! cells; geometries straddling cell boundaries are replicated into
 //! every cell they touch (the non-disjoint partitions whose duplicate
-//! results the join removes later). Two store layouts implement the
-//! paper's data-structure trade-off:
+//! results the join removes later). Partitioning runs inside the
+//! associative scan: every block scatters its features into its own
+//! [`ArrayStore`] — one flat `Vec` per cell — and block stores merge by
+//! per-cell concatenation in document order.
 //!
-//! * [`ArrayStore`] — one flat `Vec` per cell: best locality, but
-//!   merging two stores copies every entry (linear-time merge);
-//! * [`ListStore`] — a per-cell *list of chunks*: constant-time merge
-//!   (chunk handles are moved, never copied) at the cost of pointer-
-//!   chasing during reads.
+//! This is the only layout: Fig. 15's chunk-list store and separate
+//! partitioning phase measured within noise of it on this engine.
 //!
 //! # The two-level skew-adaptive partition map
 //!
@@ -20,7 +19,7 @@
 //! entries and their per-partition MBR-compare work — superlinear in
 //! the cell population — dominates the whole join while every other
 //! worker idles. [`PartitionMap`] fixes this with a second level:
-//! after the partition pipeline has filled a [`PartitionStore`],
+//! after the partition pipeline has filled an [`ArrayStore`],
 //! per-cell load statistics pick out cells holding more than a target
 //! number of objects, and each hot cell is recursively split into its
 //! own sub-grid whose resolution is derived from the cell's load
@@ -62,19 +61,16 @@ pub struct PartEntry {
     pub len: u32,
     /// The object's bounding box.
     pub mbr: Mbr,
-    /// Join side: true = left (id < threshold).
-    pub left_side: bool,
 }
 
 impl PartEntry {
     /// Builds an entry from a parsed feature.
-    pub fn from_feature(f: &RawFeature, left_side: bool) -> Self {
+    pub fn from_feature(f: &RawFeature) -> Self {
         PartEntry {
             id: f.id,
             offset: f.offset,
             len: f.len,
             mbr: f.geometry.mbr(),
-            left_side,
         }
     }
 }
@@ -272,7 +268,7 @@ impl PartitionMap {
     /// Per-cell load statistics are not collected (they would cost an
     /// extra pass over every entry and nothing reads them here); use
     /// [`PartitionMap::adaptive`] for a stats-bearing map.
-    pub fn uniform<S: PartitionStore>(store: &S) -> Self {
+    pub fn uniform(store: &ArrayStore) -> Self {
         let cells = store.num_cells();
         PartitionMap {
             grid: None,
@@ -293,7 +289,7 @@ impl PartitionMap {
     /// (clamped to `[2, cfg.max_subdiv]`), recursively while sub-cells
     /// stay hot. With splitting disabled this still returns a
     /// grid-aware uniform map (reference-point filter active).
-    pub fn adaptive<S: PartitionStore>(grid: &GridSpec, store: &S, cfg: &AdaptiveConfig) -> Self {
+    pub fn adaptive(grid: &GridSpec, store: &ArrayStore, cfg: &AdaptiveConfig) -> Self {
         let cells = store.num_cells();
         let mut slots = Vec::with_capacity(cells);
         let mut stats = PartitionMapStats {
@@ -301,15 +297,14 @@ impl PartitionMap {
             ..PartitionMapStats::default()
         };
         for cell in 0..cells {
-            let mut load = 0usize;
-            store.for_each(cell, |_| load += 1);
+            let load = store.cell_len(cell);
             stats.max_cell_entries = stats.max_cell_entries.max(load as u64);
             if !cfg.enabled() || load <= cfg.target_per_cell {
                 stats.max_slot_entries = stats.max_slot_entries.max(load as u64);
                 slots.push(Slot::Base(cell));
                 continue;
             }
-            match split_cell(grid, store, cell, load, cfg) {
+            match split_cell(grid, store, cell, cfg) {
                 Some(sub_slots) => {
                     stats.split_cells += 1;
                     for (entries, chain) in sub_slots {
@@ -383,9 +378,9 @@ impl PartitionMap {
         }
     }
 
-    /// Number of entries in one slot, answered without visiting them
-    /// (O(1) for the array store, O(#chunks) for the list store).
-    pub fn slot_len<S: PartitionStore>(&self, store: &S, slot: usize) -> usize {
+    /// Number of entries in one slot, answered in O(1) without
+    /// visiting them.
+    pub fn slot_len(&self, store: &ArrayStore, slot: usize) -> usize {
         match &self.slots[slot] {
             Slot::Base(cell) => store.cell_len(*cell),
             Slot::Refined { entries, .. } => entries.len(),
@@ -398,7 +393,7 @@ impl PartitionMap {
     /// slot — an empty slot can only produce the empty
     /// [`crate::join::JoinOutcome`] contribution, so skipping it is
     /// observationally free.
-    pub fn occupied_slots<S: PartitionStore>(&self, store: &S) -> Vec<usize> {
+    pub fn occupied_slots(&self, store: &ArrayStore) -> Vec<usize> {
         (0..self.slots.len())
             .filter(|&s| self.slot_len(store, s) > 0)
             .collect()
@@ -406,20 +401,12 @@ impl PartitionMap {
 
     /// Visits every entry of one slot (insertion order for base cells,
     /// scatter order for refined sub-cells).
-    pub fn for_each_entry<S: PartitionStore>(
-        &self,
-        store: &S,
-        slot: usize,
-        mut f: impl FnMut(&PartEntry),
-    ) {
-        match &self.slots[slot] {
-            Slot::Base(cell) => store.for_each(*cell, f),
-            Slot::Refined { entries, .. } => {
-                for e in entries {
-                    f(e);
-                }
-            }
-        }
+    pub fn for_each_entry(&self, store: &ArrayStore, slot: usize, f: impl FnMut(&PartEntry)) {
+        let entries = match &self.slots[slot] {
+            Slot::Base(cell) => &store.cells[*cell],
+            Slot::Refined { entries, .. } => entries,
+        };
+        entries.iter().for_each(f);
     }
 }
 
@@ -427,15 +414,13 @@ impl PartitionMap {
 /// recursively re-splitting sub-cells that stay hot (clusters much
 /// tighter than the base grid). Returns `None` when no level managed
 /// to split — the caller keeps the cell whole.
-fn split_cell<S: PartitionStore>(
+fn split_cell(
     grid: &GridSpec,
-    store: &S,
+    store: &ArrayStore,
     cell: usize,
-    load: usize,
     cfg: &AdaptiveConfig,
 ) -> Option<Vec<(Vec<PartEntry>, Vec<ChainLink>)>> {
-    let mut entries = Vec::with_capacity(load);
-    store.for_each(cell, |e| entries.push(*e));
+    let entries = store.cells[cell].clone();
     let mut out = Vec::new();
     let chain = vec![(*grid, cell)];
     split_entries(grid.cell_rect(cell), entries, chain, cfg, 0, &mut out);
@@ -500,135 +485,43 @@ fn split_entries(
     }
 }
 
-/// A partition store: per-cell entry collections with an associative
-/// merge (the Fig. 3 aggregation transducer).
-pub trait PartitionStore: Send + Sync + Sized {
-    /// Creates an empty store for `cells` cells.
-    fn new(cells: usize) -> Self;
-    /// Appends an entry to a cell.
-    fn push(&mut self, cell: usize, entry: PartEntry);
-    /// Associative merge (concatenates per-cell lists in order).
-    fn merge(self, other: Self) -> Self;
-    /// Visits every entry of a cell in insertion order.
-    fn for_each(&self, cell: usize, f: impl FnMut(&PartEntry));
-    /// Number of cells.
-    fn num_cells(&self) -> usize;
-    /// Total entries across all cells.
-    fn len(&self) -> usize;
-    /// Number of entries in one cell. The default counts through
-    /// [`PartitionStore::for_each`]; stores with per-cell storage
-    /// should answer in O(1) — the join fan-out probes every slot for
-    /// emptiness before spawning tasks.
-    fn cell_len(&self, cell: usize) -> usize {
-        let mut n = 0;
-        self.for_each(cell, |_| n += 1);
-        n
-    }
-    /// True when no entries are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Materialises a cell into a vector (used by the join pipeline).
-    fn cell_entries(&self, cell: usize) -> Vec<PartEntry> {
-        let mut v = Vec::new();
-        self.for_each(cell, |e| v.push(*e));
-        v
-    }
-}
-
-/// Flat array store: contiguous per-cell vectors.
+/// The partition store: one flat entry vector per grid cell, with an
+/// associative merge (the Fig. 3 aggregation transducer).
 #[derive(Debug, Clone)]
 pub struct ArrayStore {
     pub(crate) cells: Vec<Vec<PartEntry>>,
 }
 
-impl PartitionStore for ArrayStore {
-    fn new(cells: usize) -> Self {
+impl ArrayStore {
+    /// Creates an empty store for `cells` cells.
+    pub fn new(cells: usize) -> Self {
         ArrayStore {
             cells: vec![Vec::new(); cells],
         }
     }
 
-    fn push(&mut self, cell: usize, entry: PartEntry) {
+    /// Appends an entry to a cell.
+    pub fn push(&mut self, cell: usize, entry: PartEntry) {
         self.cells[cell].push(entry);
     }
 
-    fn merge(mut self, other: Self) -> Self {
-        // Linear-time: every entry of `other` is copied.
+    /// Associative merge: appends `other`'s entries after this store's,
+    /// cell by cell, preserving insertion order.
+    pub fn merge(mut self, other: Self) -> Self {
         for (mine, mut theirs) in self.cells.iter_mut().zip(other.cells) {
             mine.append(&mut theirs);
         }
         self
     }
 
-    fn for_each(&self, cell: usize, mut f: impl FnMut(&PartEntry)) {
-        for e in &self.cells[cell] {
-            f(e);
-        }
-    }
-
-    fn num_cells(&self) -> usize {
+    /// Number of cells.
+    pub fn num_cells(&self) -> usize {
         self.cells.len()
     }
 
-    fn len(&self) -> usize {
-        self.cells.iter().map(Vec::len).sum()
-    }
-
-    fn cell_len(&self, cell: usize) -> usize {
+    /// Number of entries in one cell.
+    pub fn cell_len(&self, cell: usize) -> usize {
         self.cells[cell].len()
-    }
-}
-
-/// Chunk-list store: each cell holds a list of chunk handles; merging
-/// moves handles without copying entries (the constant-time merge of
-/// §4.4's linked lists, at chunk granularity).
-#[derive(Debug, Clone)]
-pub struct ListStore {
-    pub(crate) cells: Vec<Vec<Vec<PartEntry>>>,
-}
-
-impl PartitionStore for ListStore {
-    fn new(cells: usize) -> Self {
-        ListStore {
-            cells: vec![Vec::new(); cells],
-        }
-    }
-
-    fn push(&mut self, cell: usize, entry: PartEntry) {
-        let chunks = &mut self.cells[cell];
-        match chunks.last_mut() {
-            Some(last) => last.push(entry),
-            None => chunks.push(vec![entry]),
-        }
-    }
-
-    fn merge(mut self, other: Self) -> Self {
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells) {
-            // O(#chunks), not O(#entries): handles move, data stays.
-            mine.extend(theirs);
-        }
-        self
-    }
-
-    fn for_each(&self, cell: usize, mut f: impl FnMut(&PartEntry)) {
-        for chunk in &self.cells[cell] {
-            for e in chunk {
-                f(e);
-            }
-        }
-    }
-
-    fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn len(&self) -> usize {
-        self.cells.iter().flatten().map(Vec::len).sum()
-    }
-
-    fn cell_len(&self, cell: usize) -> usize {
-        self.cells[cell].iter().map(Vec::len).sum()
     }
 }
 
@@ -643,7 +536,6 @@ mod tests {
             offset: id * 10,
             len: 5,
             mbr: Mbr::new(x, y, x + size, y + size),
-            left_side: id.is_multiple_of(2),
         }
     }
 
@@ -667,28 +559,20 @@ mod tests {
         assert!(g.cells_for(&Mbr::EMPTY).is_empty());
     }
 
-    fn check_store<S: PartitionStore>(mut s: S) {
+    #[test]
+    fn array_store_basics() {
+        let mut s = ArrayStore::new(4);
         s.push(0, entry(1, 0.0, 0.0, 1.0));
         s.push(0, entry(2, 0.5, 0.5, 1.0));
         s.push(3, entry(3, 3.0, 3.0, 1.0));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.cell_entries(0).len(), 2);
-        assert_eq!(s.cell_entries(1).len(), 0);
-        assert_eq!(s.cell_entries(3)[0].id, 3);
+        assert_eq!(s.num_cells(), 4);
+        assert_eq!(s.cell_len(0), 2);
+        assert_eq!(s.cell_len(1), 0);
+        assert_eq!(s.cells[3][0].id, 3);
     }
 
-    #[test]
-    fn array_store_basics() {
-        check_store(ArrayStore::new(4));
-    }
-
-    #[test]
-    fn list_store_basics() {
-        check_store(ListStore::new(4));
-    }
-
-    fn fill<S: PartitionStore>(ids: &[u64]) -> S {
-        let mut s = S::new(4);
+    fn fill(ids: &[u64]) -> ArrayStore {
+        let mut s = ArrayStore::new(4);
         for &id in ids {
             s.push((id % 4) as usize, entry(id, id as f64, 0.0, 1.0));
         }
@@ -697,16 +581,10 @@ mod tests {
 
     #[test]
     fn stores_merge_identically() {
-        let a1: ArrayStore = fill(&[1, 2, 3]);
-        let a2: ArrayStore = fill(&[4, 5]);
-        let l1: ListStore = fill(&[1, 2, 3]);
-        let l2: ListStore = fill(&[4, 5]);
-        let am = a1.merge(a2);
-        let lm = l1.merge(l2);
-        assert_eq!(am.len(), lm.len());
-        for cell in 0..4 {
-            assert_eq!(am.cell_entries(cell), lm.cell_entries(cell));
-        }
+        // Merging two block stores equals filling one store with the
+        // concatenated input.
+        let merged = fill(&[1, 2, 3]).merge(fill(&[4, 5]));
+        assert_eq!(merged.cells, fill(&[1, 2, 3, 4, 5]).cells);
     }
 
     #[test]
@@ -859,11 +737,9 @@ mod tests {
             left in prop::collection::vec(0u64..100, 0..40),
             right in prop::collection::vec(0u64..100, 0..40),
         ) {
-            let a: ArrayStore = fill(&left);
-            let b: ArrayStore = fill(&right);
-            let merged = a.merge(b);
+            let merged = fill(&left).merge(fill(&right));
             for cell in 0..4 {
-                let ids: Vec<u64> = merged.cell_entries(cell).iter().map(|e| e.id).collect();
+                let ids: Vec<u64> = merged.cells[cell].iter().map(|e| e.id).collect();
                 let expect: Vec<u64> = left
                     .iter()
                     .chain(&right)
@@ -871,20 +747,6 @@ mod tests {
                     .filter(|id| (id % 4) as usize == cell)
                     .collect();
                 prop_assert_eq!(ids, expect);
-            }
-        }
-
-        #[test]
-        fn list_and_array_agree(
-            batches in prop::collection::vec(
-                prop::collection::vec(0u64..50, 0..20), 1..6),
-        ) {
-            let arrays: Vec<ArrayStore> = batches.iter().map(|b| fill(b)).collect();
-            let lists: Vec<ListStore> = batches.iter().map(|b| fill(b)).collect();
-            let am = arrays.into_iter().reduce(|a, b| a.merge(b)).unwrap();
-            let lm = lists.into_iter().reduce(|a, b| a.merge(b)).unwrap();
-            for cell in 0..4 {
-                prop_assert_eq!(am.cell_entries(cell), lm.cell_entries(cell));
             }
         }
     }

@@ -474,7 +474,8 @@ impl PersistStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartEntry;
+    use crate::batch::{IndexKey, PartitionIndex};
+    use crate::partition::{AdaptiveConfig, ArrayStore, PartEntry, PartitionMap};
     use crate::result::{AggregateValues, QueryResult};
     use crate::scheduler::{QueryKey, RegionKey};
     use crate::shard::{Shard, ShardSet};
@@ -618,16 +619,26 @@ mod tests {
             shard_cuts in prop::collection::vec(0u64..10_000, 0..6),
             generation in 1u64..100,
         ) {
-            let mut cells: Vec<Vec<PartEntry>> = vec![Vec::new(); 4];
+            let mut store = ArrayStore::new(4);
             for (i, (id, offset, len, x, y, size)) in entries.iter().enumerate() {
-                cells[i % 4].push(PartEntry {
+                store.push(i % 4, PartEntry {
                     id: *id,
                     offset: *offset,
                     len: *len,
                     mbr: Mbr::new(*x, *y, *x + *size, *y + *size),
-                    left_side: id % 2 == 0,
                 });
             }
+            let index = PartitionIndex {
+                map: PartitionMap::uniform(&store),
+                store,
+                refine: std::time::Duration::from_nanos(generation),
+                xml_table: None,
+            };
+            let key = IndexKey {
+                cell_deg: 1.0f64.to_bits(),
+                extent: [0, 1, 2, 3],
+                adaptive: AdaptiveConfig::default(),
+            };
             let dataset_len = 10_000u64;
             let mut bounds: Vec<u64> = shard_cuts.clone();
             bounds.push(0);
@@ -647,7 +658,7 @@ mod tests {
                 generation,
                 dataset_len,
                 fingerprint: 0xfeed_beef,
-                indexes: Vec::new(),
+                indexes: vec![(key, Arc::new(index))],
                 shard_sets: vec![(shards.len().max(1), Arc::new(ShardSet::from_shards(shards)))],
                 aggregates: vec![
                     (QueryKey::Join { threshold: generation },
@@ -658,15 +669,12 @@ mod tests {
                      })),
                 ],
             };
-            // The cells above stand in for index payloads in spirit;
-            // full PartitionIndex round-trips are pinned by the
-            // integration differential suite. Here the property is
-            // byte-level canonicality of the container.
             let first = snapshot::encode(&snap);
             let decoded = snapshot::decode(&first).unwrap();
             let second = snapshot::encode(&decoded);
             prop_assert_eq!(first, second);
             prop_assert_eq!(decoded.generation(), generation);
+            prop_assert_eq!(decoded.index_count(), 1);
         }
 
         /// Resident accounting never exceeds max(budget, largest

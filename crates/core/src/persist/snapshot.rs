@@ -23,11 +23,9 @@
 
 use super::codec::{fnv1a, Reader, Writer};
 use super::PersistError;
-use crate::batch::{IndexKey, IndexStore, PartitionIndex};
-use crate::engine::{PartitionPhase, StoreKind};
+use crate::batch::{IndexKey, PartitionIndex};
 use crate::partition::{
-    AdaptiveConfig, ArrayStore, GridSpec, ListStore, PartEntry, PartitionMap, PartitionMapStats,
-    PartitionStore, Slot,
+    AdaptiveConfig, ArrayStore, GridSpec, PartEntry, PartitionMap, PartitionMapStats, Slot,
 };
 use crate::result::QueryResult;
 use crate::result::{AggregateValues, JoinPair, MatchRecord};
@@ -42,8 +40,10 @@ use std::time::Duration;
 /// File magic: "ATGS".
 const MAGIC: [u8; 4] = *b"ATGS";
 /// Current format version. Bump on any layout change; a mismatched
-/// snapshot is ignored (cold parse), never misread.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// snapshot is ignored (cold parse), never misread. Version 2 dropped
+/// the index key's store/phase tags, the store tag with its list-store
+/// layout, and the per-entry join-side byte.
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Fixed header size: magic + version + generation + dataset_len +
 /// fingerprint + header checksum.
 const HEADER_LEN: usize = 4 + 2 + 8 + 8 + 8 + 8;
@@ -157,14 +157,6 @@ fn encode_index_key(w: &mut Writer, key: &IndexKey) {
     for v in key.extent {
         w.u64(v);
     }
-    w.u8(match key.store {
-        StoreKind::Array => 0,
-        StoreKind::List => 1,
-    });
-    w.u8(match key.phase {
-        PartitionPhase::Associative => 0,
-        PartitionPhase::Separate => 1,
-    });
     w.u64(key.adaptive.target_per_cell as u64);
     w.u64(key.adaptive.max_subdiv as u64);
     w.u64(key.adaptive.max_replication as u64);
@@ -172,29 +164,11 @@ fn encode_index_key(w: &mut Writer, key: &IndexKey) {
 }
 
 fn encode_partition_index(w: &mut Writer, index: &PartitionIndex) {
-    match &index.store {
-        IndexStore::Array(s) => {
-            w.u8(0);
-            w.count(s.cells.len());
-            for cell in &s.cells {
-                w.count(cell.len());
-                for e in cell {
-                    encode_part_entry(w, e);
-                }
-            }
-        }
-        IndexStore::List(s) => {
-            w.u8(1);
-            w.count(s.cells.len());
-            for chunks in &s.cells {
-                w.count(chunks.len());
-                for chunk in chunks {
-                    w.count(chunk.len());
-                    for e in chunk {
-                        encode_part_entry(w, e);
-                    }
-                }
-            }
+    w.count(index.store.cells.len());
+    for cell in &index.store.cells {
+        w.count(cell.len());
+        for e in cell {
+            encode_part_entry(w, e);
         }
     }
     encode_partition_map(w, &index.map);
@@ -220,7 +194,6 @@ fn encode_part_entry(w: &mut Writer, e: &PartEntry) {
     w.u64(e.offset);
     w.u32(e.len);
     encode_mbr(w, &e.mbr);
-    w.bool(e.left_side);
 }
 
 fn encode_mbr(w: &mut Writer, m: &Mbr) {
@@ -541,8 +514,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, PersistError> {
 fn decode_indexes(
     r: &mut Reader<'_>,
 ) -> Result<Vec<(IndexKey, Arc<PartitionIndex>)>, PersistError> {
-    // Minimum entry: key (74 bytes) + store tag + empty store + map.
-    let n = r.count(75, "index entries")?;
+    let n = r.count(MIN_INDEX_ENTRY_LEN, "index entries")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let key = decode_index_key(r)?;
@@ -560,26 +532,6 @@ fn decode_index_key(r: &mut Reader<'_>) -> Result<IndexKey, PersistError> {
         r.u64("index key extent")?,
         r.u64("index key extent")?,
     ];
-    let store = match r.u8("index key store kind")? {
-        0 => StoreKind::Array,
-        1 => StoreKind::List,
-        v => {
-            return Err(PersistError::Malformed {
-                what: "index key store kind",
-                detail: format!("tag {v}"),
-            })
-        }
-    };
-    let phase = match r.u8("index key partition phase")? {
-        0 => PartitionPhase::Associative,
-        1 => PartitionPhase::Separate,
-        v => {
-            return Err(PersistError::Malformed {
-                what: "index key partition phase",
-                detail: format!("tag {v}"),
-            })
-        }
-    };
     let adaptive = AdaptiveConfig {
         target_per_cell: r.usize("adaptive target")?,
         max_subdiv: r.usize("adaptive max_subdiv")?,
@@ -589,14 +541,18 @@ fn decode_index_key(r: &mut Reader<'_>) -> Result<IndexKey, PersistError> {
     Ok(IndexKey {
         cell_deg,
         extent,
-        store,
-        phase,
         adaptive,
     })
 }
 
-/// Encoded size of one [`PartEntry`]: id + offset + len + mbr + side.
-const PART_ENTRY_LEN: usize = 8 + 8 + 4 + 32 + 1;
+/// Encoded size of one [`PartEntry`]: id + offset + len + mbr.
+const PART_ENTRY_LEN: usize = 8 + 8 + 4 + 32;
+
+/// Encoded size of the smallest index entry: the key (cell size,
+/// extent, four adaptive knobs), an empty store (cell count), a map
+/// with no grid and no slots (grid flag, slot count, five stats), the
+/// refine time and the XML-table flag.
+const MIN_INDEX_ENTRY_LEN: usize = (8 + 32 + 32) + 4 + (1 + 4 + 40) + 8 + 1;
 
 fn decode_part_entry(r: &mut Reader<'_>) -> Result<PartEntry, PersistError> {
     Ok(PartEntry {
@@ -604,7 +560,6 @@ fn decode_part_entry(r: &mut Reader<'_>) -> Result<PartEntry, PersistError> {
         offset: r.u64("entry offset")?,
         len: r.u32("entry length")?,
         mbr: decode_mbr(r)?,
-        left_side: r.bool("entry side")?,
     })
 }
 
@@ -632,48 +587,15 @@ fn decode_grid(r: &mut Reader<'_>) -> Result<GridSpec, PersistError> {
 }
 
 fn decode_partition_index(r: &mut Reader<'_>) -> Result<PartitionIndex, PersistError> {
-    let store = match r.u8("store tag")? {
-        0 => {
-            let cells = r.count(4, "array store cells")?;
-            let mut s = ArrayStore::new(cells);
-            for cell in 0..cells {
-                let n = r.count(PART_ENTRY_LEN, "array store entries")?;
-                for _ in 0..n {
-                    s.push(cell, decode_part_entry(r)?);
-                }
-            }
-            IndexStore::Array(s)
+    let cells = r.count(4, "store cells")?;
+    let mut store = ArrayStore::new(cells);
+    for cell in 0..cells {
+        let n = r.count(PART_ENTRY_LEN, "store entries")?;
+        for _ in 0..n {
+            store.push(cell, decode_part_entry(r)?);
         }
-        1 => {
-            let cells = r.count(4, "list store cells")?;
-            let mut s = ListStore::new(cells);
-            for cell in 0..cells {
-                let chunks = r.count(4, "list store chunks")?;
-                let mut rebuilt = Vec::with_capacity(chunks);
-                for _ in 0..chunks {
-                    let n = r.count(PART_ENTRY_LEN, "list store entries")?;
-                    let mut chunk = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        chunk.push(decode_part_entry(r)?);
-                    }
-                    rebuilt.push(chunk);
-                }
-                s.cells[cell] = rebuilt;
-            }
-            IndexStore::List(s)
-        }
-        v => {
-            return Err(PersistError::Malformed {
-                what: "store tag",
-                detail: format!("tag {v}"),
-            })
-        }
-    };
-    let num_cells = match &store {
-        IndexStore::Array(s) => s.num_cells(),
-        IndexStore::List(s) => s.num_cells(),
-    };
-    let map = decode_partition_map(r, num_cells)?;
+    }
+    let map = decode_partition_map(r, cells)?;
     let refine = Duration::from_nanos(r.u64("refine nanos")?);
     let xml_table = if r.bool("xml table flag")? {
         let n = r.count(8 + 1, "xml table entries")?;
@@ -993,4 +915,53 @@ pub fn section_boundaries(bytes: &[u8]) -> Vec<usize> {
         out.push(r.position());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn count_bounds_match_the_encoded_sizes() {
+        let mut w = Writer::new();
+        encode_part_entry(
+            &mut w,
+            &PartEntry {
+                id: 1,
+                offset: 2,
+                len: 3,
+                mbr: Mbr::new(0.0, 0.0, 1.0, 1.0),
+            },
+        );
+        assert_eq!(w.bytes().len(), PART_ENTRY_LEN);
+
+        // The smallest index entry a running engine can write: no
+        // cells, no slots, no grid, no XML table.
+        let store = ArrayStore::new(0);
+        let index = PartitionIndex {
+            map: PartitionMap::uniform(&store),
+            store,
+            refine: Duration::ZERO,
+            xml_table: None,
+        };
+        let key = IndexKey {
+            cell_deg: 0,
+            extent: [0; 4],
+            adaptive: AdaptiveConfig::default(),
+        };
+        let payload = encode_indexes(&[(key, Arc::new(index))]);
+        assert_eq!(payload.len(), 4 + MIN_INDEX_ENTRY_LEN);
+        let decoded = decode_indexes(&mut Reader::new(&payload)).unwrap();
+        assert_eq!(decoded.len(), 1);
+        // One byte short of a whole entry: the count is rejected
+        // before anything is allocated.
+        let short = &payload[..payload.len() - 1];
+        assert!(matches!(
+            decode_indexes(&mut Reader::new(short)),
+            Err(PersistError::Truncated {
+                what: "index entries",
+                ..
+            })
+        ));
+    }
 }

@@ -6,7 +6,6 @@
 //! cargo run --release --example spatial_join
 //! ```
 
-use atgis::engine::{PartitionPhase, StoreKind};
 use atgis::{Dataset, Engine, ExecOptions, Query, QueryResult};
 use atgis_datagen::{write_geojson, OsmGenerator};
 use atgis_formats::Format;
@@ -21,8 +20,6 @@ fn main() {
         .threads(4)
         .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
         .cell_size(1.0) // The paper's sweet spot is 0.5-1 degree (§5.6).
-        .store(StoreKind::Array)
-        .partition_phase(PartitionPhase::Associative)
         .build();
 
     // Plain join: all intersecting (left, right) pairs.
@@ -68,27 +65,6 @@ fn main() {
         println!(
             "\ncombined: {pairs} filtered pairs, union area {:.3} km^2",
             total_union_area / 1e6
-        );
-    }
-
-    // The store layout trade-off (Fig. 15): list stores merge in O(1)
-    // but read slower.
-    for (kind, name) in [(StoreKind::Array, "array"), (StoreKind::List, "list")] {
-        let e = Engine::builder()
-            .threads(4)
-            .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
-            .store(kind)
-            .build();
-        let started = std::time::Instant::now();
-        let r = e
-            .run(&[Query::join(threshold)], &dataset, &ExecOptions::new())
-            .expect("join")
-            .into_single()
-            .expect("join");
-        println!(
-            "store={name:<6} {} pairs in {:?}",
-            r.joined().len(),
-            started.elapsed()
         );
     }
 }

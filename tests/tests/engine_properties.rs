@@ -1,14 +1,13 @@
 //! Engine-level property tests: the paper's central correctness claim
 //! is that associative (parallel, speculative) execution is *exact* —
-//! any block count, thread count, mode or store layout must produce
+//! any block count, thread count, mode or grid cell size must produce
 //! byte-identical results.
 
-use atgis::engine::{PartitionPhase, StoreKind};
 use atgis::{Dataset, Engine, FilterStrategy, Metric, Query};
 use atgis_datagen::{write_geojson, write_wkt, OsmGenerator, SynthConfig};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::{DistanceModel, Mbr};
-use atgis_tests::RunExt;
+use atgis_tests::{assert_agrees_with_oracle, oracle_answers, RunExt};
 use proptest::prelude::*;
 
 fn geojson_dataset(seed: u64, n: usize) -> Dataset {
@@ -89,8 +88,6 @@ proptest! {
     fn join_invariant_under_grid_and_store(
         seed in 0u64..20,
         cell in prop::sample::select(vec![0.5f64, 1.0, 2.0, 4.0]),
-        list_store in proptest::bool::ANY,
-        separate in proptest::bool::ANY,
     ) {
         let ds = geojson_dataset(seed + 200, 40);
         let q = Query::join(20);
@@ -103,15 +100,11 @@ proptest! {
         let engine = Engine::builder()
             .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
             .cell_size(cell)
-            .store(if list_store { StoreKind::List } else { StoreKind::Array })
-            .partition_phase(if separate {
-                PartitionPhase::Separate
-            } else {
-                PartitionPhase::Associative
-            })
             .build();
         let got = engine.exec1(&q, &ds).unwrap();
         prop_assert_eq!(got.joined(), reference.joined());
+        let oracle = oracle_answers(&ds, std::slice::from_ref(&q));
+        assert_agrees_with_oracle(&oracle, &[got], &format!("seed {seed} cell {cell}"));
     }
 
     #[test]
@@ -221,26 +214,6 @@ fn synth_skew_datasets_parse_in_both_modes() {
             .unwrap();
         assert_eq!(pat.matches(), fat.matches(), "sigma={sigma}");
         assert_eq!(pat.matches().len(), 40);
-    }
-}
-
-#[test]
-fn sort_batch_size_does_not_change_join_results() {
-    let ds = geojson_dataset(900, 60);
-    let q = Query::join(30);
-    let reference = Engine::builder()
-        .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
-        .build()
-        .exec1(&q, &ds)
-        .unwrap();
-    for batch in [1usize, 7, 64, 100_000] {
-        let got = Engine::builder()
-            .grid_extent(Mbr::new(-11.0, 39.0, 11.0, 61.0))
-            .sort_batch(batch)
-            .build()
-            .exec1(&q, &ds)
-            .unwrap();
-        assert_eq!(got.joined(), reference.joined(), "sort_batch={batch}");
     }
 }
 

@@ -403,16 +403,25 @@ fn corrupt_snapshots_degrade_to_cold_never_panic() {
         );
     }
 
-    // --- version skew: a future format rev is rejected by name ---
-    let mut skewed = good.clone();
-    skewed[4..6].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-    std::fs::write(&path, &skewed).expect("write skewed snapshot");
-    let fresh = PersistStore::open(&root).expect("reopen store");
-    match fresh.load(dataset.bytes(), Format::GeoJson) {
-        Err(PersistError::VersionSkew { found }) => assert_eq!(found, SNAPSHOT_VERSION + 1),
-        other => panic!("version skew must be named: {other:?}"),
+    // --- version skew: an older or a future format rev is rejected
+    // by name ---
+    for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+        let mut skewed = good.clone();
+        skewed[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &skewed).expect("write skewed snapshot");
+        let fresh = PersistStore::open(&root).expect("reopen store");
+        match fresh.load(dataset.bytes(), Format::GeoJson) {
+            Err(PersistError::VersionSkew { found }) => assert_eq!(found, version),
+            other => panic!("version skew to {version} must be named: {other:?}"),
+        }
+        assert_falls_back_to_cold(
+            &root,
+            &dataset,
+            &queries,
+            &oracle,
+            &format!("version skew to {version}"),
+        );
     }
-    assert_falls_back_to_cold(&root, &dataset, &queries, &oracle, "version skew");
 
     // --- magic corruption and outright garbage ---
     let mut bad_magic = good.clone();
