@@ -5,7 +5,7 @@ use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
-use crate::executor::{resolve_threads, run_blocks_on};
+use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on};
 use crate::join::{ProbeStrategy, Reparser};
 use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
 use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
@@ -15,6 +15,7 @@ use crate::shard::ShardSet;
 use crate::stats::Timings;
 use crate::{Error, Result};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
+use atgis_formats::geojson::fat;
 use atgis_formats::{fixed_blocks, marker_blocks, Format, Mode, ParseError};
 use atgis_geometry::{Geometry, Mbr, Polygon};
 use std::collections::HashMap;
@@ -406,21 +407,45 @@ impl Engine {
                 Ok((merged?.unwrap_or(proto), t))
             }
             (Format::GeoJson, _) => {
+                // Phase 1 (split time): the feature depth, then every
+                // block's state map on the pool and the prefix pass
+                // from the range's relative entry `(OUT, 0)`.
                 let started = Instant::now();
+                let Some(depth) = fat::feature_depth(input, start, end) else {
+                    let split = started.elapsed();
+                    return Ok((
+                        proto,
+                        Timings {
+                            split,
+                            ..Timings::default()
+                        },
+                    ));
+                };
                 let blocks = shift(fixed_blocks(slice.len(), n));
+                let maps = run_indexed_on(&self.pool, blocks.len(), threads, token, |i| {
+                    fat::StateMap::of(blocks[i].slice(input))
+                })?;
+                let entries = fat::entries(&maps, fat::Entry::START);
                 let split = started.elapsed();
+                // Phase 2: one known-state parse per block.
+                let cx = fat::Ctx {
+                    input,
+                    depth,
+                    filter,
+                    complete: true,
+                };
                 let (merged, mut t) = run_blocks_on(
                     &self.pool,
                     &blocks,
                     threads,
                     token,
-                    |b| FatGeoJsonFrag::process(input, b, filter, &proto).map_err(Error::Parse),
-                    |a, b| a.merge(b, input, filter).map_err(Error::Parse),
+                    |b| Ok(FatGeoJsonFrag::process(&cx, b, entries[b.index], &proto)),
+                    |a, b| a.merge(b, &cx).map_err(Error::Parse),
                 );
                 t.split = split;
                 let started = Instant::now();
                 let agg = match merged? {
-                    Some(m) => m.finalize(input, filter)?,
+                    Some(m) => m.finalize(&cx)?,
                     None => proto,
                 };
                 t.merge += started.elapsed();

@@ -5,14 +5,16 @@
 //! The [`QueryAggregate`] trait is the downstream transducer: it
 //! absorbs features the moment a block (or a fragment merge) completes
 //! them and combines associatively, so feature buffers never span the
-//! whole input. In FAT mode one aggregate is kept per speculated lexer
-//! start state, mirroring the paper's predicated tapes.
+//! whole input. FAT fragments carry one aggregate each: the lexer
+//! state every block starts in is resolved before the block is parsed
+//! (`atgis_formats::geojson::fat`), so no aggregate is kept per
+//! speculated start state.
 
 use crate::exact::ExactSum;
 use crate::query::{FilterStrategy, Metric};
 use crate::result::{AggregateValues, MatchRecord};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
-use atgis_formats::geojson::fat::BlockFragment;
+use atgis_formats::geojson::fat::{BlockScan, Ctx, Entry};
 use atgis_formats::wkt::WktFragment;
 use atgis_formats::{Block, ParseError};
 use atgis_geometry::relate::intersects;
@@ -130,7 +132,7 @@ impl AggregateSink for FailedSink {
 /// aggregate that dispatches every completed feature to N per-query
 /// member sinks and combines member-wise. Because it implements
 /// [`QueryAggregate`], it flows through every existing execution path
-/// unchanged — PAT block scans, the speculated FAT fragments
+/// unchanged — PAT block scans, the FAT fragments
 /// ([`FatGeoJsonFrag`] / [`FatWktFrag`]) and the parallel tree merge —
 /// so one parse pass serves every member query.
 ///
@@ -389,89 +391,39 @@ impl QueryAggregate for MetricsAgg {
     }
 }
 
-/// The FAT GeoJSON pipeline fragment: the parse fragment composed with
-/// one downstream aggregate per speculated lexer start state (§3.2's
-/// "the first transducer now stores a predicated set of fragments
-/// from the second transducer").
+/// The FAT GeoJSON pipeline fragment: the known-state parse fragment
+/// of a block run composed with its one downstream aggregate (the
+/// block's entry state is resolved before it is parsed, so there is a
+/// single chain).
 pub struct FatGeoJsonFrag<A: QueryAggregate> {
-    parse: BlockFragment,
-    /// `(lexer start state, aggregate)` pairs.
-    aggs: Vec<(u8, A)>,
+    parse: BlockScan,
+    agg: A,
 }
 
 impl<A: QueryAggregate> FatGeoJsonFrag<A> {
-    /// Lexes, parses and aggregates one block.
-    pub fn process(
-        input: &[u8],
-        block: Block,
-        filter: &MetadataFilter,
-        proto: &A,
-    ) -> Result<Self, ParseError> {
-        let mut parse = atgis_formats::geojson::fat::process_block(input, block, filter)?;
-        let aggs = parse
-            .drain_features()
-            .into_iter()
-            .map(|(state, features)| {
-                let mut a = proto.clone();
-                for f in &features {
-                    a.absorb(f);
-                }
-                (state, a)
-            })
-            .collect();
-        Ok(FatGeoJsonFrag { parse, aggs })
+    /// Parses one block from its resolved `entry` and aggregates the
+    /// features it owns.
+    pub fn process(cx: &Ctx<'_>, block: Block, entry: Entry, proto: &A) -> Self {
+        let mut agg = proto.clone();
+        let parse = BlockScan::run(cx, block, entry, &mut |f| agg.absorb(&f));
+        FatGeoJsonFrag { parse, agg }
     }
 
-    /// Fragment merge: compose the parse relation, absorb
-    /// boundary-spanning features, combine aggregates along each
-    /// speculation chain.
-    pub fn merge(
-        self,
-        other: Self,
-        input: &[u8],
-        filter: &MetadataFilter,
-    ) -> Result<Self, ParseError> {
-        let finals = self.parse.entry_finals();
-        let mut parse = self.parse.merge(other.parse, input, filter)?;
-        let spanning = parse.drain_features();
-        let aggs = self
-            .aggs
-            .into_iter()
-            .map(|(start, left)| {
-                let mid = finals
-                    .iter()
-                    .find(|(s, _)| *s == start)
-                    .map(|(_, f)| *f)
-                    .expect("entry exists");
-                let mut combined = left;
-                if let Some((_, mids)) = spanning.iter().find(|(s, _)| *s == start) {
-                    for f in mids {
-                        combined.absorb(f);
-                    }
-                }
-                let right = other
-                    .aggs
-                    .iter()
-                    .find(|(s, _)| *s == mid)
-                    .map(|(_, a)| a.clone())
-                    .expect("right entry exists");
-                (start, combined.combine(right))
-            })
-            .collect();
-        Ok(FatGeoJsonFrag { parse, aggs })
-    }
-
-    /// Resolves the speculation and finishes the pipeline.
-    pub fn finalize(self, input: &[u8], filter: &MetadataFilter) -> Result<A, ParseError> {
-        let mut agg = self
-            .aggs
-            .into_iter()
-            .find(|(s, _)| *s == atgis_formats::geojson::lexer::STATE_OUT)
-            .map(|(_, a)| a)
-            .expect("STATE_OUT entry");
-        for f in self.parse.finalize(input, filter)? {
-            agg.absorb(&f);
+    /// Fragment merge: link the parse fragments, absorb the features
+    /// the merge completes, then combine the aggregates.
+    pub fn merge(self, other: Self, cx: &Ctx<'_>) -> Result<Self, ParseError> {
+        let mut agg = self.agg;
+        let (parse, took_right) = self.parse.merge(other.parse, cx, &mut |f| agg.absorb(&f))?;
+        if took_right {
+            agg = agg.combine(other.agg);
         }
+        Ok(FatGeoJsonFrag { parse, agg })
+    }
+
+    /// Finishes the pipeline against the complete input.
+    pub fn finalize(self, cx: &Ctx<'_>) -> Result<A, ParseError> {
+        let mut agg = self.agg;
+        self.parse.finish(cx, &mut |f| agg.absorb(&f))?;
         Ok(agg)
     }
 }
@@ -530,6 +482,7 @@ impl<A: QueryAggregate> FatWktFrag<A> {
 mod tests {
     use super::*;
     use atgis_formats::fixed_blocks;
+    use atgis_formats::geojson::fat;
     use atgis_geometry::Mbr;
     use std::sync::Arc;
 
@@ -744,18 +697,30 @@ mod tests {
         let filter = MetadataFilter::All;
         let reg = Arc::new(Polygon::from_mbr(&Mbr::new(-180.0, -90.0, 180.0, 90.0)));
         let proto = ContainmentAgg::new(reg);
+        let cx = Ctx {
+            input: &input,
+            depth: fat::feature_depth(&input, 0, input.len()).unwrap(),
+            filter: &filter,
+            complete: true,
+        };
 
-        for blocks in [1, 3, 9] {
+        for n in [1, 3, 9] {
+            let blocks = fixed_blocks(input.len(), n);
+            let maps: Vec<_> = blocks
+                .iter()
+                .map(|b| fat::StateMap::of(b.slice(&input)))
+                .collect();
+            let entries = fat::entries(&maps, Entry::START);
             let mut merged: Option<FatGeoJsonFrag<ContainmentAgg>> = None;
-            for b in fixed_blocks(input.len(), blocks) {
-                let f = FatGeoJsonFrag::process(&input, b, &filter, &proto).unwrap();
+            for (&b, &entry) in blocks.iter().zip(&entries) {
+                let f = FatGeoJsonFrag::process(&cx, b, entry, &proto);
                 merged = Some(match merged {
                     None => f,
-                    Some(acc) => acc.merge(f, &input, &filter).unwrap(),
+                    Some(acc) => acc.merge(f, &cx).unwrap(),
                 });
             }
-            let agg = merged.unwrap().finalize(&input, &filter).unwrap();
-            assert_eq!(agg.matches.len(), 60, "blocks={blocks}");
+            let agg = merged.unwrap().finalize(&cx).unwrap();
+            assert_eq!(agg.matches.len(), 60, "blocks={n}");
         }
     }
 

@@ -17,8 +17,13 @@
 //!
 //! * **FAT** — blocks may start anywhere (that is the whole point of
 //!   full associativity), so every appended byte is dispatched
-//!   immediately; speculative head/tail token runs resolve in merges,
-//!   which only read bytes below the merged region's end.
+//!   immediately. For GeoJSON, each region runs phase 1 (the blocks'
+//!   lexer state maps) on the pool and chains it from the state the
+//!   previous region ended in, so every block is parsed once from its
+//!   exact state; a feature that runs past the published bytes is
+//!   re-parsed by a later merge or at seal. Bytes are held only until
+//!   the first feature start is published, which fixes the feature
+//!   depth.
 //! * **PAT** — blocks must start at record markers, and a record
 //!   starting before a marker ends before the next marker. The scan
 //!   therefore dispatches only up to the **last marker seen** and
@@ -41,12 +46,13 @@ use crate::cancel::CancelToken;
 use crate::dataset::{Dataset, StreamBuffer};
 use crate::engine::{parse_wkt_rows, Engine};
 use crate::exec::{self, ExecOptions, RunOutcome};
-use crate::executor::StreamMerger;
+use crate::executor::{run_indexed_on, StreamMerger};
 use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
 use crate::pool::recover;
 use crate::stats::{StreamStats, Timings};
 use crate::{Error, Result};
 use atgis_formats::feature::MetadataFilter;
+use atgis_formats::geojson::fat::{self, Entry, Lexed};
 use atgis_formats::split::find_marker;
 use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, Mode, ParseError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -302,18 +308,33 @@ enum Frag<A: QueryAggregate> {
     FatW(Box<FatWktFrag<A>>),
 }
 
+/// Merges two adjacent scan fragments; WKT reads only `cx.input` and
+/// `cx.filter`.
 fn merge_frag<A: QueryAggregate>(
     a: Frag<A>,
     b: Frag<A>,
-    input: &[u8],
-    filter: &MetadataFilter,
+    cx: &fat::Ctx<'_>,
 ) -> std::result::Result<Frag<A>, ParseError> {
     match (a, b) {
         (Frag::Pat(x), Frag::Pat(y)) => Ok(Frag::Pat(x.combine(y))),
-        (Frag::FatG(x), Frag::FatG(y)) => Ok(Frag::FatG(Box::new(x.merge(*y, input, filter)?))),
-        (Frag::FatW(x), Frag::FatW(y)) => Ok(Frag::FatW(Box::new(x.merge(*y, input, filter)?))),
+        (Frag::FatG(x), Frag::FatG(y)) => Ok(Frag::FatG(Box::new(x.merge(*y, cx)?))),
+        (Frag::FatW(x), Frag::FatW(y)) => {
+            Ok(Frag::FatW(Box::new(x.merge(*y, cx.input, cx.filter)?)))
+        }
         _ => unreachable!("one resolved mode per scan"),
     }
+}
+
+/// Where a FAT GeoJSON stream stands: phase 1 carried across regions
+/// in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct FatCursor {
+    /// Lexer state and depth at the end of the dispatched bytes.
+    entry: Entry,
+    /// Depth of the features, once the first one is published.
+    depth: Option<i32>,
+    /// Where the search for the first feature resumes.
+    search: (usize, Entry),
 }
 
 /// An incremental scan over a growing stream: append chunks, dispatch
@@ -340,6 +361,7 @@ pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     boundary: usize,
     /// Next region ordinal (the merger's index space).
     next_region: usize,
+    fat: FatCursor,
     merger: Mutex<StreamMerger<Frag<A>, ParseError>>,
     pub(crate) stats: StreamStats,
     split_time: std::time::Duration,
@@ -369,6 +391,11 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             marker_scan: 0,
             boundary: 0,
             next_region: 0,
+            fat: FatCursor {
+                entry: Entry::START,
+                depth: None,
+                search: (0, Entry::START),
+            },
             merger: Mutex::new(StreamMerger::new()),
             stats: StreamStats::default(),
             split_time: std::time::Duration::ZERO,
@@ -467,6 +494,21 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         }
     }
 
+    /// FAT GeoJSON: resumes the search for the first feature start
+    /// over the published bytes. Until it is found, nothing is
+    /// dispatched — it fixes the depth every block parses features at.
+    fn feature_depth_known(&mut self, len: usize, at_eof: bool) -> bool {
+        if self.fat.depth.is_some() {
+            return true;
+        }
+        let (at, entry) = self.fat.search;
+        match fat::find_sync(self.buf.slice_to(len), at, entry, len, None, at_eof) {
+            Lexed::Sync { depth, .. } => self.fat.depth = Some(depth),
+            Lexed::Stopped { at, entry } => self.fat.search = (at, entry),
+        }
+        self.fat.depth.is_some()
+    }
+
     /// Advances the marker scan over newly published bytes, updating
     /// the safe boundary. O(total bytes) across the whole stream.
     fn advance_boundary(&mut self, marker: &'static [u8], skip: usize) {
@@ -526,6 +568,10 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
                 let marker = self.marker();
                 let skip = self.marker_skip();
                 self.advance_boundary(marker, skip);
+                if self.format == Format::GeoJson && !self.feature_depth_known(len, at_eof) {
+                    self.split_time += started.elapsed();
+                    return Ok(());
+                }
                 len
             }
         };
@@ -567,10 +613,25 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
                 .collect(),
         };
         self.dispatched = end;
-        self.split_time += started.elapsed();
         if blocks.is_empty() {
+            self.split_time += started.elapsed();
             return Ok(());
         }
+        let input = self.buf.slice_to(len);
+        let format = self.format;
+        // FAT GeoJSON phase 1: the blocks' state maps on the pool,
+        // chained from where the previous region ended.
+        let entries = if plan == RegionPlan::Fat && format == Format::GeoJson {
+            let maps = run_indexed_on(engine.pool(), blocks.len(), engine.threads(), token, |i| {
+                fat::StateMap::of(blocks[i].slice(input))
+            })?;
+            let entries = fat::entries(&maps, self.fat.entry);
+            self.fat.entry = entries[blocks.len()];
+            entries
+        } else {
+            Vec::new()
+        };
+        self.split_time += started.elapsed();
         let base = self.next_region;
         self.next_region += blocks.len();
         self.stats.regions += blocks.len() as u64;
@@ -578,11 +639,14 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         // Run the regions on the pool; each completion folds straight
         // into the shared merger (see `StreamMerger`), so merging of
         // earlier regions overlaps the scanning of later ones.
-        let input = self.buf.slice_to(len);
         let merger = &self.merger;
         let proto = &self.proto;
-        let filter = &self.filter;
-        let format = self.format;
+        let cx = fat::Ctx {
+            input,
+            depth: self.fat.depth.unwrap_or(0),
+            filter: &self.filter,
+            complete: at_eof,
+        };
         let started = Instant::now();
         let run = engine
             .pool()
@@ -590,18 +654,19 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
                 crate::fault_point!("stream.region");
                 let b = blocks[i];
                 let result: std::result::Result<Frag<A>, ParseError> = match plan {
-                    RegionPlan::Pat { .. } => process_pat(input, b, format, filter, proto),
+                    RegionPlan::Pat { .. } => process_pat(input, b, format, cx.filter, proto),
                     RegionPlan::Fat => match format {
-                        Format::GeoJson => FatGeoJsonFrag::process(input, b, filter, proto)
-                            .map(|f| Frag::FatG(Box::new(f))),
-                        _ => FatWktFrag::process(input, b, filter, proto)
+                        Format::GeoJson => Ok(Frag::FatG(Box::new(FatGeoJsonFrag::process(
+                            &cx, b, entries[i], proto,
+                        )))),
+                        _ => FatWktFrag::process(input, b, cx.filter, proto)
                             .map(|f| Frag::FatW(Box::new(f))),
                     },
                     RegionPlan::Sealed => unreachable!("sealed plans dispatch nothing"),
                 };
                 match result {
                     Ok(frag) => StreamMerger::push_shared(merger, base + i, frag, |a, c| {
-                        merge_frag(a, c, input, filter)
+                        merge_frag(a, c, &cx)
                     }),
                     Err(e) => recover(merger.lock()).poison(e),
                 }
@@ -652,7 +717,18 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         let agg = match merger.finish().map_err(Error::Parse)? {
             None => self.proto,
             Some(Frag::Pat(a)) => a,
-            Some(Frag::FatG(f)) => f.finalize(input, &self.filter).map_err(Error::Parse)?,
+            Some(Frag::FatG(f)) => {
+                let cx = fat::Ctx {
+                    input,
+                    depth: self
+                        .fat
+                        .depth
+                        .expect("FAT fragments follow the first feature"),
+                    filter: &self.filter,
+                    complete: true,
+                };
+                f.finalize(&cx).map_err(Error::Parse)?
+            }
             Some(Frag::FatW(f)) => f.finalize(input, &self.filter).map_err(Error::Parse)?,
         };
         timings.merge += started.elapsed();

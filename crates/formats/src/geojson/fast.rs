@@ -1,11 +1,14 @@
-//! The optimised block-local GeoJSON parser used in PAT mode.
+//! The optimised GeoJSON feature parser shared by both execution
+//! modes.
 //!
 //! This plays the role RapidJSON plays in the paper's prototype
 //! (§4.4: "the parsing stage consists of a wrapper around an
 //! off-the-shelf parser, which inputs well-formed data blocks"): a
-//! non-speculative recursive-descent parser that assumes its block
-//! starts at a `{"type":"Feature"` marker, i.e. in a known parser
-//! state (§3.5).
+//! non-speculative recursive-descent parser that starts at a feature
+//! object, i.e. in a known parser state (§3.5). PAT finds those
+//! starts with the `{"type":"Feature"` marker ([`parse_block`]); FAT
+//! finds them from the resolved lexer state ([`super::fat`]) and
+//! walks from feature to feature with `parse_feature_at`.
 
 use crate::feature::{MetadataFilter, RawFeature};
 use crate::split::find_marker;
@@ -39,6 +42,20 @@ pub fn parse_block(
     Ok(())
 }
 
+/// Parses the feature object starting at `at`. Returns the feature
+/// (`None` when `filter` rejects it) and where the cursor stopped: the
+/// byte after the object on success, the point of failure otherwise —
+/// `input.len()` when the object runs past the end of `input`.
+pub(super) fn parse_feature_at(
+    input: &[u8],
+    at: usize,
+    filter: &MetadataFilter,
+) -> (Result<Option<RawFeature>, ParseError>, usize) {
+    let mut cur = Cursor { input, pos: at };
+    let parsed = cur.parse_feature(filter);
+    (parsed, cur.pos)
+}
+
 /// Byte-level cursor with the usual recursive-descent helpers.
 struct Cursor<'a> {
     input: &'a [u8],
@@ -47,9 +64,8 @@ struct Cursor<'a> {
 
 /// Raw nested-array coordinate value, interpreted per geometry type
 /// once the whole `coordinates` member is read (this makes the parser
-/// independent of member order). Shared with the token-level FAT
-/// parser.
-pub(crate) enum Coords {
+/// independent of member order).
+enum Coords {
     /// A numeric leaf.
     Num(f64),
     /// A nested array.
@@ -325,9 +341,8 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Interprets a raw coordinates tree according to the geometry type —
-/// shared by the fast parser and the token-level FAT parser.
-pub(crate) fn interpret_geometry(
+/// Interprets a raw coordinates tree according to the geometry type.
+fn interpret_geometry(
     kind: &str,
     coords: Option<Coords>,
     members: Option<Vec<Geometry>>,

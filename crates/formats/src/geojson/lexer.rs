@@ -4,7 +4,10 @@
 //! emits structural tokens only when *outside* strings, which is the
 //! whole difficulty of splitting JSON at arbitrary offsets: a block may
 //! begin inside a string literal, so the fully-associative execution
-//! speculates from all three states (§3.3) and resolves at merge.
+//! speculates from all three states (§3.3). The engine runs the DFA
+//! ([`lexer`]) with bracket-counting actions only ([`super::fat`]);
+//! the token tapes of [`lex_block`] and [`lex_known`] are the
+//! reference oracle.
 
 use atgis_transducer::dfa::{ByteDfa, DfaBuilder};
 use atgis_transducer::DfaFragment;

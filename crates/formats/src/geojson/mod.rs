@@ -6,16 +6,19 @@
 //! `GeometryCollection`s and free-form `properties` make naive
 //! string-based splitting unsound.
 //!
-//! Two execution modes:
+//! Two execution modes, one feature parser ([`fast`], our RapidJSON
+//! stand-in):
 //!
-//! * [`parse_fat`] — fully associative: fixed-offset blocks, a
-//!   3-state speculative string lexer ([`lexer`]), and a token-level
-//!   structural parser ([`fat`]) whose fragments carry unresolved head
-//!   and tail token runs that are completed when fragments merge.
+//! * [`parse_fat`] — fully associative: fixed-offset blocks. A
+//!   tape-free pass of the 3-state string lexer ([`lexer`]) resolves
+//!   every block's lexer state and bracket depth, then each block is
+//!   parsed once from its known state ([`fat`]).
 //! * [`parse_pat`] — partially associative: blocks are aligned on the
-//!   `{"type":"Feature"` marker (§3.5's example) and handed to an
-//!   optimised block-local recursive-descent parser ([`fast`], our
-//!   RapidJSON stand-in).
+//!   `{"type":"Feature"` marker (§3.5's example) and handed to the
+//!   block-local recursive-descent parser.
+//!
+//! [`lexer::lex_block`] and [`lexer::lex_known`] still produce
+//! token tapes; they are the reference oracle, not the engine path.
 
 pub mod fast;
 pub mod fat;
@@ -41,26 +44,53 @@ pub fn parse_pat(input: &[u8], filter: &MetadataFilter) -> Result<Vec<RawFeature
     Ok(out)
 }
 
-/// Parses a whole GeoJSON document in FAT mode: `blocks` fixed-offset
-/// blocks lexed and parsed speculatively, fragments merged in order,
-/// then finalised.
+/// Parses a whole GeoJSON document in FAT mode over `blocks`
+/// fixed-offset blocks, sequentially: the state maps of every block,
+/// their prefix pass, then one known-state parse per block with the
+/// fragments merged in order.
 pub fn parse_fat(
     input: &[u8],
     filter: &MetadataFilter,
     blocks: usize,
 ) -> Result<Vec<RawFeature>, ParseError> {
-    let mut merged: Option<fat::BlockFragment> = None;
-    for block in fixed_blocks(input.len(), blocks) {
-        let frag = fat::process_block(input, block, filter)?;
+    let Some(depth) = fat::feature_depth(input, 0, input.len()) else {
+        return Ok(Vec::new());
+    };
+    let blocks = fixed_blocks(input.len(), blocks);
+    let maps: Vec<_> = blocks
+        .iter()
+        .map(|b| fat::StateMap::of(b.slice(input)))
+        .collect();
+    let entries = fat::entries(&maps, fat::Entry::START);
+    let cx = fat::Ctx {
+        input,
+        depth,
+        filter,
+        complete: true,
+    };
+    let mut out = Vec::new();
+    let mut merged: Option<fat::BlockScan> = None;
+    for (block, &entry) in blocks.iter().zip(&entries) {
+        let mut features = Vec::new();
+        let scan = fat::BlockScan::run(&cx, *block, entry, &mut |f| features.push(f));
         merged = Some(match merged {
-            None => frag,
-            Some(acc) => acc.merge(frag, input, filter)?,
+            None => {
+                out = features;
+                scan
+            }
+            Some(left) => {
+                let (m, took_right) = left.merge(scan, &cx, &mut |f| out.push(f))?;
+                if took_right {
+                    out.append(&mut features);
+                }
+                m
+            }
         });
     }
-    match merged {
-        None => Ok(Vec::new()),
-        Some(m) => m.finalize(input, filter),
+    if let Some(m) = merged {
+        m.finish(&cx, &mut |f| out.push(f))?;
     }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! for each format, both execution modes the paper evaluates:
 //!
 //! * **FAT** (fully-associative transducers): blocks are cut at
-//!   arbitrary byte offsets; a speculative lexer (all possible string
-//!   states) feeds a structural parser whose fragments defer the
-//!   block's unsynchronised head and tail token runs until merge
-//!   (§3.3). No knowledge of record boundaries is needed.
+//!   arbitrary byte offsets, so the parser state at a block's start is
+//!   unknown and resolved associatively (§3.3) — for GeoJSON by a
+//!   speculative lexer pass that resolves every block's string state
+//!   and bracket depth before the block is parsed once
+//!   ([`geojson::fat`]). No knowledge of record boundaries is needed.
 //! * **PAT** (partially-associative transducers): blocks are cut at
 //!   *markers* that pin the parser state — `{"type":"Feature"` for
 //!   GeoJSON, newlines for WKT, element starts for OSM XML — and an

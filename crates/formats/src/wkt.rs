@@ -286,10 +286,9 @@ pub fn process_block(
 }
 
 impl WktFragment {
-    /// Drains the locally-completed features (see
-    /// `geojson::fat::BlockFragment::drain_features` — same pipeline-
-    /// composition role; WKT needs no speculation so there is a single
-    /// stream).
+    /// Drains the locally-completed features, so pipeline composition
+    /// (§3.2) absorbs them as soon as a block or merge completes them
+    /// (WKT needs no speculation, so there is a single stream).
     pub fn drain_features(&mut self) -> Vec<RawFeature> {
         std::mem::take(&mut self.features)
     }

@@ -1,6 +1,6 @@
 //! Golden-fixture round-trips: small checked-in GeoJSON / WKT /
 //! OSM-XML files with known contents, parsed by both execution paths
-//! (PAT's marker-split block parser and FAT's speculative parser).
+//! (PAT's marker-split blocks and FAT's arbitrary-offset blocks).
 //! Both must yield identical feature counts and MBRs, and those must
 //! match the hand-computed expectations pinned here — guarding the
 //! parsers against silent dialect drift.

@@ -15,7 +15,9 @@
 //! - hostile bytes at the OSM-XML boundary — a document truncated at
 //!   any offset, seeded bit flips (replay with `ATGIS_FAULT_SEED`) —
 //!   parse to `Ok` or a structured `ParseError`, never a panic or a
-//!   hang.
+//!   hang;
+//! - the same hostile bytes through FAT GeoJSON, at any block count,
+//!   give a structured error or exactly the 1-block answer.
 
 use atgis::stream::ChunkSource;
 use atgis::{
@@ -23,7 +25,7 @@ use atgis::{
     QueryResult, QueryScheduler, QuerySession, SliceChunkSource,
 };
 use atgis_datagen::{write_geojson, write_osm_xml, OsmGenerator};
-use atgis_formats::{osmxml, Format, MetadataFilter};
+use atgis_formats::{geojson, osmxml, Format, MetadataFilter, Mode};
 use atgis_geometry::Mbr;
 use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, XorShift64};
 
@@ -483,6 +485,99 @@ fn xml_with_seeded_bit_flips_is_ok_or_a_parse_error() {
         }
         parse_xml_everywhere(
             &engine,
+            &bytes,
+            &format!("flipped (offset, bit) {flipped:?}"),
+        );
+    }
+}
+
+/// A small GeoJSON document for the FAT sweeps: generated features
+/// behind a hand-written one whose properties hold escapes, brackets
+/// in strings and a Feature-shaped object.
+fn hostile_geojson_seed_document() -> Vec<u8> {
+    let generated = write_geojson(&OsmGenerator::new(78).generate(5));
+    let first = generated
+        .windows(geojson::FEATURE_MARKER.len())
+        .position(|w| w == geojson::FEATURE_MARKER)
+        .expect("generated features");
+    let mut doc = generated[..first].to_vec();
+    doc.extend_from_slice(
+        br#"{"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[0.0,0.0],[1.0,0.0],[1.0,1.0],[0.0,0.0]]]},"id":7,"properties":{"name":"say \"{[\\\" ]}","trap":{"type":"Feature","x":[1,{"y":2}]}}},"#,
+    );
+    doc.extend_from_slice(&generated[first..]);
+    doc
+}
+
+/// FAT GeoJSON through the library parse at blocks {1, 3, 8} and the
+/// engine at 2 threads × 8 blocks: every answer is a structured error
+/// or equals the 1-block answer.
+fn parse_geojson_fat_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], what: &str) {
+    let all = MetadataFilter::All;
+    let reference = geojson::parse_fat(bytes, &all, 1);
+    for blocks in [3, 8] {
+        if let Ok(features) = geojson::parse_fat(bytes, &all, blocks) {
+            assert_eq!(
+                Ok(&features),
+                reference.as_ref(),
+                "{what}: {blocks} blocks answered unlike 1 block"
+            );
+        }
+    }
+    let dataset = Dataset::from_bytes(bytes.to_vec(), Format::GeoJson);
+    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    match engine.exec1(&world, &dataset) {
+        Ok(got) => match single.exec1(&world, &dataset) {
+            Ok(want) => assert_eq!(got, want, "{what}: 16 blocks answered unlike 1 block"),
+            Err(e) => panic!("{what}: 16 blocks answered, 1 block failed: {e}"),
+        },
+        Err(Error::Parse(_)) => {}
+        Err(other) => panic!("{what}: neither an answer nor a parse error: {other}"),
+    }
+}
+
+fn fat_engines() -> (Engine, Engine) {
+    let fat = |threads, blocks| {
+        Engine::builder()
+            .threads(threads)
+            .block_multiplier(blocks)
+            .mode(Mode::Fat)
+            .build()
+    };
+    (fat(2, 8), fat(1, 1))
+}
+
+#[test]
+fn geojson_fat_truncated_at_every_offset_is_exact_or_an_error() {
+    let doc = hostile_geojson_seed_document();
+    let whole = geojson::parse_fat(&doc, &MetadataFilter::All, 1).unwrap();
+    assert_eq!(whole.len(), 6, "the untruncated document parses");
+    let (engine, single) = fat_engines();
+    for cut in 0..doc.len() {
+        parse_geojson_fat_everywhere(
+            &engine,
+            &single,
+            &doc[..cut],
+            &format!("truncated at {cut}"),
+        );
+    }
+}
+
+#[test]
+fn geojson_fat_with_seeded_bit_flips_is_exact_or_an_error() {
+    let doc = hostile_geojson_seed_document();
+    let mut rng = XorShift64::from_env();
+    let (engine, single) = fat_engines();
+    for _ in 0..64 {
+        let mut bytes = doc.clone();
+        let mut flipped = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let (at, bit) = (rng.below(bytes.len()), rng.below(8));
+            bytes[at] ^= 1 << bit;
+            flipped.push((at, bit));
+        }
+        parse_geojson_fat_everywhere(
+            &engine,
+            &single,
             &bytes,
             &format!("flipped (offset, bit) {flipped:?}"),
         );

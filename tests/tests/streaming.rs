@@ -270,13 +270,18 @@ fn sweep_all_chunk_lengths(bytes: &[u8], format: Format, modes: &[Mode]) {
             !want_w.matches().is_empty(),
             "torture input must select features ({format:?})"
         );
-        for chunk_len in 1..=bytes.len() {
+        sweep_against(&e, bytes, format, [(&world, &want_w), (&agg, &want_a)]);
+    }
+}
+
+/// The chunk-length sweep of [`sweep_all_chunk_lengths`] against
+/// given buffered answers.
+fn sweep_against(e: &Engine, bytes: &[u8], format: Format, wants: [(&Query, &QueryResult); 2]) {
+    for chunk_len in 1..=bytes.len() {
+        for (q, want) in wants {
             let mut s = SliceChunkSource::new(bytes, chunk_len);
-            let got_w = e.stream1(&world, &mut s, format).unwrap();
-            assert_eq!(got_w, want_w, "{format:?}/{mode:?} chunk={chunk_len}");
-            let mut s = SliceChunkSource::new(bytes, chunk_len);
-            let got_a = e.stream1(&agg, &mut s, format).unwrap();
-            assert_eq!(got_a, want_a, "{format:?}/{mode:?} agg chunk={chunk_len}");
+            let got = e.stream1(q, &mut s, format).unwrap();
+            assert_eq!(&got, want, "{format:?} chunk={chunk_len} {q:?}");
         }
     }
 }
@@ -297,6 +302,40 @@ fn torture_geojson_chunk_splits_inside_utf8_escapes_and_markers() {
     .as_bytes()
     .to_vec();
     sweep_all_chunk_lengths(&doc, Format::GeoJson, &[Mode::Pat, Mode::Fat]);
+}
+
+#[test]
+fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
+    // The §3.5 trap: a Feature-shaped object inside `properties`. FAT
+    // regions start at every chunk boundary, so some region begins
+    // right before the decoy marker; the depth carried across regions
+    // keeps it from ever counting as a feature start. PAT cuts at
+    // markers, so the decoy is its documented limitation — and the
+    // PAT-based sequential oracle's: the reference here is the
+    // buffered FAT answer, pinned to the two real features.
+    let doc = concat!(
+        r#"{"type":"FeatureCollection","features":["#,
+        r#"{"type":"Feature","geometry":{"type":"Point","coordinates":[1.0,2.0]},"id":1,"#,
+        r#""properties":{"trap":{"type":"Feature","x":1},"name":"decoy"}},"#,
+        r#"{"type":"Feature","geometry":{"type":"Point","coordinates":[3.0,4.0]},"id":2,"properties":{}}"#,
+        r#"]}"#
+    )
+    .as_bytes()
+    .to_vec();
+    let e = engine(2, Mode::Fat);
+    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    let agg = Query::aggregation(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    let ds = Dataset::from_bytes(doc.clone(), Format::GeoJson);
+    let want_w = e.exec1(&world, &ds).unwrap();
+    let want_a = e.exec1(&agg, &ds).unwrap();
+    let ids: Vec<u64> = want_w.matches().iter().map(|m| m.id).collect();
+    assert_eq!(ids, [1, 2]);
+    sweep_against(
+        &e,
+        &doc,
+        Format::GeoJson,
+        [(&world, &want_w), (&agg, &want_a)],
+    );
 }
 
 #[test]
