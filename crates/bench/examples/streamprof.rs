@@ -79,8 +79,8 @@ fn main() {
         sstats.shared_scan.split, sstats.shared_scan.process, sstats.shared_scan.merge
     );
     println!(
-        "  stream: chunks={} regions={} peak_frags={} ingest_wait={:?} mode={:?}",
-        st.chunks, st.regions, st.peak_fragments, st.ingest_wait, st.resolved_mode
+        "  stream: chunks={} regions={} peak_frags={} ingest_wait={:?}",
+        st.chunks, st.regions, st.peak_fragments, st.ingest_wait
     );
     dump_query(&sstats);
     std::fs::remove_file(&path).ok();

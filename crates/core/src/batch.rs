@@ -6,8 +6,8 @@
 //! scan itself. [`Engine::run`] compiles submitted queries — a single
 //! query is a batch of one — into a batch plan: every query
 //! contributes a per-query aggregate sink to **one** [`MultiSink`]
-//! fan-out, so a single transducer pass (the engine's configured
-//! PAT/FAT/Adaptive mode for the dataset's format) parses each
+//! fan-out, so a single transducer pass (the dataset format's split,
+//! PAT or FAT for GeoJSON as the engine is configured) parses each
 //! geometry once and dispatches it to every member. Join-class queries additionally share one
 //! side-agnostic [`PartitionIndex`] — the partition store plus its
 //! skew-refined [`PartitionMap`] — and one [`ReparseCache`], so the

@@ -8,7 +8,7 @@ use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on};
 use crate::join::{ProbeStrategy, Reparser};
 use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
-use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
+use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
 use crate::pool::WorkerPool;
 use crate::query::{FilterStrategy, Query};
 use crate::shard::ShardSet;
@@ -16,7 +16,7 @@ use crate::stats::Timings;
 use crate::{Error, Result};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
 use atgis_formats::geojson::fat;
-use atgis_formats::{fixed_blocks, marker_blocks, Format, Mode, ParseError};
+use atgis_formats::{fixed_blocks, marker_blocks, wkt, Block, Format, Mode, ParseError};
 use atgis_geometry::{Geometry, Mbr, Polygon};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,7 +62,9 @@ impl EngineBuilder {
         self
     }
 
-    /// FAT vs PAT execution (§5's AT-GIS-FAT / AT-GIS-PAT).
+    /// How GeoJSON is split: FAT or PAT (§5's AT-GIS-FAT /
+    /// AT-GIS-PAT). WKT and OSM XML always split at newlines and
+    /// ignore it.
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
         self
@@ -323,21 +325,9 @@ impl Engine {
         self.scan_range_cancellable(dataset, 0, dataset.bytes().len(), filter, proto, token)
     }
 
-    /// The execution mode a scan of `dataset` resolves to: `Adaptive`
-    /// picks Pat/Fat from the full input's marker density, so every
-    /// byte-range shard of one dataset scans in the same mode as a
-    /// single-node pass.
-    pub(crate) fn resolve_mode(&self, dataset: &Dataset) -> Mode {
-        match self.config.mode {
-            Mode::Adaptive => {
-                let marker: &[u8] = match dataset.format() {
-                    Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-                    _ => b"\n",
-                };
-                atgis_formats::resolve_adaptive(dataset.bytes(), marker, self.block_count())
-            }
-            m => m,
-        }
+    /// Whether scans of `format` split it FAT-style.
+    pub(crate) fn splits_fat(&self, format: Format) -> bool {
+        format == Format::GeoJson && self.config.mode == Mode::Fat
     }
 
     /// [`Engine::single_pass_cancellable`] restricted to the byte
@@ -362,7 +352,7 @@ impl Engine {
         let slice = &input[start..end];
         let threads = self.config.threads;
         let n = self.block_count();
-        let shift = |mut blocks: Vec<atgis_formats::Block>| {
+        let shift = |mut blocks: Vec<Block>| {
             if start > 0 {
                 for b in &mut blocks {
                     b.start += start;
@@ -371,42 +361,8 @@ impl Engine {
             }
             blocks
         };
-        let mode = self.resolve_mode(dataset);
-        match (dataset.format(), mode) {
-            (Format::GeoJson, Mode::Pat) => {
-                let started = Instant::now();
-                let blocks = shift(marker_blocks(
-                    slice,
-                    atgis_formats::geojson::FEATURE_MARKER,
-                    n,
-                ));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| {
-                        let mut features = Vec::new();
-                        atgis_formats::geojson::fast::parse_block(
-                            input,
-                            b.start,
-                            b.end,
-                            filter,
-                            &mut features,
-                        )?;
-                        let mut a = proto.clone();
-                        for f in &features {
-                            a.absorb(f);
-                        }
-                        Ok::<_, Error>(a)
-                    },
-                    |a, b| Ok(a.combine(b)),
-                );
-                t.split = split;
-                Ok((merged?.unwrap_or(proto), t))
-            }
-            (Format::GeoJson, _) => {
+        match dataset.format() {
+            format if self.splits_fat(format) => {
                 // Phase 1 (split time): the feature depth, then every
                 // block's state map on the pool and the prefix pass
                 // from the range's relative entry `(OUT, 0)`.
@@ -451,52 +407,7 @@ impl Engine {
                 t.merge += started.elapsed();
                 Ok((agg, t))
             }
-            (Format::Wkt, Mode::Pat) => {
-                let started = Instant::now();
-                let blocks = shift(marker_blocks(slice, b"\n", n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| {
-                        let mut a = proto.clone();
-                        let mut features = Vec::new();
-                        // Rows starting within the block.
-                        parse_wkt_rows(input, b.start, b.end, filter, &mut features)?;
-                        for f in &features {
-                            a.absorb(f);
-                        }
-                        Ok::<_, Error>(a)
-                    },
-                    |a, b| Ok(a.combine(b)),
-                );
-                t.split = split;
-                Ok((merged?.unwrap_or(proto), t))
-            }
-            (Format::Wkt, _) => {
-                let started = Instant::now();
-                let blocks = shift(fixed_blocks(slice.len(), n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| FatWktFrag::process(input, b, filter, &proto).map_err(Error::Parse),
-                    |a, b| a.merge(b, input, filter).map_err(Error::Parse),
-                );
-                t.split = split;
-                let started = Instant::now();
-                let agg = match merged? {
-                    Some(m) => m.finalize(input, filter)?,
-                    None => proto,
-                };
-                t.merge += started.elapsed();
-                Ok((agg, t))
-            }
-            (Format::OsmXml, _) => {
+            Format::OsmXml => {
                 let (features, t) = self.parse_xml(dataset, filter, token)?;
                 let started = Instant::now();
                 let whole = start == 0 && end == input.len();
@@ -509,6 +420,27 @@ impl Engine {
                 let mut t = t;
                 t.merge += started.elapsed();
                 Ok((a, t))
+            }
+            format => {
+                let started = Instant::now();
+                let blocks = shift(marker_blocks(slice, format.record_marker().bytes, n));
+                let split = started.elapsed();
+                let (merged, mut t) = run_blocks_on(
+                    &self.pool,
+                    &blocks,
+                    threads,
+                    token,
+                    |b| {
+                        let mut a = proto.clone();
+                        for f in &parse_marker_block(input, format, b, filter)? {
+                            a.absorb(f);
+                        }
+                        Ok::<_, Error>(a)
+                    },
+                    |a, b| Ok(a.combine(b)),
+                );
+                t.split = split;
+                Ok((merged?.unwrap_or(proto), t))
             }
         }
     }
@@ -526,7 +458,11 @@ impl Engine {
         use atgis_formats::osmxml;
         let input = dataset.bytes();
         let started = Instant::now();
-        let blocks = marker_blocks(input, b"\n", self.block_count());
+        let blocks = marker_blocks(
+            input,
+            Format::OsmXml.record_marker().bytes,
+            self.block_count(),
+        );
         let split = started.elapsed();
 
         let (table, mut t) = run_blocks_on(
@@ -587,13 +523,11 @@ pub(crate) fn make_reparser<'a>(
         }),
         Format::Wkt => Box::new(move |offset, len| {
             let end = if len == u32::MAX {
-                // Length unknown: the row ends at the next newline.
-                atgis_formats::split::find_marker(input, b"\n", offset as usize)
-                    .unwrap_or(input.len())
+                wkt::row_end(input, offset as usize)
             } else {
                 offset as usize + len as usize
             };
-            atgis_formats::wkt::parse_row(input, offset as usize, end, &MetadataFilter::All)?
+            wkt::parse_row(input, offset as usize, end, &MetadataFilter::All)?
                 .map(|f| f.geometry)
                 .ok_or_else(|| ParseError::syntax(offset, "no row at offset"))
         }),
@@ -609,29 +543,23 @@ pub(crate) fn make_reparser<'a>(
     }
 }
 
-/// WKT PAT row parsing helper (rows starting within `[start, end)`).
-pub(crate) fn parse_wkt_rows(
+/// Parses the records that start in a marker-aligned block of a
+/// GeoJSON or WKT input (OSM XML has no block-local parse).
+pub(crate) fn parse_marker_block(
     input: &[u8],
-    start: usize,
-    end: usize,
+    format: Format,
+    b: Block,
     filter: &MetadataFilter,
-    out: &mut Vec<RawFeature>,
-) -> std::result::Result<(), ParseError> {
-    let mut pos = start;
-    while pos < end {
-        while pos < end && input[pos] == b'\n' {
-            pos += 1;
+) -> std::result::Result<Vec<RawFeature>, ParseError> {
+    let mut features = Vec::new();
+    match format {
+        Format::GeoJson => {
+            atgis_formats::geojson::fast::parse_block(input, b.start, b.end, filter, &mut features)?
         }
-        if pos >= end {
-            break;
-        }
-        let row_end = atgis_formats::split::find_marker(input, b"\n", pos).unwrap_or(input.len());
-        if let Some(f) = atgis_formats::wkt::parse_row(input, pos, row_end, filter)? {
-            out.push(f);
-        }
-        pos = row_end + 1;
+        Format::Wkt => wkt::parse_rows(input, b.start, b.end, filter, &mut features)?,
+        Format::OsmXml => unreachable!("XML relations need the global node table"),
     }
-    Ok(())
+    Ok(features)
 }
 
 /// The join partition pass: bounds geometries and scatters them into

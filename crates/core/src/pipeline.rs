@@ -13,9 +13,8 @@
 use crate::exact::ExactSum;
 use crate::query::{FilterStrategy, Metric};
 use crate::result::{AggregateValues, MatchRecord};
-use atgis_formats::feature::{MetadataFilter, RawFeature};
+use atgis_formats::feature::RawFeature;
 use atgis_formats::geojson::fat::{BlockScan, Ctx, Entry};
-use atgis_formats::wkt::WktFragment;
 use atgis_formats::{Block, ParseError};
 use atgis_geometry::relate::intersects;
 use atgis_geometry::{measures, DistanceModel, Geometry, Polygon};
@@ -132,8 +131,8 @@ impl AggregateSink for FailedSink {
 /// aggregate that dispatches every completed feature to N per-query
 /// member sinks and combines member-wise. Because it implements
 /// [`QueryAggregate`], it flows through every existing execution path
-/// unchanged — PAT block scans, the FAT fragments
-/// ([`FatGeoJsonFrag`] / [`FatWktFrag`]) and the parallel tree merge —
+/// unchanged — marker-aligned block scans, the FAT fragments
+/// ([`FatGeoJsonFrag`]) and the parallel tree merge —
 /// so one parse pass serves every member query.
 ///
 /// Member order is the fan-out contract: `combine` zips positionally,
@@ -428,61 +427,12 @@ impl<A: QueryAggregate> FatGeoJsonFrag<A> {
     }
 }
 
-/// The FAT WKT pipeline fragment (no speculation — a single chain).
-pub struct FatWktFrag<A: QueryAggregate> {
-    parse: WktFragment,
-    agg: A,
-}
-
-impl<A: QueryAggregate> FatWktFrag<A> {
-    /// Parses and aggregates one block.
-    pub fn process(
-        input: &[u8],
-        block: Block,
-        filter: &MetadataFilter,
-        proto: &A,
-    ) -> Result<Self, ParseError> {
-        let mut parse = atgis_formats::wkt::process_block(input, block, filter)?;
-        let mut agg = proto.clone();
-        for f in parse.drain_features() {
-            agg.absorb(&f);
-        }
-        Ok(FatWktFrag { parse, agg })
-    }
-
-    /// Fragment merge.
-    pub fn merge(
-        self,
-        other: Self,
-        input: &[u8],
-        filter: &MetadataFilter,
-    ) -> Result<Self, ParseError> {
-        let mut parse = self.parse.merge(other.parse, input, filter)?;
-        let mut agg = self.agg;
-        for f in parse.drain_features() {
-            agg.absorb(&f);
-        }
-        Ok(FatWktFrag {
-            parse,
-            agg: agg.combine(other.agg),
-        })
-    }
-
-    /// Finishes the pipeline.
-    pub fn finalize(self, input: &[u8], filter: &MetadataFilter) -> Result<A, ParseError> {
-        let mut agg = self.agg;
-        for f in self.parse.finalize(input, filter)? {
-            agg.absorb(&f);
-        }
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use atgis_formats::fixed_blocks;
     use atgis_formats::geojson::fat;
+    use atgis_formats::MetadataFilter;
     use atgis_geometry::Mbr;
     use std::sync::Arc;
 
@@ -721,27 +671,6 @@ mod tests {
             }
             let agg = merged.unwrap().finalize(&cx).unwrap();
             assert_eq!(agg.matches.len(), 60, "blocks={n}");
-        }
-    }
-
-    #[test]
-    fn fat_wkt_pipeline_matches_direct_parse() {
-        let ds = atgis_datagen::OsmGenerator::new(78).generate(40);
-        let input = atgis_datagen::write_wkt(&ds);
-        let filter = MetadataFilter::All;
-        let reg = Arc::new(Polygon::from_mbr(&Mbr::new(-180.0, -90.0, 180.0, 90.0)));
-        let proto = ContainmentAgg::new(reg);
-        for blocks in [1, 4, 11] {
-            let mut merged: Option<FatWktFrag<ContainmentAgg>> = None;
-            for b in fixed_blocks(input.len(), blocks) {
-                let f = FatWktFrag::process(&input, b, &filter, &proto).unwrap();
-                merged = Some(match merged {
-                    None => f,
-                    Some(acc) => acc.merge(f, &input, &filter).unwrap(),
-                });
-            }
-            let agg = merged.unwrap().finalize(&input, &filter).unwrap();
-            assert_eq!(agg.matches.len(), 40, "blocks={blocks}");
         }
     }
 }

@@ -21,8 +21,9 @@
 //! differential suite pins this across {1, 2, 4, 8}.
 //!
 //! Shard boundaries come from the same marker-aligned split the PAT
-//! scan uses ([`marker_blocks`]), so no feature ever straddles a shard
-//! and per-shard scans of either PAT or FAT mode compose exactly.
+//! scan uses ([`marker_blocks`] at [`Format::record_marker`]), so no
+//! feature ever straddles a shard and per-shard scans of either PAT or
+//! FAT mode compose exactly.
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
@@ -109,10 +110,7 @@ impl ShardSet {
         token: Option<&CancelToken>,
     ) -> Result<ShardSet> {
         let input = dataset.bytes();
-        let marker: &[u8] = match dataset.format() {
-            Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-            _ => b"\n",
-        };
+        let marker = dataset.format().record_marker().bytes;
         let ranges: Vec<(usize, usize)> = marker_blocks(input, marker, count.max(1))
             .into_iter()
             .map(|b| (b.start, b.end))

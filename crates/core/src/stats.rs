@@ -9,7 +9,6 @@
 
 use crate::partition::PartitionMapStats;
 use crate::scheduler::Priority;
-use atgis_formats::Mode;
 use std::time::Duration;
 
 /// Wall-clock timings of one pipeline execution (Fig. 5's phases).
@@ -106,10 +105,6 @@ pub struct StreamStats {
     /// bounded by in-flight tasks + 1 (`O(workers)`), not by the chunk
     /// count.
     pub peak_fragments: u64,
-    /// The execution mode the scan resolved to (`Adaptive` resolves on
-    /// the first ingested bytes; `None` when nothing was scanned
-    /// incrementally, e.g. OSM XML, which parses at seal).
-    pub resolved_mode: Option<Mode>,
     /// Time the pipelined driver spent blocked waiting on the chunk
     /// source — the I/O-bound indicator.
     pub ingest_wait: Duration,

@@ -13,30 +13,30 @@
 //! `O(workers)` (one per gap between completed runs), never
 //! `O(chunks)`.
 //!
-//! Region safety per mode:
+//! Region safety per split:
 //!
-//! * **FAT** — blocks may start anywhere (that is the whole point of
-//!   full associativity), so every appended byte is dispatched
-//!   immediately. For GeoJSON, each region runs phase 1 (the blocks'
+//! * **FAT GeoJSON** — blocks may start anywhere (that is the whole
+//!   point of full associativity), so every appended byte is
+//!   dispatched immediately. Each region runs phase 1 (the blocks'
 //!   lexer state maps) on the pool and chains it from the state the
 //!   previous region ended in, so every block is parsed once from its
 //!   exact state; a feature that runs past the published bytes is
 //!   re-parsed by a later merge or at seal. Bytes are held only until
 //!   the first feature start is published, which fixes the feature
 //!   depth.
-//! * **PAT** — blocks must start at record markers, and a record
-//!   starting before a marker ends before the next marker. The scan
-//!   therefore dispatches only up to the **last marker seen** and
-//!   holds the tail until more bytes (or EOF) arrive — a chunk
-//!   boundary can fall anywhere, including inside a marker, a UTF-8
-//!   escape or a number, without a fragment ever reading past the
-//!   published prefix.
+//! * **Marker split** (PAT GeoJSON, and WKT always) — blocks must
+//!   start at record markers, and a record starting before a marker
+//!   ends before the next marker. The scan therefore dispatches only
+//!   up to the **last marker seen** and holds the tail until more
+//!   bytes (or EOF) arrive — a chunk boundary can fall anywhere,
+//!   including inside a marker, a UTF-8 escape or a number, without a
+//!   fragment ever reading past the published prefix.
 //! * **OSM XML** — relations resolve against a *global* node table,
 //!   so the scan only buffers during ingest and runs the ordinary
 //!   collection pass and assembly at seal.
 //!
 //! Results are **bit-identical** to buffered execution for every
-//! format × mode × chunk size: parse fragments merge associatively,
+//! format × split × chunk size: parse fragments merge associatively,
 //! match/pair lists are canonically ordered, and numeric aggregates
 //! accumulate in [`crate::exact::ExactSum`]s whose correctly-rounded
 //! totals are independent of chunking, blocking and thread count.
@@ -44,17 +44,17 @@
 use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::{Dataset, StreamBuffer};
-use crate::engine::{parse_wkt_rows, Engine};
+use crate::engine::{parse_marker_block, Engine};
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{run_indexed_on, StreamMerger};
-use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
+use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
 use crate::pool::recover;
 use crate::stats::{StreamStats, Timings};
 use crate::{Error, Result};
 use atgis_formats::feature::MetadataFilter;
 use atgis_formats::geojson::fat::{self, Entry, Lexed};
 use atgis_formats::split::find_marker;
-use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, Mode, ParseError};
+use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, ParseError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -283,18 +283,13 @@ pub(crate) fn reserve(size_hint: Option<usize>) -> Result<StreamBuffer> {
     }
 }
 
-/// How the scan cuts dispatchable regions for the resolved mode.
+/// How the scan cuts dispatchable regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RegionPlan {
-    /// Marker-aligned PAT dispatch: regions end at the last seen
-    /// marker (`boundary_skip` bytes *after* the marker start — 0 for
-    /// GeoJSON feature markers, `marker.len()` for WKT newlines).
-    Pat {
-        marker: &'static [u8],
-        boundary_skip: usize,
-    },
-    /// Arbitrary-offset FAT dispatch: every published byte goes out
-    /// immediately.
+    /// Marker-aligned dispatch: regions end at the last seen marker.
+    Pat,
+    /// Arbitrary-offset FAT GeoJSON dispatch: every published byte
+    /// goes out immediately.
     Fat,
     /// Buffer only; parse at seal (OSM XML's global node table).
     Sealed,
@@ -304,12 +299,10 @@ enum RegionPlan {
 /// parse fragment still carrying unresolved block edges.
 enum Frag<A: QueryAggregate> {
     Pat(A),
-    FatG(Box<FatGeoJsonFrag<A>>),
-    FatW(Box<FatWktFrag<A>>),
+    Fat(Box<FatGeoJsonFrag<A>>),
 }
 
-/// Merges two adjacent scan fragments; WKT reads only `cx.input` and
-/// `cx.filter`.
+/// Merges two adjacent scan fragments.
 fn merge_frag<A: QueryAggregate>(
     a: Frag<A>,
     b: Frag<A>,
@@ -317,11 +310,8 @@ fn merge_frag<A: QueryAggregate>(
 ) -> std::result::Result<Frag<A>, ParseError> {
     match (a, b) {
         (Frag::Pat(x), Frag::Pat(y)) => Ok(Frag::Pat(x.combine(y))),
-        (Frag::FatG(x), Frag::FatG(y)) => Ok(Frag::FatG(Box::new(x.merge(*y, cx)?))),
-        (Frag::FatW(x), Frag::FatW(y)) => {
-            Ok(Frag::FatW(Box::new(x.merge(*y, cx.input, cx.filter)?)))
-        }
-        _ => unreachable!("one resolved mode per scan"),
+        (Frag::Fat(x), Frag::Fat(y)) => Ok(Frag::Fat(Box::new(x.merge(*y, cx)?))),
+        _ => unreachable!("one split per scan"),
     }
 }
 
@@ -350,9 +340,7 @@ pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     format: Format,
     filter: MetadataFilter,
     proto: A,
-    /// Engine-configured mode (possibly `Adaptive`).
-    configured: Mode,
-    plan: Option<RegionPlan>,
+    plan: RegionPlan,
     /// Bytes already covered by dispatched regions.
     dispatched: usize,
     /// Next byte to inspect in the marker scan.
@@ -380,13 +368,17 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         size_hint: Option<usize>,
     ) -> Result<Self> {
         let buf = reserve(size_hint)?;
+        let plan = match format {
+            Format::OsmXml => RegionPlan::Sealed,
+            f if engine.splits_fat(f) => RegionPlan::Fat,
+            _ => RegionPlan::Pat,
+        };
         Ok(StreamingScan {
             buf: Arc::new(buf),
             format,
             filter: MetadataFilter::All,
             proto,
-            configured: engine.config().mode,
-            plan: None,
+            plan,
             dispatched: 0,
             marker_scan: 0,
             boundary: 0,
@@ -419,10 +411,10 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
     /// table, so no prefix answer would be sound.
     pub fn queryable_len(&self) -> usize {
         match self.plan {
-            Some(RegionPlan::Sealed) | None => 0,
+            RegionPlan::Sealed => 0,
             // Both PAT and FAT prefixes are cut at the marker
             // boundary: `boundary` tracks it in every non-XML plan.
-            Some(_) => self.boundary,
+            _ => self.boundary,
         }
     }
 
@@ -441,59 +433,6 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         self.dispatch(engine, false, None)
     }
 
-    /// Resolves the region plan on first contact with real bytes.
-    fn resolve_plan(&mut self, engine: &Engine) {
-        if self.plan.is_some() {
-            return;
-        }
-        let len = self.buf.len();
-        if len == 0 {
-            return;
-        }
-        let mode = match (self.format, self.configured) {
-            (Format::OsmXml, _) => {
-                self.plan = Some(RegionPlan::Sealed);
-                return;
-            }
-            (_, Mode::Adaptive) => {
-                // Resolve on the bytes seen so far — any choice is
-                // result-identical (PAT and FAT parse the same feature
-                // stream and the aggregates are order-invariant), so
-                // resolving early costs nothing but a different
-                // throughput profile.
-                let marker = self.marker();
-                atgis_formats::resolve_adaptive(self.buf.bytes(), marker, engine.block_count())
-            }
-            (_, m) => m,
-        };
-        self.stats.resolved_mode = Some(mode);
-        self.plan = Some(match mode {
-            Mode::Fat => RegionPlan::Fat,
-            _ => RegionPlan::Pat {
-                marker: self.marker(),
-                boundary_skip: self.marker_skip(),
-            },
-        });
-    }
-
-    fn marker(&self) -> &'static [u8] {
-        match self.format {
-            Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-            _ => b"\n",
-        }
-    }
-
-    /// Bytes between a marker's start and the safe cut point: a WKT
-    /// row *starts after* its preceding newline, a GeoJSON feature
-    /// starts *at* its marker. The single source of the rule for both
-    /// PAT dispatch and the FAT queryable-prefix tracking.
-    fn marker_skip(&self) -> usize {
-        match self.format {
-            Format::Wkt => 1,
-            _ => 0,
-        }
-    }
-
     /// FAT GeoJSON: resumes the search for the first feature start
     /// over the published bytes. Until it is found, nothing is
     /// dispatched — it fixes the depth every block parses features at.
@@ -510,13 +449,15 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
     }
 
     /// Advances the marker scan over newly published bytes, updating
-    /// the safe boundary. O(total bytes) across the whole stream.
-    fn advance_boundary(&mut self, marker: &'static [u8], skip: usize) {
+    /// the safe boundary: the start of the last record seen. O(total
+    /// bytes) across the whole stream.
+    fn advance_boundary(&mut self) {
+        let marker = self.format.record_marker();
         let len = self.buf.len();
         let input = self.buf.slice_to(len);
         let mut from = self.marker_scan;
-        while let Some(at) = find_marker(input, marker, from) {
-            let cut = at + skip;
+        while let Some(at) = find_marker(input, marker.bytes, from) {
+            let cut = at + marker.skip;
             if cut > self.boundary && cut <= len {
                 self.boundary = cut;
             }
@@ -525,7 +466,7 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         // A marker may straddle the append point: resume the scan
         // marker-length-minus-one bytes before the end.
         self.marker_scan = len
-            .saturating_sub(marker.len().saturating_sub(1))
+            .saturating_sub(marker.bytes.len().saturating_sub(1))
             .max(self.marker_scan);
     }
 
@@ -541,39 +482,22 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         at_eof: bool,
         token: Option<&CancelToken>,
     ) -> Result<()> {
-        self.resolve_plan(engine);
-        let Some(plan) = self.plan else {
-            return Ok(()); // nothing ingested yet
-        };
+        let plan = self.plan;
+        if plan == RegionPlan::Sealed {
+            return Ok(());
+        }
         let len = self.buf.len();
         let started = Instant::now();
+        // FAT tracks the marker boundary too: it defines the queryable
+        // prefix for sessions.
+        self.advance_boundary();
         let end = match plan {
-            RegionPlan::Sealed => {
+            RegionPlan::Fat if !self.feature_depth_known(len, at_eof) => {
+                self.split_time += started.elapsed();
                 return Ok(());
             }
-            RegionPlan::Pat {
-                marker,
-                boundary_skip,
-            } => {
-                self.advance_boundary(marker, boundary_skip);
-                if at_eof {
-                    len
-                } else {
-                    self.boundary
-                }
-            }
-            RegionPlan::Fat => {
-                // Track the marker boundary anyway: it defines the
-                // queryable prefix for sessions.
-                let marker = self.marker();
-                let skip = self.marker_skip();
-                self.advance_boundary(marker, skip);
-                if self.format == Format::GeoJson && !self.feature_depth_known(len, at_eof) {
-                    self.split_time += started.elapsed();
-                    return Ok(());
-                }
-                len
-            }
+            RegionPlan::Pat if !at_eof => self.boundary,
+            _ => len,
         };
         if end <= self.dispatched {
             self.split_time += started.elapsed();
@@ -590,28 +514,23 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             } else {
                 1
             });
-        let blocks: Vec<Block> = match plan {
-            RegionPlan::Pat { marker, .. } => {
-                marker_blocks(&self.buf.slice_to(end)[start..], marker, pieces)
-                    .into_iter()
-                    .filter(|b| !b.is_empty())
-                    .map(|b| Block {
-                        index: 0,
-                        start: b.start + start,
-                        end: b.end + start,
-                    })
-                    .collect()
-            }
-            _ => fixed_blocks(region_len, pieces)
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .map(|b| Block {
-                    index: 0,
-                    start: b.start + start,
-                    end: b.end + start,
-                })
-                .collect(),
+        let relative = match plan {
+            RegionPlan::Pat => marker_blocks(
+                &self.buf.slice_to(end)[start..],
+                self.format.record_marker().bytes,
+                pieces,
+            ),
+            _ => fixed_blocks(region_len, pieces),
         };
+        let blocks: Vec<Block> = relative
+            .into_iter()
+            .filter(|b| !b.is_empty())
+            .map(|b| Block {
+                index: 0,
+                start: b.start + start,
+                end: b.end + start,
+            })
+            .collect();
         self.dispatched = end;
         if blocks.is_empty() {
             self.split_time += started.elapsed();
@@ -621,7 +540,7 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         let format = self.format;
         // FAT GeoJSON phase 1: the blocks' state maps on the pool,
         // chained from where the previous region ended.
-        let entries = if plan == RegionPlan::Fat && format == Format::GeoJson {
+        let entries = if plan == RegionPlan::Fat {
             let maps = run_indexed_on(engine.pool(), blocks.len(), engine.threads(), token, |i| {
                 fat::StateMap::of(blocks[i].slice(input))
             })?;
@@ -654,14 +573,10 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
                 crate::fault_point!("stream.region");
                 let b = blocks[i];
                 let result: std::result::Result<Frag<A>, ParseError> = match plan {
-                    RegionPlan::Pat { .. } => process_pat(input, b, format, cx.filter, proto),
-                    RegionPlan::Fat => match format {
-                        Format::GeoJson => Ok(Frag::FatG(Box::new(FatGeoJsonFrag::process(
-                            &cx, b, entries[i], proto,
-                        )))),
-                        _ => FatWktFrag::process(input, b, cx.filter, proto)
-                            .map(|f| Frag::FatW(Box::new(f))),
-                    },
+                    RegionPlan::Pat => process_pat(input, b, format, cx.filter, proto),
+                    RegionPlan::Fat => Ok(Frag::Fat(Box::new(FatGeoJsonFrag::process(
+                        &cx, b, entries[i], proto,
+                    )))),
                     RegionPlan::Sealed => unreachable!("sealed plans dispatch nothing"),
                 };
                 match result {
@@ -677,8 +592,8 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
 
     /// Seals the stream: dispatches the tail, finalises the fold and
     /// returns the aggregate plus the sealed zero-copy dataset,
-    /// timings and stream statistics. XML (and empty) streams run the
-    /// ordinary buffered pass here.
+    /// timings and stream statistics. XML streams run the ordinary
+    /// buffered pass here.
     pub fn seal(self, engine: &Engine) -> Result<(A, Dataset, Timings, StreamStats)> {
         self.seal_cancellable(engine, None)
     }
@@ -706,20 +621,18 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             process: self.run_time - merge_time,
             merge: merge_time,
         };
-        let needs_buffered_pass = matches!(self.plan, Some(RegionPlan::Sealed) | None);
-        if needs_buffered_pass {
+        if self.plan == RegionPlan::Sealed {
             let (agg, t) =
                 engine.single_pass_cancellable(&dataset, &self.filter, self.proto, token)?;
             return Ok((agg, dataset, t, stats));
         }
         let started = Instant::now();
-        let input = dataset.bytes();
         let agg = match merger.finish().map_err(Error::Parse)? {
             None => self.proto,
             Some(Frag::Pat(a)) => a,
-            Some(Frag::FatG(f)) => {
+            Some(Frag::Fat(f)) => {
                 let cx = fat::Ctx {
-                    input,
+                    input: dataset.bytes(),
                     depth: self
                         .fat
                         .depth
@@ -729,7 +642,6 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
                 };
                 f.finalize(&cx).map_err(Error::Parse)?
             }
-            Some(Frag::FatW(f)) => f.finalize(input, &self.filter).map_err(Error::Parse)?,
         };
         timings.merge += started.elapsed();
         Ok((agg, dataset, timings, stats))
@@ -746,15 +658,7 @@ fn process_pat<A: QueryAggregate>(
     proto: &A,
 ) -> std::result::Result<Frag<A>, ParseError> {
     let mut agg = proto.clone();
-    let mut features = Vec::new();
-    match format {
-        Format::GeoJson => {
-            atgis_formats::geojson::fast::parse_block(input, b.start, b.end, filter, &mut features)?
-        }
-        Format::Wkt => parse_wkt_rows(input, b.start, b.end, filter, &mut features)?,
-        Format::OsmXml => unreachable!("XML never dispatches PAT regions"),
-    }
-    for f in &features {
+    for f in &parse_marker_block(input, format, b, filter)? {
         agg.absorb(f);
     }
     Ok(Frag::Pat(agg))
@@ -953,7 +857,7 @@ mod tests {
             StreamingScan::new(&engine, Format::GeoJson, world_agg(), Some(doc.len())).unwrap();
         // Feed one byte at a time: the queryable prefix must only ever
         // sit at 0 or at a feature-marker boundary, never mid-feature.
-        let marker = atgis_formats::geojson::FEATURE_MARKER;
+        let marker = Format::GeoJson.record_marker().bytes;
         let mut marker_positions: Vec<usize> = vec![0];
         let mut at = 0usize;
         while let Some(p) = find_marker(&doc, marker, at) {
@@ -972,7 +876,6 @@ mod tests {
         assert_eq!(agg.matches.len(), 2, "both features parsed once");
         assert_eq!(dataset.len(), doc.len());
         assert_eq!(stats.chunks, doc.len() as u64);
-        assert_eq!(stats.resolved_mode, Some(Mode::Pat));
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Spatial data-format substrate for AT-GIS.
 //!
 //! AT-GIS executes queries directly over raw files in three formats
-//! (§4.4): GeoJSON, WKT and OpenStreetMap XML. This crate implements,
-//! for each format, both execution modes the paper evaluates:
+//! (§4.4): GeoJSON, WKT and OpenStreetMap XML. Every format splits at
+//! its *record marker* ([`Format::record_marker`]): `{"type":"Feature"`
+//! for GeoJSON, newlines for WKT and OSM XML. GeoJSON alone offers the
+//! two execution modes the paper evaluates ([`Mode`]):
 //!
 //! * **FAT** (fully-associative transducers): blocks are cut at
 //!   arbitrary byte offsets, so the parser state at a block's start is
-//!   unknown and resolved associatively (§3.3) — for GeoJSON by a
-//!   speculative lexer pass that resolves every block's string state
-//!   and bracket depth before the block is parsed once
-//!   ([`geojson::fat`]). No knowledge of record boundaries is needed.
+//!   unknown and resolved associatively (§3.3) — by a speculative
+//!   lexer pass that resolves every block's string state and bracket
+//!   depth before the block is parsed once ([`geojson::fat`]). No
+//!   knowledge of record boundaries is needed.
 //! * **PAT** (partially-associative transducers): blocks are cut at
-//!   *markers* that pin the parser state — `{"type":"Feature"` for
-//!   GeoJSON, newlines for WKT, element starts for OSM XML — and an
+//!   the feature marker, which pins the parser state, and an
 //!   optimised, non-speculative block-local parser (our stand-in for
 //!   RapidJSON) handles each block (§3.5).
 //!
-//! Both modes produce the same stream of [`RawFeature`]s tagged with
+//! WKT needs no such choice: splitting it "is a case of searching for
+//! newlines" (§2.2), and a newline always pins the row parser's state.
+//! Every path produces the same stream of [`RawFeature`]s tagged with
 //! their byte offsets, which downstream pipelines use for
 //! identification and join-time re-parsing (§4.2).
 //!
@@ -52,72 +55,64 @@ pub enum Format {
     OsmXml,
 }
 
-/// Parsing execution mode (§5's AT-GIS-FAT vs AT-GIS-PAT).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Mode {
-    /// Fully-associative: speculative parsing from arbitrary splits.
-    Fat,
-    /// Partially-associative: marker-based splits, optimised block
-    /// parser.
-    #[default]
-    Pat,
-    /// Pick per dataset: PAT when record markers are dense enough to
-    /// split cheaply, FAT otherwise — the hybrid §5.5 proposes ("the
-    /// best of both approaches could be attained by instrumenting the
-    /// splitting component … to fall back to a fully-associative
-    /// pipeline").
-    Adaptive,
+/// A format's record marker: the byte string whose occurrences are the
+/// split points of marker-aligned blocks, shards and streamed prefixes
+/// (§4.1's "regular expression").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordMarker {
+    /// The marker bytes.
+    pub bytes: &'static [u8],
+    /// Bytes from a marker's start to the start of the record it
+    /// announces: a GeoJSON feature starts *at* its marker, a WKT row
+    /// *after* the newline before it.
+    pub skip: usize,
 }
 
-/// Decides between PAT and FAT for `Mode::Adaptive` by sampling marker
-/// density in the input prefix: with fewer markers than `want_blocks`,
-/// marker-aligned splitting cannot produce enough parallelism (the
-/// Fig. 14 failure mode) and FAT wins.
-pub fn resolve_adaptive(input: &[u8], marker: &[u8], want_blocks: usize) -> Mode {
-    const SAMPLE: usize = 1 << 20;
-    let sample = &input[..input.len().min(SAMPLE)];
-    let mut count = 0usize;
-    let mut pos = 0usize;
-    while let Some(at) = split::find_marker(sample, marker, pos) {
-        count += 1;
-        pos = at + 1;
-        if count >= want_blocks * 4 {
-            return Mode::Pat; // Plenty of split points.
+impl Format {
+    /// The marker that marker-aligned blocks, shards and streamed
+    /// prefixes of this format are cut at — the one place each
+    /// format's marker is named.
+    pub fn record_marker(self) -> RecordMarker {
+        match self {
+            Format::GeoJson => RecordMarker {
+                bytes: geojson::FEATURE_MARKER,
+                skip: 0,
+            },
+            Format::Wkt | Format::OsmXml => RecordMarker {
+                bytes: b"\n",
+                skip: 1,
+            },
         }
     }
-    // Extrapolate the sampled density to the full input.
-    let scale = (input.len().max(1) as f64 / sample.len().max(1) as f64).max(1.0);
-    if (count as f64 * scale) as usize >= want_blocks * 4 {
-        Mode::Pat
-    } else {
-        Mode::Fat
-    }
+}
+
+/// How GeoJSON is split (§5's AT-GIS-FAT vs AT-GIS-PAT). The other
+/// formats ignore it: WKT and OSM XML always split at newlines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Mode {
+    /// Fully-associative: fixed-offset blocks, each parsed from the
+    /// lexer state a speculative pass resolved for it.
+    Fat,
+    /// Partially-associative: blocks cut at the feature marker, parsed
+    /// by the optimised block parser.
+    #[default]
+    Pat,
 }
 
 /// Parses an entire in-memory dataset into features using a handful of
 /// logical blocks (sequentially — the parallel executor lives in
-/// `atgis-core`). Convenience entry point for tests and examples.
+/// `atgis-core`). Convenience entry point for tests and examples;
+/// `mode` applies to GeoJSON only.
 pub fn parse_all(
     input: &[u8],
     format: Format,
     mode: Mode,
     filter: &MetadataFilter,
 ) -> Result<Vec<RawFeature>, ParseError> {
-    let mode = match mode {
-        Mode::Adaptive => {
-            let marker: &[u8] = match format {
-                Format::GeoJson => geojson::FEATURE_MARKER,
-                _ => b"\n",
-            };
-            resolve_adaptive(input, marker, 4)
-        }
-        m => m,
-    };
     match (format, mode) {
         (Format::GeoJson, Mode::Pat) => geojson::parse_pat(input, filter),
-        (Format::GeoJson, _) => geojson::parse_fat(input, filter, 4),
-        (Format::Wkt, Mode::Pat) => wkt::parse_pat(input, filter),
-        (Format::Wkt, _) => wkt::parse_fat(input, filter, 4),
+        (Format::GeoJson, Mode::Fat) => geojson::parse_fat(input, filter, 4),
+        (Format::Wkt, _) => wkt::parse_pat(input, filter),
         (Format::OsmXml, _) => osmxml::parse(input, filter),
     }
 }

@@ -5,16 +5,12 @@
 //! makes splitting the data a case of searching for newlines" (§2.2).
 //! Each row is `id <TAB> WKT <TAB> key=value;key=value…`.
 //!
-//! * PAT mode splits at newlines and parses rows directly.
-//! * FAT mode splits at arbitrary offsets; the fragment is a
-//!   line-level periodically flushing transducer: the partial first
-//!   line (head) and partial last line (tail) are kept as byte spans
-//!   and joined at merge — spans are contiguous across block
-//!   boundaries, so the spanning row is parsed straight out of the
-//!   input.
+//! A newline pins the row parser's state, so WKT has one execution
+//! path: blocks are cut anywhere (the engine cuts them at newlines),
+//! and each block parses the rows that start in it ([`parse_rows`]),
+//! reading the last one past its end. No fragment has to be merged.
 
 use crate::feature::{MetadataFilter, RawFeature};
-use crate::split::{fixed_blocks, marker_blocks, Block};
 use crate::ParseError;
 use atgis_geometry::{Geometry, LineString, MultiPolygon, Point, Polygon, Ring};
 
@@ -201,178 +197,47 @@ fn rings_to_polygon(mut rings: Vec<Vec<Point>>) -> Polygon {
     Polygon::new(exterior, holes)
 }
 
-/// PAT parse: newline-aligned blocks, each row parsed directly.
+/// Parses every row of `input`, in order.
 pub fn parse_pat(input: &[u8], filter: &MetadataFilter) -> Result<Vec<RawFeature>, ParseError> {
     let mut out = Vec::new();
-    for block in marker_blocks(input, b"\n", 4) {
-        parse_block_rows(input, block.start, block.end, filter, &mut out)?;
-    }
+    parse_rows(input, 0, input.len(), filter, &mut out)?;
     Ok(out)
 }
 
-/// Parses every complete row that *starts* within `[start, end)`.
-fn parse_block_rows(
+/// End of the row at or after `from`: its newline, or the end of the
+/// input.
+pub fn row_end(input: &[u8], from: usize) -> usize {
+    crate::split::memchr(b'\n', input, from).unwrap_or(input.len())
+}
+
+/// Parses every row that *starts* within `[start, end)` — the rows
+/// this block owns — reading the last one past `end` to its newline.
+/// `start` may fall anywhere: a block that begins inside a row leaves
+/// that row to the block it starts in.
+pub fn parse_rows(
     input: &[u8],
     start: usize,
     end: usize,
     filter: &MetadataFilter,
     out: &mut Vec<RawFeature>,
 ) -> Result<(), ParseError> {
-    let mut pos = start;
+    let mut pos = if start == 0 || input[start - 1] == b'\n' {
+        start
+    } else {
+        row_end(input, start) + 1
+    };
     while pos < end {
-        // Skip leading newlines (block starts at a marker = newline).
-        while pos < end && input[pos] == b'\n' {
+        if input[pos] == b'\n' {
             pos += 1;
+            continue;
         }
-        if pos >= end {
-            break;
-        }
-        let row_end = crate::split::find_marker(input, b"\n", pos).unwrap_or(input.len());
-        if let Some(f) = parse_row(input, pos, row_end, filter)? {
+        let stop = row_end(input, pos);
+        if let Some(f) = parse_row(input, pos, stop, filter)? {
             out.push(f);
         }
-        pos = row_end + 1;
+        pos = stop + 1;
     }
     Ok(())
-}
-
-/// The FAT fragment for WKT: a line-level periodically flushing
-/// transducer whose head/tail are byte spans into the input.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WktFragment {
-    /// Span of the partial first line `(start, end)`.
-    head: (usize, usize),
-    /// Features from complete rows inside the block.
-    features: Vec<RawFeature>,
-    /// Span of the partial last line.
-    tail: (usize, usize),
-    /// Whether the block contained at least one newline.
-    saw_newline: bool,
-}
-
-/// Builds the FAT fragment for one block.
-pub fn process_block(
-    input: &[u8],
-    block: Block,
-    filter: &MetadataFilter,
-) -> Result<WktFragment, ParseError> {
-    let bytes = block.slice(input);
-    let first_nl = crate::split::memchr(b'\n', bytes, 0);
-    match first_nl {
-        None => Ok(WktFragment {
-            head: (block.start, block.end),
-            features: Vec::new(),
-            tail: (block.end, block.end),
-            saw_newline: false,
-        }),
-        Some(nl) => {
-            let last_nl = bytes.iter().rposition(|&b| b == b'\n').expect("nl exists");
-            let mut features = Vec::new();
-            parse_block_rows(
-                input,
-                block.start + nl + 1,
-                block.start + last_nl + 1,
-                filter,
-                &mut features,
-            )?;
-            Ok(WktFragment {
-                head: (block.start, block.start + nl),
-                features,
-                tail: (block.start + last_nl + 1, block.end),
-                saw_newline: true,
-            })
-        }
-    }
-}
-
-impl WktFragment {
-    /// Drains the locally-completed features, so pipeline composition
-    /// (§3.2) absorbs them as soon as a block or merge completes them
-    /// (WKT needs no speculation, so there is a single stream).
-    pub fn drain_features(&mut self) -> Vec<RawFeature> {
-        std::mem::take(&mut self.features)
-    }
-
-    /// Merges two adjacent fragments; `self` must cover the bytes
-    /// immediately preceding `other`.
-    pub fn merge(
-        mut self,
-        mut other: WktFragment,
-        input: &[u8],
-        filter: &MetadataFilter,
-    ) -> Result<WktFragment, ParseError> {
-        debug_assert_eq!(self.tail.1, other.head.0, "fragments must be adjacent");
-        match (self.saw_newline, other.saw_newline) {
-            (false, false) => Ok(WktFragment {
-                head: (self.head.0, other.head.1),
-                features: Vec::new(),
-                tail: (other.tail.0, other.tail.1),
-                saw_newline: false,
-            }),
-            (false, true) => {
-                other.head.0 = self.head.0;
-                Ok(other)
-            }
-            (true, false) => {
-                self.tail.1 = other.head.1;
-                Ok(self)
-            }
-            (true, true) => {
-                // The spanning row: left tail ++ right head.
-                let (s, e) = (self.tail.0, other.head.1);
-                if let Some(f) = parse_row(input, s, e, filter)? {
-                    self.features.push(f);
-                }
-                self.features.append(&mut other.features);
-                Ok(WktFragment {
-                    head: self.head,
-                    features: self.features,
-                    tail: other.tail,
-                    saw_newline: true,
-                })
-            }
-        }
-    }
-
-    /// Resolves a fully merged fragment: head is the first row, tail
-    /// the last.
-    pub fn finalize(
-        mut self,
-        input: &[u8],
-        filter: &MetadataFilter,
-    ) -> Result<Vec<RawFeature>, ParseError> {
-        let mut out = Vec::new();
-        if let Some(f) = parse_row(input, self.head.0, self.head.1, filter)? {
-            out.push(f);
-        }
-        out.append(&mut self.features);
-        if self.tail.0 < self.tail.1 {
-            if let Some(f) = parse_row(input, self.tail.0, self.tail.1, filter)? {
-                out.push(f);
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// FAT parse over `blocks` fixed-offset blocks (sequential merge).
-pub fn parse_fat(
-    input: &[u8],
-    filter: &MetadataFilter,
-    blocks: usize,
-) -> Result<Vec<RawFeature>, ParseError> {
-    let mut merged: Option<WktFragment> = None;
-    for block in fixed_blocks(input.len(), blocks) {
-        let frag = process_block(input, block, filter)?;
-        merged = Some(match merged {
-            None => frag,
-            Some(acc) => acc.merge(frag, input, filter)?,
-        });
-    }
-    match merged {
-        None => Ok(Vec::new()),
-        Some(m) => m.finalize(input, filter),
-    }
 }
 
 #[cfg(test)]
@@ -413,19 +278,55 @@ mod tests {
         check(&f);
     }
 
+    /// The rows of `input` parsed block by block over the blocks that
+    /// `cuts` delimit.
+    fn rows_by_blocks(input: &[u8], cuts: &[usize]) -> Vec<RawFeature> {
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(input.len());
+        let mut out = Vec::new();
+        for w in bounds.windows(2) {
+            parse_rows(input, w[0], w[1], &MetadataFilter::All, &mut out).unwrap();
+        }
+        out
+    }
+
+    /// The rows of `input` parsed over `blocks` fixed-offset blocks,
+    /// cut without regard to newlines.
+    fn rows_by_fixed_blocks(input: &[u8], blocks: usize) -> Vec<RawFeature> {
+        let cuts: Vec<usize> = crate::split::fixed_blocks(input.len(), blocks)
+            .iter()
+            .skip(1)
+            .map(|b| b.start)
+            .collect();
+        rows_by_blocks(input, &cuts)
+    }
+
     #[test]
     fn fat_parses_sample_any_block_count() {
         for blocks in 1..32 {
-            let f = parse_fat(SAMPLE.as_bytes(), &MetadataFilter::All, blocks).unwrap();
-            check(&f);
+            check(&rows_by_fixed_blocks(SAMPLE.as_bytes(), blocks));
         }
     }
 
     #[test]
     fn fat_and_pat_agree() {
         let a = parse_pat(SAMPLE.as_bytes(), &MetadataFilter::All).unwrap();
-        let b = parse_fat(SAMPLE.as_bytes(), &MetadataFilter::All, 9).unwrap();
+        let b = rows_by_fixed_blocks(SAMPLE.as_bytes(), 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rows_are_split_invariant_at_every_cut_and_pair_of_cuts() {
+        let input = SAMPLE.as_bytes();
+        let whole = parse_pat(input, &MetadataFilter::All).unwrap();
+        check(&whole);
+        for a in 0..=input.len() {
+            assert_eq!(rows_by_blocks(input, &[a]), whole, "cut at {a}");
+            for b in a..=input.len() {
+                assert_eq!(rows_by_blocks(input, &[a, b]), whole, "cuts at {a}, {b}");
+            }
+        }
     }
 
     #[test]
@@ -440,7 +341,7 @@ mod tests {
         .unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].id, 1);
-        let g = parse_fat(SAMPLE.as_bytes(), &MetadataFilter::IdBelow(3), 5).unwrap();
+        let g = parse_pat(SAMPLE.as_bytes(), &MetadataFilter::IdBelow(3)).unwrap();
         assert_eq!(g.len(), 2);
     }
 
@@ -473,14 +374,13 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(parse_pat(b"", &MetadataFilter::All).unwrap().is_empty());
-        assert!(parse_fat(b"", &MetadataFilter::All, 4).unwrap().is_empty());
         assert!(parse_pat(b"\n\n", &MetadataFilter::All).unwrap().is_empty());
     }
 
     #[test]
     fn missing_trailing_newline() {
         let doc = "7\tPOINT(1.0 2.0)\t";
-        let f = parse_fat(doc.as_bytes(), &MetadataFilter::All, 3).unwrap();
+        let f = parse_pat(doc.as_bytes(), &MetadataFilter::All).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].id, 7);
     }

@@ -116,7 +116,16 @@ impl SchedRunExt for QueryScheduler {
 
 use atgis::stats::StreamStats;
 use atgis::stream::ChunkSource;
-use atgis_formats::Format;
+use atgis_formats::{Format, Mode};
+
+/// The modes a test matrix sweeps for `format`: PAT and FAT for
+/// GeoJSON; one for WKT and OSM XML, which always split at newlines.
+pub fn modes(format: Format) -> &'static [Mode] {
+    match format {
+        Format::GeoJson => &[Mode::Pat, Mode::Fat],
+        Format::Wkt | Format::OsmXml => &[Mode::Pat],
+    }
+}
 
 /// [`RunExt`]'s streaming counterpart over [`Engine::run_streaming`].
 pub trait StreamRunExt {

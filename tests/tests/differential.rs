@@ -3,7 +3,7 @@
 //! pass, nested-loop join) on synthetic datasets, and the results must
 //! be identical across every engine configuration — thread counts,
 //! uniform vs skew-adaptive partitioning, sweep vs R-tree MBR compare,
-//! FAT vs PAT parsing — plus the `ByteDfa` bulk scanner against its
+//! FAT vs PAT GeoJSON parsing — plus the `ByteDfa` bulk scanner against its
 //! byte-at-a-time reference. Set `ATGIS_MMAP=1` to run the same suite
 //! over memory-mapped datasets instead of heap buffers, covering both
 //! `Dataset` storage paths.
@@ -14,9 +14,11 @@ use atgis::{
 };
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
-use atgis_formats::{Format, Mode};
+use atgis_formats::Format;
 use atgis_geometry::Mbr;
-use atgis_tests::{assert_agrees_with_oracle, oracle_answers, RunExt, SchedRunExt, SessionRunExt};
+use atgis_tests::{
+    assert_agrees_with_oracle, modes, oracle_answers, RunExt, SchedRunExt, SessionRunExt,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Thread counts exercised for every engine configuration.
@@ -227,7 +229,7 @@ fn fat_and_pat_modes_match_oracle() {
             BaselineAnswer::Matches(ids) => ids,
             other => panic!("{other:?}"),
         };
-        for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+        for &mode in modes(format) {
             let engine = Engine::builder().threads(2).mode(mode).build();
             let r = engine.exec1(&Query::containment(region), &ds).unwrap();
             let mut got: Vec<u64> = r.matches().iter().map(|m| m.id).collect();
@@ -268,7 +270,7 @@ fn batch_mixes(n: u64) -> Vec<Vec<Query>> {
 /// A batch `run(qs)` must be **bit-identical** to running each query
 /// alone — exact float equality, exact orders — and agree with the
 /// sequential oracle, for every query-kind mix, across threads ×
-/// PAT/FAT/Adaptive × uniform/adaptive partitioning, on both
+/// GeoJSON's PAT/FAT × uniform/adaptive partitioning, on both
 /// single-pass formats.
 #[test]
 fn batch_execution_matches_sequential_everywhere() {
@@ -285,7 +287,7 @@ fn batch_execution_matches_sequential_everywhere() {
             .collect();
         for threads in THREADS {
             for target in PARTITION_TARGETS {
-                for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+                for &mode in modes(format) {
                     let engine = Engine::builder()
                         .threads(threads)
                         .mode(mode)
@@ -526,7 +528,7 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
         let mix = duplicate_heavy_mix(n);
         let answers = oracle_answers(&ds, &mix);
         for threads in THREADS {
-            for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+            for &mode in modes(format) {
                 let engine = Engine::builder()
                     .threads(threads)
                     .mode(mode)

@@ -109,11 +109,11 @@ proptest! {
 
     #[test]
     fn wkt_fat_block_counts_agree(seed in 0u64..20, mult in 1usize..10) {
+        // WKT's one split (newlines) at any block count.
         let gen = OsmGenerator::new(seed + 300).generate(30);
         let ds = Dataset::from_bytes(write_wkt(&gen), Format::Wkt);
         let q = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
         let got = Engine::builder()
-            .mode(Mode::Fat)
             .block_multiplier(mult)
             .build()
             .exec1(&q, &ds)

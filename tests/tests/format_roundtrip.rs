@@ -1,6 +1,6 @@
 //! Round-trip integration tests: datasets produced by `atgis-datagen`
-//! must parse back through every `atgis-formats` path (PAT and FAT,
-//! all three serialisations) with identical geometry.
+//! must parse back through every `atgis-formats` path (GeoJSON PAT and
+//! FAT, all three serialisations) with identical geometry.
 
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator, SynthConfig};
 use atgis_formats::{parse_all, Format, MetadataFilter, Mode};
@@ -33,6 +33,7 @@ fn wkt_pat_and_fat_roundtrip() {
     let ds = OsmGenerator::new(102).generate(150);
     let bytes = write_wkt(&ds);
     let pat = parse_all(&bytes, Format::Wkt, Mode::Pat, &MetadataFilter::All).unwrap();
+    // WKT ignores the mode: both route to the one row parser.
     let fat = parse_all(&bytes, Format::Wkt, Mode::Fat, &MetadataFilter::All).unwrap();
     assert_eq!(pat.len(), ds.objects.len());
     assert_eq!(pat, fat);

@@ -26,7 +26,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::XorShift64;
+use atgis_tests::{modes, XorShift64};
 
 /// Spatially coherent dataset (sorted by centroid longitude, like a
 /// real regional export) so shard MBR pruning is in play and the
@@ -89,7 +89,7 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 
 /// The identity matrix: save → fresh engine on the same store
 /// (simulated restart) → restore → bit-identical to a storeless cold
-/// parse, across GeoJSON/WKT/XML × Pat/Fat/Adaptive × threads {1, 3}
+/// parse, across GeoJSON (Pat/Fat)/WKT/XML × threads {1, 3}
 /// × shards {1, 4} × containment/aggregation/join.
 #[test]
 fn warm_restart_is_bit_identical_across_the_matrix() {
@@ -99,7 +99,7 @@ fn warm_restart_is_bit_identical_across_the_matrix() {
         let dataset = sorted_dataset(7, OBJECTS, format);
         let queries = mixed_batch(OBJECTS as u64);
         for threads in [1usize, 3] {
-            for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+            for &mode in modes(format) {
                 // The oracle never sees a store: pure cold parse.
                 let oracle = QuerySession::new(engine(threads, mode, None), dataset.clone())
                     .run(&queries, &ExecOptions::new())

@@ -17,15 +17,16 @@
 //!   parse to `Ok` or a structured `ParseError`, never a panic or a
 //!   hang;
 //! - the same hostile bytes through FAT GeoJSON, at any block count,
-//!   give a structured error or exactly the 1-block answer.
+//!   give a structured error or exactly the 1-block answer, and
+//!   through WKT's newline split the 1-block answer or error.
 
 use atgis::stream::ChunkSource;
 use atgis::{
     chunk_channel, CancelToken, Dataset, Engine, Error, ExecOptions, Query, QueryError,
     QueryResult, QueryScheduler, QuerySession, SliceChunkSource,
 };
-use atgis_datagen::{write_geojson, write_osm_xml, OsmGenerator};
-use atgis_formats::{geojson, osmxml, Format, MetadataFilter, Mode};
+use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
+use atgis_formats::{geojson, osmxml, wkt, Format, MetadataFilter, Mode};
 use atgis_geometry::Mbr;
 use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, XorShift64};
 
@@ -576,6 +577,89 @@ fn geojson_fat_with_seeded_bit_flips_is_exact_or_an_error() {
             flipped.push((at, bit));
         }
         parse_geojson_fat_everywhere(
+            &engine,
+            &single,
+            &bytes,
+            &format!("flipped (offset, bit) {flipped:?}"),
+        );
+    }
+}
+
+/// A small WKT document for the hostile sweeps: hand-written rows with
+/// a holed polygon, an empty line and nested collections, then
+/// generated rows.
+fn hostile_wkt_seed_document() -> Vec<u8> {
+    let mut doc = concat!(
+        "1001\tPOLYGON((0.0 0.0,4.0 0.0,4.0 4.0,0.0 4.0,0.0 0.0),(1.0 1.0,2.0 1.0,2.0 2.0,1.0 1.0))\tname=holed;building=yes\n",
+        "\n",
+        "1002\tGEOMETRYCOLLECTION(POINT(9.0 9.0),GEOMETRYCOLLECTION(LINESTRING(1.5e0 -2.5E-1,3 4)))\tnote=a=b\n",
+    )
+    .as_bytes()
+    .to_vec();
+    doc.extend_from_slice(&write_wkt(&OsmGenerator::new(79).generate(5)));
+    doc
+}
+
+/// WKT through the library parse, then the engine at 2 threads × 8
+/// blocks against 1 thread × 1 block: both answer alike, or both fail
+/// with a parse error.
+fn parse_wkt_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], what: &str) {
+    let parsed = wkt::parse_pat(bytes, &MetadataFilter::All);
+    let dataset = Dataset::from_bytes(bytes.to_vec(), Format::Wkt);
+    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    let want = single.exec1(&world, &dataset);
+    assert_eq!(
+        parsed.is_ok(),
+        want.is_ok(),
+        "{what}: the 1-block engine and the library parse disagree"
+    );
+    match (engine.exec1(&world, &dataset), want) {
+        (Ok(got), Ok(want)) => assert_eq!(got, want, "{what}: 16 blocks answered unlike 1 block"),
+        (Err(Error::Parse(_)), Err(Error::Parse(_))) => {}
+        (got, want) => panic!("{what}: 16 blocks gave {got:?}, 1 block gave {want:?}"),
+    }
+}
+
+fn wkt_engines() -> (Engine, Engine) {
+    let build = |threads, blocks| {
+        Engine::builder()
+            .threads(threads)
+            .block_multiplier(blocks)
+            .build()
+    };
+    (build(2, 8), build(1, 1))
+}
+
+#[test]
+fn wkt_truncated_at_every_offset_is_exact_or_an_error() {
+    let doc = hostile_wkt_seed_document();
+    let whole = wkt::parse_pat(&doc, &MetadataFilter::All).unwrap();
+    assert_eq!(whole.len(), 7, "the untruncated document parses");
+    let (engine, single) = wkt_engines();
+    for cut in 0..doc.len() {
+        parse_wkt_everywhere(
+            &engine,
+            &single,
+            &doc[..cut],
+            &format!("truncated at {cut}"),
+        );
+    }
+}
+
+#[test]
+fn wkt_with_seeded_bit_flips_is_exact_or_an_error() {
+    let doc = hostile_wkt_seed_document();
+    let mut rng = XorShift64::from_env();
+    let (engine, single) = wkt_engines();
+    for _ in 0..64 {
+        let mut bytes = doc.clone();
+        let mut flipped = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let (at, bit) = (rng.below(bytes.len()), rng.below(8));
+            bytes[at] ^= 1 << bit;
+            flipped.push((at, bit));
+        }
+        parse_wkt_everywhere(
             &engine,
             &single,
             &bytes,

@@ -19,7 +19,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{assert_agrees_with_oracle, oracle_answers};
+use atgis_tests::{assert_agrees_with_oracle, modes, oracle_answers};
 
 /// Spatially coherent dataset: generated objects sorted by centroid
 /// longitude before serialisation — the storage order of a real
@@ -63,7 +63,7 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 }
 
 /// The identity matrix: shard counts {1, 2, 4, 8} × threads {1, 3} ×
-/// Pat/Fat/Adaptive × GeoJSON/WKT/XML × containment/aggregation/join,
+/// GeoJSON (Pat/Fat)/WKT/XML × containment/aggregation/join,
 /// each sharded run compared against the same engine's unsharded run,
 /// which in turn must agree with the sequential oracle.
 #[test]
@@ -74,7 +74,7 @@ fn sharded_is_bit_identical_across_the_matrix() {
         let queries = mixed_batch(OBJECTS as u64);
         let answers = oracle_answers(&dataset, &queries);
         for threads in [1usize, 3] {
-            for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+            for &mode in modes(format) {
                 let engine = engine(threads, mode);
                 let oracle = engine
                     .run(&queries, &dataset, &ExecOptions::new())

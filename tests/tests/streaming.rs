@@ -12,7 +12,7 @@ use atgis::{chunk_channel, Dataset, Engine, Query, QueryResult};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{assert_agrees_with_oracle, oracle_answers, RunExt, StreamRunExt};
+use atgis_tests::{assert_agrees_with_oracle, modes, oracle_answers, RunExt, StreamRunExt};
 
 fn engine(threads: usize, mode: Mode) -> Engine {
     Engine::builder()
@@ -70,7 +70,7 @@ fn assert_streamed_equals_buffered(
 
 #[test]
 fn streaming_differential_geojson_across_modes_and_chunks() {
-    for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+    for &mode in modes(Format::GeoJson) {
         let small = bytes_for(Format::GeoJson, 21, 8);
         for chunk in [1usize, 7] {
             assert_streamed_equals_buffered(
@@ -98,7 +98,7 @@ fn streaming_differential_geojson_across_modes_and_chunks() {
 
 #[test]
 fn streaming_differential_wkt_across_modes_and_chunks() {
-    for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+    for &mode in modes(Format::Wkt) {
         let small = bytes_for(Format::Wkt, 23, 8);
         for chunk in [1usize, 7] {
             assert_streamed_equals_buffered(
@@ -129,7 +129,7 @@ fn streaming_differential_xml_across_modes_and_chunks() {
     // XML ingests into the stream buffer and parses at seal (global
     // node table), so the differential here proves the buffering path
     // and chunk reassembly, entity boundaries included.
-    for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+    for &mode in modes(Format::OsmXml) {
         let small = bytes_for(Format::OsmXml, 25, 8);
         for chunk in [1usize, 7] {
             assert_streamed_equals_buffered(
@@ -253,10 +253,10 @@ fn streaming_empty_input_matches_buffered_empty() {
 /// Sweeps *every* chunk length over the input, so some chunk boundary
 /// lands on every byte position — inside markers, escapes, numbers
 /// and entities alike.
-fn sweep_all_chunk_lengths(bytes: &[u8], format: Format, modes: &[Mode]) {
+fn sweep_all_chunk_lengths(bytes: &[u8], format: Format) {
     let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
     let agg = Query::aggregation(Mbr::new(-180.0, -90.0, 180.0, 90.0));
-    for &mode in modes {
+    for &mode in modes(format) {
         let e = engine(2, mode);
         let ds = Dataset::from_bytes(bytes.to_vec(), format);
         let want_w = e.exec1(&world, &ds).unwrap();
@@ -301,7 +301,7 @@ fn torture_geojson_chunk_splits_inside_utf8_escapes_and_markers() {
     )
     .as_bytes()
     .to_vec();
-    sweep_all_chunk_lengths(&doc, Format::GeoJson, &[Mode::Pat, Mode::Fat]);
+    sweep_all_chunk_lengths(&doc, Format::GeoJson);
 }
 
 #[test]
@@ -310,9 +310,10 @@ fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
     // regions start at every chunk boundary, so some region begins
     // right before the decoy marker; the depth carried across regions
     // keeps it from ever counting as a feature start. PAT cuts at
-    // markers, so the decoy is its documented limitation — and the
-    // PAT-based sequential oracle's: the reference here is the
-    // buffered FAT answer, pinned to the two real features.
+    // markers, so the decoy is its documented limitation; the
+    // sequential oracle lexes the document as one FAT block, and the
+    // buffered FAT answer, pinned to the two real features, must
+    // agree with it.
     let doc = concat!(
         r#"{"type":"FeatureCollection","features":["#,
         r#"{"type":"Feature","geometry":{"type":"Point","coordinates":[1.0,2.0]},"id":1,"#,
@@ -330,6 +331,11 @@ fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
     let want_a = e.exec1(&agg, &ds).unwrap();
     let ids: Vec<u64> = want_w.matches().iter().map(|m| m.id).collect();
     assert_eq!(ids, [1, 2]);
+    assert_agrees_with_oracle(
+        &oracle_answers(&ds, &[world.clone(), agg.clone()]),
+        &[want_w.clone(), want_a.clone()],
+        "decoy marker buffered",
+    );
     sweep_against(
         &e,
         &doc,
@@ -348,7 +354,7 @@ fn torture_wkt_chunk_splits_inside_numbers() {
 3\tLINESTRING(-1.25 50.125,-0.5 50.5)\t\n\
 4\tPOINT(-3.5 50.5)\t"
         .to_vec();
-    sweep_all_chunk_lengths(&doc, Format::Wkt, &[Mode::Pat, Mode::Fat]);
+    sweep_all_chunk_lengths(&doc, Format::Wkt);
 }
 
 #[test]
@@ -368,7 +374,7 @@ fn torture_xml_chunk_splits_inside_entities() {
     )
     .as_bytes()
     .to_vec();
-    sweep_all_chunk_lengths(&doc, Format::OsmXml, &[Mode::Pat, Mode::Fat]);
+    sweep_all_chunk_lengths(&doc, Format::OsmXml);
 }
 
 #[test]
