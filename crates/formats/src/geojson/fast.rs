@@ -9,13 +9,28 @@
 //! starts with the `{"type":"Feature"` marker ([`parse_block`]); FAT
 //! finds them from the resolved lexer state ([`super::fat`]) and
 //! walks from feature to feature with `parse_feature_at`.
+//!
+//! A `coordinates` member is read before the geometry's `type` may be
+//! known, so it is first parsed into a flat pre-order token buffer
+//! (`Tok`: an array header with its length and subtree end, or a
+//! number) and interpreted once the geometry object closes, which
+//! keeps the parser independent of member order. The buffer is owned
+//! by the caller and reused for every feature of a PAT block or a FAT
+//! walk, so a feature costs one allocation per point list rather than
+//! one per position. Numbers go through [`crate::number::decimal`]
+//! straight from the scanned span, with std's parser as the fallback
+//! for anything it declines, so every value is bit-identical to std's.
 
 use crate::feature::{MetadataFilter, RawFeature};
+use crate::number;
 use crate::split::find_marker;
 use crate::ParseError;
 use atgis_geometry::{Geometry, LineString, MultiPolygon, Point, Polygon, Ring};
 
 use super::FEATURE_MARKER;
+
+#[cfg(test)]
+mod oracle;
 
 /// Parses every feature whose object starts in `[start, end)` of
 /// `input`, appending accepted features to `out`. Objects may extend
@@ -28,12 +43,13 @@ pub fn parse_block(
     filter: &MetadataFilter,
     out: &mut Vec<RawFeature>,
 ) -> Result<(), ParseError> {
+    let mut scratch = Scratch::default();
     let mut pos = start;
     while let Some(at) = find_marker(input, FEATURE_MARKER, pos) {
         if at >= end {
             break;
         }
-        let mut cur = Cursor { input, pos: at };
+        let mut cur = Cursor::new(input, at, &mut scratch);
         if let Some(feature) = cur.parse_feature(filter)? {
             out.push(feature);
         }
@@ -41,6 +57,11 @@ pub fn parse_block(
     }
     Ok(())
 }
+
+/// The coordinate buffer one walk reuses for every feature it parses
+/// with [`parse_feature_at`].
+#[derive(Default)]
+pub(super) struct Scratch(Vec<Tok>);
 
 /// Parses the feature object starting at `at`. Returns the feature
 /// (`None` when `filter` rejects it) and where the cursor stopped: the
@@ -50,29 +71,42 @@ pub(super) fn parse_feature_at(
     input: &[u8],
     at: usize,
     filter: &MetadataFilter,
+    scratch: &mut Scratch,
 ) -> (Result<Option<RawFeature>, ParseError>, usize) {
-    let mut cur = Cursor { input, pos: at };
+    let mut cur = Cursor::new(input, at, scratch);
     let parsed = cur.parse_feature(filter);
     (parsed, cur.pos)
 }
 
 /// Byte-level cursor with the usual recursive-descent helpers.
-struct Cursor<'a> {
+struct Cursor<'a, 's> {
     input: &'a [u8],
     pos: usize,
+    /// The flat coordinate buffer; each geometry truncates it back to
+    /// where it found it once interpreted.
+    toks: &'s mut Vec<Tok>,
 }
 
-/// Raw nested-array coordinate value, interpreted per geometry type
-/// once the whole `coordinates` member is read (this makes the parser
-/// independent of member order).
-enum Coords {
+/// One token of a `coordinates` value, flattened in pre-order.
+#[derive(Clone, Copy)]
+enum Tok {
+    /// An array with `len` elements, whose subtree ends just before
+    /// buffer index `end`. (`u32` keeps a token at 16 bytes; a buffer
+    /// of 2³² tokens would itself need 64 GiB.)
+    List { len: u32, end: u32 },
     /// A numeric leaf.
     Num(f64),
-    /// A nested array.
-    List(Vec<Coords>),
 }
 
-impl<'a> Cursor<'a> {
+impl<'a, 's> Cursor<'a, 's> {
+    fn new(input: &'a [u8], pos: usize, scratch: &'s mut Scratch) -> Self {
+        Cursor {
+            input,
+            pos,
+            toks: &mut scratch.0,
+        }
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::syntax(self.pos as u64, msg)
     }
@@ -134,9 +168,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses a JSON number (or bare literal like `true`/`null`) and
-    /// returns its text.
-    fn parse_scalar_text(&mut self) -> Result<&'a str, ParseError> {
+    /// Scans a JSON number (or bare literal like `true`/`null`) and
+    /// returns its bytes.
+    fn scalar_span(&mut self) -> Result<&'a [u8], ParseError> {
         self.skip_ws();
         let start = self.pos;
         // Lane-at-a-time scalar-run scan: number bytes plus lowercase
@@ -145,12 +179,18 @@ impl<'a> Cursor<'a> {
         if start == self.pos {
             return Err(self.err("expected a scalar value"));
         }
-        std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| self.err("non-UTF8 scalar"))
+        Ok(&self.input[start..self.pos])
     }
 
+    /// Parses a JSON number: the exact decimal path first, std's
+    /// parser for whatever it declines.
     fn parse_number(&mut self) -> Result<f64, ParseError> {
         let at = self.pos;
-        let text = self.parse_scalar_text()?;
+        let span = self.scalar_span()?;
+        if let Some(v) = number::decimal(span) {
+            return Ok(v);
+        }
+        let text = std::str::from_utf8(span).map_err(|_| self.err("non-UTF8 scalar"))?;
         text.parse::<f64>()
             .map_err(|e| ParseError::syntax(at as u64, format!("bad number {text:?}: {e}")))
     }
@@ -192,7 +232,7 @@ impl<'a> Cursor<'a> {
                 self.expect(b']')
             }
             Some(_) => {
-                self.parse_scalar_text()?;
+                self.scalar_span()?;
                 Ok(())
             }
             None => Err(self.err("unexpected end of input")),
@@ -286,15 +326,19 @@ impl<'a> Cursor<'a> {
 
     fn parse_geometry(&mut self) -> Result<Geometry, ParseError> {
         self.expect(b'{')?;
+        let base = self.toks.len();
         let mut kind: Option<&str> = None;
-        let mut coords: Option<Coords> = None;
+        let mut coords: Option<usize> = None;
         let mut members: Option<Vec<Geometry>> = None;
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
             match key {
                 "type" => kind = Some(self.parse_string()?),
-                "coordinates" => coords = Some(self.parse_coords()?),
+                "coordinates" => {
+                    coords = Some(self.toks.len());
+                    self.parse_coords()?;
+                }
                 "geometries" => {
                     let mut gs = Vec::new();
                     self.expect(b'[')?;
@@ -317,34 +361,46 @@ impl<'a> Cursor<'a> {
         }
         self.expect(b'}')?;
         let kind = kind.ok_or_else(|| self.err("geometry without type"))?;
-        interpret_geometry(kind, coords, members).map_err(|m| self.err(m))
+        let geometry = interpret_geometry(kind, self.toks, coords, members);
+        self.toks.truncate(base);
+        geometry.map_err(|m| self.err(m))
     }
 
-    fn parse_coords(&mut self) -> Result<Coords, ParseError> {
+    /// Appends one coordinates value to the token buffer in pre-order.
+    fn parse_coords(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'[') {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if !self.eat(b']') {
-                loop {
-                    items.push(self.parse_coords()?);
-                    if !self.eat(b',') {
-                        break;
-                    }
-                }
-                self.expect(b']')?;
-            }
-            Ok(Coords::List(items))
-        } else {
-            Ok(Coords::Num(self.parse_number()?))
+        if self.peek() != Some(b'[') {
+            let v = self.parse_number()?;
+            self.toks.push(Tok::Num(v));
+            return Ok(());
         }
+        self.pos += 1;
+        let at = self.toks.len();
+        self.toks.push(Tok::List { len: 0, end: 0 });
+        let mut len = 0;
+        if !self.eat(b']') {
+            loop {
+                self.parse_coords()?;
+                len += 1;
+                if !self.eat(b',') {
+                    break;
+                }
+            }
+            self.expect(b']')?;
+        }
+        let end = self.toks.len() as u32;
+        self.toks[at] = Tok::List { len, end };
+        Ok(())
     }
 }
 
-/// Interprets a raw coordinates tree according to the geometry type.
+/// Interprets the flat coordinates value at `toks[coords]` according
+/// to the geometry type. Each point list is allocated once, at its
+/// exact length.
 fn interpret_geometry(
     kind: &str,
-    coords: Option<Coords>,
+    toks: &[Tok],
+    coords: Option<usize>,
     members: Option<Vec<Geometry>>,
 ) -> Result<Geometry, String> {
     match kind {
@@ -352,14 +408,17 @@ fn interpret_geometry(
             members.ok_or("GeometryCollection without geometries")?,
         )),
         _ => {
-            let coords = coords.ok_or("geometry without coordinates")?;
+            let at = coords.ok_or("geometry without coordinates")?;
             match kind {
-                "Point" => Ok(Geometry::Point(as_point(&coords)?)),
-                "LineString" => Ok(Geometry::LineString(LineString::new(as_points(&coords)?))),
-                "Polygon" => Ok(Geometry::Polygon(as_polygon(&coords)?)),
+                "Point" => Ok(Geometry::Point(as_point(toks, at)?)),
+                "LineString" => Ok(Geometry::LineString(LineString::new(as_points(toks, at)?))),
+                "Polygon" => Ok(Geometry::Polygon(as_polygon(toks, at)?)),
                 "MultiPolygon" => {
-                    let list = as_list(&coords)?;
-                    let polys = list.iter().map(as_polygon).collect::<Result<Vec<_>, _>>()?;
+                    let list = as_list(toks, at)?;
+                    let mut polys = Vec::with_capacity(list.len());
+                    for p in list {
+                        polys.push(as_polygon(toks, p)?);
+                    }
                     Ok(Geometry::MultiPolygon(MultiPolygon::new(polys)))
                 }
                 other => Err(format!("unsupported geometry type {other:?}")),
@@ -368,44 +427,88 @@ fn interpret_geometry(
     }
 }
 
-fn as_list(c: &Coords) -> Result<&[Coords], String> {
-    match c {
-        Coords::List(l) => Ok(l),
-        Coords::Num(_) => Err("expected an array".into()),
+/// The elements of the array at `toks[at]`, as indices into `toks`.
+fn as_list(toks: &[Tok], at: usize) -> Result<Elements<'_>, String> {
+    match toks[at] {
+        Tok::List { len, .. } => Ok(Elements {
+            toks,
+            next: at + 1,
+            left: len as usize,
+        }),
+        Tok::Num(_) => Err("expected an array".into()),
     }
 }
 
-fn as_point(c: &Coords) -> Result<Point, String> {
-    let l = as_list(c)?;
-    if l.len() < 2 {
+/// Iterator over the elements of one array in the flat buffer: each
+/// step jumps over the previous element's subtree.
+struct Elements<'t> {
+    toks: &'t [Tok],
+    next: usize,
+    left: usize,
+}
+
+impl Iterator for Elements<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        let at = self.next;
+        self.next = match self.toks[at] {
+            Tok::List { end, .. } => end as usize,
+            Tok::Num(_) => at + 1,
+        };
+        self.left -= 1;
+        Some(at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Elements<'_> {}
+
+fn as_point(toks: &[Tok], at: usize) -> Result<Point, String> {
+    if as_list(toks, at)?.len() < 2 {
         return Err("point needs two coordinates".into());
     }
-    match (&l[0], &l[1]) {
-        (Coords::Num(x), Coords::Num(y)) => Ok(Point::new(*x, *y)),
+    // Only the first two elements matter. When the first is a number
+    // the second is the next token; when it is not, the point fails
+    // either way.
+    match toks[at + 1..] {
+        [Tok::Num(x), Tok::Num(y), ..] => Ok(Point::new(x, y)),
         _ => Err("point coordinates must be numbers".into()),
     }
 }
 
-fn as_points(c: &Coords) -> Result<Vec<Point>, String> {
-    as_list(c)?.iter().map(as_point).collect()
+fn as_points(toks: &[Tok], at: usize) -> Result<Vec<Point>, String> {
+    let list = as_list(toks, at)?;
+    let mut points = Vec::with_capacity(list.len());
+    for p in list {
+        points.push(as_point(toks, p)?);
+    }
+    Ok(points)
 }
 
-fn as_polygon(c: &Coords) -> Result<Polygon, String> {
-    let rings = as_list(c)?;
-    if rings.is_empty() {
-        return Err("polygon needs at least one ring".into());
+fn as_polygon(toks: &[Tok], at: usize) -> Result<Polygon, String> {
+    let mut rings = as_list(toks, at)?;
+    let exterior = rings
+        .next()
+        .ok_or_else(|| "polygon needs at least one ring".to_string())?;
+    let exterior = Ring::new(as_points(toks, exterior)?);
+    let mut holes = Vec::with_capacity(rings.len());
+    for r in rings {
+        holes.push(Ring::new(as_points(toks, r)?));
     }
-    let exterior = Ring::new(as_points(&rings[0])?);
-    let holes = rings[1..]
-        .iter()
-        .map(|r| Ok(Ring::new(as_points(r)?)))
-        .collect::<Result<Vec<_>, String>>()?;
     Ok(Polygon::new(exterior, holes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn one(doc: &str) -> RawFeature {
         let mut out = Vec::new();
@@ -485,5 +588,235 @@ mod tests {
             r#"{"type":"Feature","geometry":{"type":"Point","coordinates":[-1.5e2,2.5E-1]},"id":1,"properties":{}}"#,
         );
         assert_eq!(f.geometry, Geometry::Point(Point::new(-150.0, 0.25)));
+    }
+
+    /// `parse_block` and the tree oracle over the whole of `doc`:
+    /// `{:?}`-equal features, or the same error offset and message.
+    fn agrees_with_oracle(doc: &[u8], filter: &MetadataFilter) {
+        let (mut flat, mut tree) = (Vec::new(), Vec::new());
+        let got = parse_block(doc, 0, doc.len(), filter, &mut flat).map(|()| flat);
+        let want = oracle::parse_block(doc, 0, doc.len(), filter, &mut tree).map(|()| tree);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{}",
+            String::from_utf8_lossy(doc)
+        );
+    }
+
+    #[test]
+    fn wrong_shapes_fail_like_the_oracle() {
+        for (kind, coords) in [
+            ("Point", "[[1,2]]"),
+            ("Point", "[1]"),
+            ("Point", "[1,[2]]"),
+            ("Point", "3"),
+            ("Point", "[1,2,[3]]"),
+            ("Polygon", "[]"),
+            ("Polygon", "[[1,2]]"),
+            ("Polygon", "[[[0,0],[1,0],[0,0]],[]]"),
+            ("LineString", "[1,2,3]"),
+            ("LineString", "[]"),
+            ("MultiPolygon", "[[]]"),
+            ("MultiPolygon", "[[[[0,0],[1,1]]],[[[2,2],[0,0]]]]"),
+            ("Circle", "[0,0]"),
+            ("Point", "[1.5e400,-0]"),
+            ("Point", "[1,2"),
+            ("Point", "[1,,2]"),
+            ("Point", "[1.2.3,4]"),
+        ] {
+            let doc = format!(
+                r#"{{"type":"Feature","geometry":{{"coordinates":{coords},"type":"{kind}"}},"id":1,"properties":{{}}}}"#
+            );
+            agrees_with_oracle(doc.as_bytes(), &MetadataFilter::All);
+        }
+    }
+
+    /// Seeded generator of feature documents: shuffled members, nested
+    /// collections, odd positions, numbers std alone accepts, wrong
+    /// shapes and missing members. Each odd choice is made with
+    /// probability `1 / noise`, so some documents are clean and others
+    /// fail early.
+    struct Gen {
+        state: u64,
+        noise: u64,
+    }
+
+    impl Gen {
+        fn new(seed: u64) -> Gen {
+            let mut g = Gen {
+                state: seed.max(1),
+                noise: 1,
+            };
+            g.noise = [6, 40, 400][g.below(3) as usize];
+            g
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            self.state % n
+        }
+
+        fn odd(&mut self) -> bool {
+            self.below(self.noise) == 0
+        }
+
+        fn ws(&mut self) -> &'static str {
+            ["", "", "", " ", "\n  ", "\t"][self.below(6) as usize]
+        }
+
+        fn number(&mut self) -> String {
+            let sign = if self.below(3) == 0 { "-" } else { "" };
+            if self.odd() {
+                return [
+                    "+1", "1.", ".5", "nan", "-0", "1e", "007", "1.2.3", "true", "-",
+                ][self.below(10) as usize]
+                    .to_owned();
+            }
+            match self.below(12) {
+                0..=7 => format!("{sign}{}.{}", self.below(181), self.below(10_000_000)),
+                8 => format!("{sign}{}", self.below(1000)),
+                9 => format!("{sign}{}e{}", self.below(100), self.below(40) as i64 - 20),
+                10 => format!("{sign}9007199254740{}.5", 990 + self.below(10)),
+                _ => format!("{sign}0.{}1", "0".repeat(self.below(30) as usize)),
+            }
+        }
+
+        fn list(
+            &mut self,
+            min: u64,
+            max: u64,
+            mut item: impl FnMut(&mut Self) -> String,
+        ) -> String {
+            let n = min + self.below(max - min + 1);
+            let items: Vec<String> = (0..n)
+                .map(|_| {
+                    let (a, v, b) = (self.ws(), item(self), self.ws());
+                    format!("{a}{v}{b}")
+                })
+                .collect();
+            format!("[{}]", items.join(","))
+        }
+
+        fn position(&mut self) -> String {
+            let (x, y) = (self.number(), self.number());
+            match self.below(8) {
+                0 => format!("[{x},{y},{}]", self.number()),
+                1 => format!("[{x},{y},[{}]]", self.number()),
+                _ if !self.odd() => format!("[{x},{y}]"),
+                2 => "[]".into(),
+                3 => format!("[{x}]"),
+                4 => format!("[[{x},{y}]]"),
+                _ => x,
+            }
+        }
+
+        /// A coordinates value nested `depth` arrays deep (1: one
+        /// position).
+        fn nested(&mut self, depth: u64) -> String {
+            if depth <= 1 {
+                self.position()
+            } else {
+                let min = u64::from(!self.odd());
+                self.list(min, 5, |g| g.nested(depth - 1))
+            }
+        }
+
+        fn geometry(&mut self, depth: u32) -> String {
+            const KINDS: [(&str, u64); 6] = [
+                ("Point", 1),
+                ("LineString", 2),
+                ("Polygon", 3),
+                ("MultiPolygon", 4),
+                ("GeometryCollection", 0),
+                ("Circle", 1),
+            ];
+            let kinds = if depth == 3 {
+                4
+            } else if self.odd() {
+                6
+            } else {
+                5
+            };
+            let (kind, natural) = KINDS[self.below(kinds) as usize];
+            let mut members = Vec::new();
+            if !self.odd() {
+                members.push(format!(r#""type":"{kind}""#));
+            }
+            if kind == "GeometryCollection" {
+                if !self.odd() {
+                    let gs = self.list(0, 3, |g| g.geometry(depth + 1));
+                    members.push(format!(r#""geometries":{gs}"#));
+                }
+            } else if !self.odd() {
+                let depth = match self.below(2) {
+                    _ if !self.odd() => natural,
+                    0 => natural.saturating_sub(1),
+                    _ => natural + 1,
+                };
+                let coords = self.nested(depth);
+                members.push(format!(r#""coordinates":{coords}"#));
+            }
+            if self.below(6) == 0 {
+                members.push(format!(r#""bbox":{}"#, self.nested(2)));
+            }
+            self.object(members)
+        }
+
+        fn object(&mut self, mut members: Vec<String>) -> String {
+            for i in (1..members.len()).rev() {
+                members.swap(i, self.below(i as u64 + 1) as usize);
+            }
+            let sep = format!("{},{}", self.ws(), self.ws());
+            format!("{{{}}}", members.join(&sep))
+        }
+
+        fn feature(&mut self) -> String {
+            let mut members = Vec::new();
+            if !self.odd() {
+                members.push(format!(r#""geometry":{}"#, self.geometry(0)));
+            }
+            members.push(format!(r#""id":{}"#, self.below(50)));
+            members.push(r#""properties":{"a":"b","n":[1,{"c":null}]}"#.to_owned());
+            let rest = self.object(members);
+            format!(r#"{{"type":"Feature",{}"#, &rest[1..])
+        }
+
+        fn document(&mut self) -> String {
+            let features = self.list(0, 6, Gen::feature);
+            format!(r#"{{"type":"FeatureCollection","features":{features}}}"#)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn flat_parser_matches_the_tree_oracle(seed in 1u64..u64::MAX, cut in 0u64..8, id_below in 0u64..60) {
+            let doc = Gen::new(seed).document();
+            // Some documents are cut short, to compare end-of-input errors.
+            let len = if cut == 0 { seed as usize % (doc.len() + 1) } else { doc.len() };
+            agrees_with_oracle(&doc.as_bytes()[..len], &MetadataFilter::All);
+            agrees_with_oracle(doc.as_bytes(), &MetadataFilter::IdBelow(id_below));
+        }
+    }
+
+    #[test]
+    fn generated_documents_mostly_parse() {
+        let (mut docs, mut features) = (0, 0);
+        for seed in 1..=200u64 {
+            let doc = Gen::new(seed * 0x9E37_79B9).document();
+            let mut out = Vec::new();
+            if parse_block(doc.as_bytes(), 0, doc.len(), &MetadataFilter::All, &mut out).is_ok() {
+                docs += 1;
+                features += out.len();
+            }
+        }
+        assert!(
+            docs >= 60 && features >= 150,
+            "{docs} of 200 generated documents parse, with {features} features"
+        );
     }
 }

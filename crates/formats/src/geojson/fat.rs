@@ -37,7 +37,7 @@ use crate::split::{memchr2, Block};
 use crate::ParseError;
 use atgis_transducer::{DfaFragment, DyckFragment, Mergeable};
 
-use super::fast::parse_feature_at;
+use super::fast::{parse_feature_at, Scratch};
 use super::lexer::{lexer, TokenKind, ALL_STATES, STATE_ESC, STATE_OUT, STATE_STR};
 
 /// Lexer state and bracket depth at a byte offset, relative to the
@@ -364,13 +364,14 @@ fn walk_step(cx: &Ctx<'_>, at: usize, until: usize) -> Tail {
 /// feature that starts before `until`.
 fn walk(cx: &Ctx<'_>, mut at: usize, until: usize, emit: Emit<'_>) -> Tail {
     let input = cx.input;
+    let mut scratch = Scratch::default();
     loop {
         match is_sync(input, at) {
             Some(true) => {}
             None if !cx.complete => return walk_step(cx, at, until),
             _ => return Tail::Failed(ParseError::Desync { offset: at as u64 }),
         }
-        let (parsed, stop) = parse_feature_at(input, at, cx.filter);
+        let (parsed, stop) = parse_feature_at(input, at, cx.filter, &mut scratch);
         let feature = match parsed {
             Ok(f) => f,
             Err(_) if !cx.complete && stop >= input.len() => return walk_step(cx, at, until),

@@ -33,6 +33,7 @@
 
 pub mod feature;
 pub mod geojson;
+pub mod number;
 pub mod osmxml;
 pub mod pathquery;
 pub mod points;

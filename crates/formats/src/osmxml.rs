@@ -101,8 +101,8 @@ pub fn collect_block(input: &[u8], start: usize, end: usize) -> Result<XmlBlock<
                 for (key, value) in elem.attrs {
                     match key {
                         b"id" => id = number(value),
-                        b"lat" => lat = number(value),
-                        b"lon" => lon = number(value),
+                        b"lat" => lat = coordinate(value),
+                        b"lon" => lon = coordinate(value),
                         _ => {}
                     }
                 }
@@ -310,10 +310,16 @@ pub fn parse(input: &[u8], filter: &MetadataFilter) -> Result<Vec<RawFeature>, P
     Ok(assemble(collect_block(input, 0, input.len())?, filter))
 }
 
-/// Ids and coordinates both go through std's parsers, so a coordinate
-/// is bit-identical to every other reader of the same text.
+/// Ids go through std's parsers.
 fn number<T: std::str::FromStr>(text: &[u8]) -> Option<T> {
     std::str::from_utf8(text).ok()?.parse().ok()
+}
+
+/// Coordinates go through [`crate::number::decimal`] and fall back to
+/// std's parser, so a coordinate is still bit-identical to every other
+/// reader of the same text (a leading `+` or an exponent included).
+fn coordinate(text: &[u8]) -> Option<f64> {
+    crate::number::decimal(text).or_else(|| number(text))
 }
 
 /// One opening tag, borrowed from the input.

@@ -162,7 +162,8 @@ fn parse_value(text: &str) -> Result<PathValue, ParseError> {
         "null" => return Ok(PathValue::Null),
         _ => {}
     }
-    t.parse::<f64>()
+    crate::number::decimal(t.as_bytes())
+        .map_or_else(|| t.parse::<f64>(), Ok)
         .map(PathValue::Num)
         .map_err(|_| ParseError::syntax(0, format!("bad literal {t:?}")))
 }
@@ -181,7 +182,7 @@ fn trim(raw: &[u8]) -> &[u8] {
 }
 
 fn parse_num(raw: &[u8]) -> Option<f64> {
-    std::str::from_utf8(raw).ok()?.trim().parse().ok()
+    crate::number::decimal(raw).or_else(|| std::str::from_utf8(raw).ok()?.trim().parse().ok())
 }
 
 fn value_eq(raw: &[u8], value: &PathValue) -> bool {

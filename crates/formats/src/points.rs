@@ -15,6 +15,9 @@ pub fn parse_float(input: &[u8], start: usize, end: usize) -> Result<f64, ParseE
     let raw = input
         .get(start..end)
         .ok_or_else(|| ParseError::syntax(start as u64, "float span out of bounds"))?;
+    if let Some(v) = crate::number::decimal(raw) {
+        return Ok(v);
+    }
     let text = std::str::from_utf8(raw)
         .map_err(|_| ParseError::syntax(start as u64, "non-UTF8 float"))?
         .trim();

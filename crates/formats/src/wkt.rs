@@ -118,9 +118,13 @@ impl<'a> WktCursor<'a> {
         if len == 0 {
             return Err(self.err("expected a number"));
         }
-        let v = rest[..len]
-            .parse::<f64>()
-            .map_err(|e| self.err(format!("bad number: {e}")))?;
+        let text = &rest[..len];
+        let v = match crate::number::decimal(text.as_bytes()) {
+            Some(v) => v,
+            None => text
+                .parse::<f64>()
+                .map_err(|e| self.err(format!("bad number: {e}")))?,
+        };
         self.pos += len;
         Ok(v)
     }

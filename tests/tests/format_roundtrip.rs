@@ -3,7 +3,7 @@
 //! FAT, all three serialisations) with identical geometry.
 
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator, SynthConfig};
-use atgis_formats::{parse_all, Format, MetadataFilter, Mode};
+use atgis_formats::{number, parse_all, Format, MetadataFilter, Mode};
 
 #[test]
 fn geojson_pat_roundtrip() {
@@ -103,4 +103,36 @@ fn cross_format_geometry_agreement() {
         assert_eq!(g.id, w.id);
         assert_eq!(g.geometry, w.geometry);
     }
+}
+
+/// Every number the generators write, in all three formats over a seed
+/// sweep: whenever the exact decimal scanner accepts a text, its value
+/// has the bits of std's parse.
+#[test]
+fn decimal_scanner_matches_std_on_generated_coordinates() {
+    let is_number_byte =
+        |b: &u8| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+    let (mut accepted, mut declined) = (0, 0);
+    for seed in 0..16 {
+        let ds = OsmGenerator::new(seed).generate(60);
+        for bytes in [write_geojson(&ds), write_wkt(&ds), write_osm_xml(&ds)] {
+            for span in bytes
+                .split(|b| !is_number_byte(b))
+                .filter(|s| !s.is_empty())
+            {
+                let Some(got) = number::decimal(span) else {
+                    declined += 1;
+                    continue;
+                };
+                let text = std::str::from_utf8(span).unwrap();
+                let want: f64 = text.parse().unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{text:?} (seed {seed})");
+                accepted += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 50_000,
+        "only {accepted} numbers took the fast path ({declined} declined)"
+    );
 }

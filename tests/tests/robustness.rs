@@ -18,16 +18,20 @@
 //!   hang;
 //! - the same hostile bytes through FAT GeoJSON, at any block count,
 //!   give a structured error or exactly the 1-block answer, and
-//!   through WKT's newline split the 1-block answer or error.
+//!   through WKT's newline split the 1-block answer or error;
+//! - generated GeoJSON, truncated or bit-flipped, through PAT at any
+//!   block count gives the one-block `fast::parse_block` answer or a
+//!   parse error.
 
+use atgis::pipeline::{ContainmentAgg, QueryAggregate};
 use atgis::stream::ChunkSource;
 use atgis::{
     chunk_channel, CancelToken, Dataset, Engine, Error, ExecOptions, Query, QueryError,
     QueryResult, QueryScheduler, QuerySession, SliceChunkSource,
 };
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
-use atgis_formats::{geojson, osmxml, wkt, Format, MetadataFilter, Mode};
-use atgis_geometry::Mbr;
+use atgis_formats::{geojson, osmxml, wkt, Format, MetadataFilter, Mode, RawFeature};
+use atgis_geometry::{Mbr, Polygon};
 use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, XorShift64};
 
 fn engine(threads: usize) -> Engine {
@@ -536,15 +540,16 @@ fn parse_geojson_fat_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], 
     }
 }
 
-fn fat_engines() -> (Engine, Engine) {
-    let fat = |threads, blocks| {
+/// GeoJSON engines in `mode`: 2 threads × 8 blocks, and 1 × 1.
+fn geojson_engines(mode: Mode) -> (Engine, Engine) {
+    let build = |threads, blocks| {
         Engine::builder()
             .threads(threads)
             .block_multiplier(blocks)
-            .mode(Mode::Fat)
+            .mode(mode)
             .build()
     };
-    (fat(2, 8), fat(1, 1))
+    (build(2, 8), build(1, 1))
 }
 
 #[test]
@@ -552,7 +557,7 @@ fn geojson_fat_truncated_at_every_offset_is_exact_or_an_error() {
     let doc = hostile_geojson_seed_document();
     let whole = geojson::parse_fat(&doc, &MetadataFilter::All, 1).unwrap();
     assert_eq!(whole.len(), 6, "the untruncated document parses");
-    let (engine, single) = fat_engines();
+    let (engine, single) = geojson_engines(Mode::Fat);
     for cut in 0..doc.len() {
         parse_geojson_fat_everywhere(
             &engine,
@@ -567,7 +572,7 @@ fn geojson_fat_truncated_at_every_offset_is_exact_or_an_error() {
 fn geojson_fat_with_seeded_bit_flips_is_exact_or_an_error() {
     let doc = hostile_geojson_seed_document();
     let mut rng = XorShift64::from_env();
-    let (engine, single) = fat_engines();
+    let (engine, single) = geojson_engines(Mode::Fat);
     for _ in 0..64 {
         let mut bytes = doc.clone();
         let mut flipped = Vec::new();
@@ -577,6 +582,86 @@ fn geojson_fat_with_seeded_bit_flips_is_exact_or_an_error() {
             flipped.push((at, bit));
         }
         parse_geojson_fat_everywhere(
+            &engine,
+            &single,
+            &bytes,
+            &format!("flipped (offset, bit) {flipped:?}"),
+        );
+    }
+}
+
+/// A small generated GeoJSON document for the PAT sweeps: no decoy
+/// markers, which PAT does not claim to handle (§3.5).
+fn hostile_geojson_pat_document() -> Vec<u8> {
+    write_geojson(&OsmGenerator::new(80).generate(6))
+}
+
+/// The world containment answer built from features the way the
+/// engine's sink builds it.
+fn world_matches(world: Mbr, features: &[RawFeature]) -> QueryResult {
+    let mut agg = ContainmentAgg::new(std::sync::Arc::new(Polygon::from_mbr(&world)));
+    for f in features {
+        agg.absorb(f);
+    }
+    QueryResult::Matches(agg.matches)
+}
+
+/// PAT GeoJSON through the engine at 2 threads × 8 blocks and at
+/// 1 × 1, against `fast::parse_block` over the whole input: each
+/// engine answer equals the one-block parse, or is a parse error.
+fn parse_geojson_pat_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], what: &str) {
+    let world = Mbr::new(-180.0, -90.0, 180.0, 90.0);
+    let mut features = Vec::new();
+    let reference =
+        geojson::fast::parse_block(bytes, 0, bytes.len(), &MetadataFilter::All, &mut features)
+            .map(|()| world_matches(world, &features));
+    let dataset = Dataset::from_bytes(bytes.to_vec(), Format::GeoJson);
+    for (engine, name) in [(engine, "2 threads x 8 blocks"), (single, "1 x 1")] {
+        match engine.exec1(&Query::containment(world), &dataset) {
+            Ok(got) => match &reference {
+                Ok(want) => assert_eq!(&got, want, "{what}: {name} answered unlike parse_block"),
+                Err(e) => panic!("{what}: {name} answered, parse_block failed: {e}"),
+            },
+            Err(Error::Parse(_)) => {}
+            Err(other) => {
+                panic!("{what}: {name} gave neither an answer nor a parse error: {other}")
+            }
+        }
+    }
+}
+
+#[test]
+fn geojson_pat_truncated_at_every_offset_is_exact_or_an_error() {
+    let doc = hostile_geojson_pat_document();
+    let (engine, single) = geojson_engines(Mode::Pat);
+    for cut in 0..doc.len() {
+        parse_geojson_pat_everywhere(
+            &engine,
+            &single,
+            &doc[..cut],
+            &format!("truncated at {cut}"),
+        );
+    }
+    // The whole document answers.
+    let dataset = Dataset::from_bytes(doc.clone(), Format::GeoJson);
+    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    assert!(!engine.exec1(&world, &dataset).unwrap().matches().is_empty());
+}
+
+#[test]
+fn geojson_pat_with_seeded_bit_flips_is_exact_or_an_error() {
+    let doc = hostile_geojson_pat_document();
+    let mut rng = XorShift64::from_env();
+    let (engine, single) = geojson_engines(Mode::Pat);
+    for _ in 0..64 {
+        let mut bytes = doc.clone();
+        let mut flipped = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            let (at, bit) = (rng.below(bytes.len()), rng.below(8));
+            bytes[at] ^= 1 << bit;
+            flipped.push((at, bit));
+        }
+        parse_geojson_pat_everywhere(
             &engine,
             &single,
             &bytes,
