@@ -3,8 +3,8 @@
 //! plus (d) the parallel speculative-lex scan, old byte loop vs the
 //! vectorised scanner, across thread counts.
 
-use atgis::executor::run_blocks;
-use atgis::pool::JobFault;
+use atgis::executor::run_blocks_on;
+use atgis::pool::{JobFault, WorkerPool};
 use atgis::{Engine, Query};
 use atgis_bench::{RunExt, Workload};
 use atgis_formats::geojson::lexer;
@@ -27,9 +27,11 @@ fn bench_scan_scaling(c: &mut Criterion) {
         for (name, bulk) in [("bytewise", false), ("vectorised", true)] {
             group.bench_with_input(BenchmarkId::new(name, t), &t, |b, &t| {
                 b.iter(|| {
-                    let (merged, _) = run_blocks(
+                    let (merged, ..) = run_blocks_on(
+                        WorkerPool::global(),
                         &blocks,
                         t,
+                        None,
                         |blk| {
                             let bytes = blk.slice(input);
                             let frag = if bulk {

@@ -5,7 +5,7 @@ use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
-use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on};
+use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on, FoldStats};
 use crate::join::{ProbeStrategy, Reparser};
 use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
 use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
@@ -325,20 +325,24 @@ impl Engine {
         self.scan_range_cancellable(dataset, 0, dataset.bytes().len(), filter, proto, token)
     }
 
-    /// Whether scans of `format` split it FAT-style.
-    pub(crate) fn splits_fat(&self, format: Format) -> bool {
-        format == Format::GeoJson && self.config.mode == Mode::Fat
+    /// How scans of `format` cut it into blocks.
+    pub(crate) fn split(&self, format: Format) -> Split {
+        match format {
+            Format::OsmXml => Split::Xml,
+            Format::GeoJson if self.config.mode == Mode::Fat => Split::Fat,
+            _ => Split::Marker,
+        }
     }
 
     /// [`Engine::single_pass_cancellable`] restricted to the byte
-    /// range `[start, end)` — the shard scan primitive. Blocks are
-    /// split within the range but carry **absolute** offsets, so
-    /// features keep their global identity (offset/len) and results
-    /// over marker-aligned ranges compose bit-identically with
-    /// single-node execution. OSM XML (whose relations need the global
-    /// node table) parses the full document and absorbs only features
-    /// whose offset falls in the range; sharded batch execution parses
-    /// once and buckets instead of calling this per shard.
+    /// range `[start, end)` — the shard scan primitive: one complete
+    /// region through the region kernel ([`RegionScan::region`]) in
+    /// [`Engine::block_count`] blocks. Blocks carry **absolute**
+    /// offsets, so features keep their global identity (offset/len)
+    /// and results over marker-aligned ranges compose bit-identically
+    /// with single-node execution. OSM XML relations need the global
+    /// node table, so an XML range must be the whole document; sharded
+    /// execution parses XML once and buckets instead.
     pub(crate) fn scan_range_cancellable<A: QueryAggregate>(
         &self,
         dataset: &Dataset,
@@ -349,100 +353,9 @@ impl Engine {
         token: Option<&CancelToken>,
     ) -> Result<(A, Timings)> {
         let input = dataset.bytes();
-        let slice = &input[start..end];
-        let threads = self.config.threads;
-        let n = self.block_count();
-        let shift = |mut blocks: Vec<Block>| {
-            if start > 0 {
-                for b in &mut blocks {
-                    b.start += start;
-                    b.end += start;
-                }
-            }
-            blocks
-        };
-        match dataset.format() {
-            format if self.splits_fat(format) => {
-                // Phase 1 (split time): the feature depth, then every
-                // block's state map on the pool and the prefix pass
-                // from the range's relative entry `(OUT, 0)`.
-                let started = Instant::now();
-                let Some(depth) = fat::feature_depth(input, start, end) else {
-                    let split = started.elapsed();
-                    return Ok((
-                        proto,
-                        Timings {
-                            split,
-                            ..Timings::default()
-                        },
-                    ));
-                };
-                let blocks = shift(fixed_blocks(slice.len(), n));
-                let maps = run_indexed_on(&self.pool, blocks.len(), threads, token, |i| {
-                    fat::StateMap::of(blocks[i].slice(input))
-                })?;
-                let entries = fat::entries(&maps, fat::Entry::START);
-                let split = started.elapsed();
-                // Phase 2: one known-state parse per block.
-                let cx = fat::Ctx {
-                    input,
-                    depth,
-                    filter,
-                    complete: true,
-                };
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| Ok(FatGeoJsonFrag::process(&cx, b, entries[b.index], &proto)),
-                    |a, b| a.merge(b, &cx).map_err(Error::Parse),
-                );
-                t.split = split;
-                let started = Instant::now();
-                let agg = match merged? {
-                    Some(m) => m.finalize(&cx)?,
-                    None => proto,
-                };
-                t.merge += started.elapsed();
-                Ok((agg, t))
-            }
-            Format::OsmXml => {
-                let (features, t) = self.parse_xml(dataset, filter, token)?;
-                let started = Instant::now();
-                let whole = start == 0 && end == input.len();
-                let mut a = proto;
-                for f in &features {
-                    if whole || ((start as u64) <= f.offset && f.offset < end as u64) {
-                        a.absorb(f);
-                    }
-                }
-                let mut t = t;
-                t.merge += started.elapsed();
-                Ok((a, t))
-            }
-            format => {
-                let started = Instant::now();
-                let blocks = shift(marker_blocks(slice, format.record_marker().bytes, n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| {
-                        let mut a = proto.clone();
-                        for f in &parse_marker_block(input, format, b, filter)? {
-                            a.absorb(f);
-                        }
-                        Ok::<_, Error>(a)
-                    },
-                    |a, b| Ok(a.combine(b)),
-                );
-                t.split = split;
-                Ok((merged?.unwrap_or(proto), t))
-            }
-        }
+        let mut scan = RegionScan::new(self, dataset.format(), filter.clone(), proto, start);
+        scan.region(self, input, start..end, self.block_count(), true, token)?;
+        scan.finish(input)
     }
 
     /// The XML parse (§4.4): one block-parallel collection pass that
@@ -455,7 +368,6 @@ impl Engine {
         filter: &MetadataFilter,
         token: Option<&CancelToken>,
     ) -> Result<(Vec<RawFeature>, Timings)> {
-        use atgis_formats::osmxml;
         let input = dataset.bytes();
         let started = Instant::now();
         let blocks = marker_blocks(
@@ -464,10 +376,24 @@ impl Engine {
             self.block_count(),
         );
         let split = started.elapsed();
+        let (features, mut t, _) = self.collect_xml(input, &blocks, filter, token)?;
+        t.split = split;
+        Ok((features, t))
+    }
 
-        let (table, mut t) = run_blocks_on(
+    /// Collects the node, way and relation tables of the XML `blocks`
+    /// on the pool, then assembles the features once.
+    fn collect_xml(
+        &self,
+        input: &[u8],
+        blocks: &[Block],
+        filter: &MetadataFilter,
+        token: Option<&CancelToken>,
+    ) -> Result<(Vec<RawFeature>, Timings, FoldStats)> {
+        use atgis_formats::osmxml;
+        let (table, mut t, fold) = run_blocks_on(
             &self.pool,
-            &blocks,
+            blocks,
             self.config.threads,
             token,
             |b| osmxml::collect_block(input, b.start, b.end).map_err(Error::Parse),
@@ -478,9 +404,8 @@ impl Engine {
         );
         let started = Instant::now();
         let features = osmxml::assemble(table?.unwrap_or_default(), filter);
-        t.split = split;
         t.merge += started.elapsed();
-        Ok((features, t))
+        Ok((features, t, fold))
     }
 
     /// Parses the dataset once into an offset→geometry table: XML
@@ -543,9 +468,250 @@ pub(crate) fn make_reparser<'a>(
     }
 }
 
+/// How a scan cuts its input into blocks, picked once per scan from
+/// the format and [`Mode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Split {
+    /// Blocks start at record markers and parse on their own: WKT, and
+    /// PAT GeoJSON.
+    Marker,
+    /// Blocks start anywhere and parse from the lexer state phase 1
+    /// resolves for them: FAT GeoJSON.
+    Fat,
+    /// Blocks collect OSM XML's node, way and relation tables, which
+    /// assemble once per region, so a region is a whole document.
+    Xml,
+}
+
+/// A region's folded blocks: the aggregate itself, or a FAT parse
+/// fragment whose edge features may still need later bytes.
+enum Frag<A: QueryAggregate> {
+    Agg(A),
+    Fat(FatGeoJsonFrag<A>),
+}
+
+impl<A: QueryAggregate> Frag<A> {
+    /// Merges two adjacent fragments.
+    fn merge(self, other: Self, cx: &fat::Ctx<'_>) -> Result<Self> {
+        Ok(match (self, other) {
+            (Frag::Agg(a), Frag::Agg(b)) => Frag::Agg(a.combine(b)),
+            (Frag::Fat(a), Frag::Fat(b)) => Frag::Fat(a.merge(b, cx).map_err(Error::Parse)?),
+            _ => unreachable!("one split per scan"),
+        })
+    }
+}
+
+/// One scan, region by region: a buffered scan is one complete region,
+/// a streamed scan one region per dispatch, and both run every region
+/// through [`RegionScan::region`].
+pub(crate) struct RegionScan<A: QueryAggregate> {
+    pub(crate) format: Format,
+    pub(crate) split: Split,
+    filter: MetadataFilter,
+    proto: A,
+    /// FAT: the feature depth, once the first feature start is seen.
+    depth: Option<i32>,
+    /// FAT: where the search for the first feature start resumes.
+    search: (usize, fat::Entry),
+    /// FAT: the lexer state where the next region starts.
+    entry: fat::Entry,
+    /// The fold of every region scanned so far.
+    folded: Option<Frag<A>>,
+    /// Phase timings, summed over the regions.
+    pub(crate) timings: Timings,
+    /// Blocks dispatched.
+    pub(crate) blocks: u64,
+    /// Pairwise fragment merges, within and across regions.
+    pub(crate) merges: u64,
+    /// Most fragments alive at once, counting the fold carried from
+    /// earlier regions.
+    pub(crate) peak_fragments: u64,
+}
+
+impl<A: QueryAggregate> RegionScan<A> {
+    /// A scan of `format` whose first region starts at `start`.
+    pub(crate) fn new(
+        engine: &Engine,
+        format: Format,
+        filter: MetadataFilter,
+        proto: A,
+        start: usize,
+    ) -> Self {
+        RegionScan {
+            format,
+            split: engine.split(format),
+            filter,
+            proto,
+            depth: None,
+            search: (start, fat::Entry::START),
+            entry: fat::Entry::START,
+            folded: None,
+            timings: Timings::default(),
+            blocks: 0,
+            merges: 0,
+            peak_fragments: 0,
+        }
+    }
+
+    /// FAT: the feature depth — the depth of the first feature start —
+    /// searching `input[..until)` from where the last call stopped.
+    pub(crate) fn feature_depth(
+        &mut self,
+        input: &[u8],
+        until: usize,
+        complete: bool,
+    ) -> Option<i32> {
+        if self.depth.is_none() {
+            let (at, entry) = self.search;
+            match fat::find_sync(input, at, entry, until, None, complete) {
+                fat::Lexed::Sync { depth, .. } => self.depth = Some(depth),
+                fat::Lexed::Stopped { at, entry } => self.search = (at, entry),
+            }
+        }
+        self.depth
+    }
+
+    /// The region kernel: cuts `input[range]` into about `pieces`
+    /// blocks, runs them on the engine's pool and folds the region
+    /// into the scan. `input` is every byte published so far, and
+    /// `complete` says whether it is the whole document. FAT runs
+    /// phase 1 first, chained from the state the previous region
+    /// ended in. Returns `false`, scanning nothing, while a FAT scan
+    /// has not seen its first feature start: the caller offers the
+    /// region again with more bytes.
+    pub(crate) fn region(
+        &mut self,
+        engine: &Engine,
+        input: &[u8],
+        range: std::ops::Range<usize>,
+        pieces: usize,
+        complete: bool,
+        token: Option<&CancelToken>,
+    ) -> Result<bool> {
+        debug_assert!(self.split != Split::Xml || (range.start == 0 && complete));
+        let started = Instant::now();
+        let depth = match self.split {
+            Split::Fat => match self.feature_depth(input, range.end, complete) {
+                Some(depth) => depth,
+                None => {
+                    self.timings.split += started.elapsed();
+                    return Ok(false);
+                }
+            },
+            _ => 0,
+        };
+        let slice = &input[range.clone()];
+        let cut = match self.split {
+            Split::Fat => fixed_blocks(slice.len(), pieces),
+            _ => marker_blocks(slice, self.format.record_marker().bytes, pieces),
+        };
+        let blocks: Vec<Block> = cut
+            .into_iter()
+            .filter(|b| !b.is_empty())
+            .enumerate()
+            .map(|(index, b)| Block {
+                index,
+                start: range.start + b.start,
+                end: range.start + b.end,
+            })
+            .collect();
+        let entries = if self.split == Split::Fat {
+            let maps = run_indexed_on(engine.pool(), blocks.len(), engine.threads(), token, |i| {
+                fat::StateMap::of(blocks[i].slice(input))
+            })?;
+            let entries = fat::entries(&maps, self.entry);
+            self.entry = entries[blocks.len()];
+            entries
+        } else {
+            Vec::new()
+        };
+        self.timings.split += started.elapsed();
+
+        let cx = fat::Ctx {
+            input,
+            depth,
+            filter: &self.filter,
+            complete,
+        };
+        let (split, format, proto) = (self.split, self.format, &self.proto);
+        let (frag, mut t, fold) = if split == Split::Xml {
+            let (features, mut t, fold) = engine.collect_xml(input, &blocks, cx.filter, token)?;
+            let started = Instant::now();
+            let mut agg = proto.clone();
+            for f in &features {
+                agg.absorb(f);
+            }
+            t.merge += started.elapsed();
+            (Some(Frag::Agg(agg)), t, fold)
+        } else {
+            let (frag, t, fold) = run_blocks_on(
+                engine.pool(),
+                &blocks,
+                engine.threads(),
+                token,
+                |b| match split {
+                    Split::Fat => Ok(Frag::Fat(FatGeoJsonFrag::process(
+                        &cx,
+                        b,
+                        entries[b.index],
+                        proto,
+                    ))),
+                    _ => {
+                        let mut agg = proto.clone();
+                        for f in &parse_marker_block(input, format, b, cx.filter)? {
+                            agg.absorb(f);
+                        }
+                        Ok(Frag::Agg(agg))
+                    }
+                },
+                |a, b| a.merge(b, &cx),
+            );
+            (frag?, t, fold)
+        };
+        self.blocks += blocks.len() as u64;
+        self.merges += fold.merges;
+        let carried = u64::from(self.folded.is_some());
+        self.peak_fragments = self.peak_fragments.max(fold.peak_fragments + carried);
+        let started = Instant::now();
+        self.folded = match (self.folded.take(), frag) {
+            (Some(a), Some(b)) => {
+                self.merges += 1;
+                Some(a.merge(b, &cx)?)
+            }
+            (a, b) => a.or(b),
+        };
+        t.merge += started.elapsed();
+        self.timings.process += t.process;
+        self.timings.merge += t.merge;
+        Ok(true)
+    }
+
+    /// Finishes the scan against the complete `input`: the aggregate
+    /// and the phase timings of every region.
+    pub(crate) fn finish(self, input: &[u8]) -> Result<(A, Timings)> {
+        let started = Instant::now();
+        let agg = match self.folded {
+            None => self.proto,
+            Some(Frag::Agg(agg)) => agg,
+            Some(Frag::Fat(f)) => {
+                let cx = fat::Ctx {
+                    input,
+                    depth: self.depth.expect("FAT fragments follow the first feature"),
+                    filter: &self.filter,
+                    complete: true,
+                };
+                f.finalize(&cx).map_err(Error::Parse)?
+            }
+        };
+        let mut timings = self.timings;
+        timings.merge += started.elapsed();
+        Ok((agg, timings))
+    }
+}
+
 /// Parses the records that start in a marker-aligned block of a
 /// GeoJSON or WKT input (OSM XML has no block-local parse).
-pub(crate) fn parse_marker_block(
+fn parse_marker_block(
     input: &[u8],
     format: Format,
     b: Block,

@@ -23,8 +23,8 @@
 //!   — `O(in-flight tasks)`, i.e. `O(workers)`, never `O(blocks)`.
 //!   Because ⊗ is associative (§3.2) and only **adjacent** fragments
 //!   ever merge, the result is identical to a sequential left fold at
-//!   every thread count, and the streaming execution path can feed the
-//!   same merger with chunk fragments as they are scanned.
+//!   every thread count. A streamed region is one more block run
+//!   whose fold joins the regions before it.
 
 use crate::cancel::CancelToken;
 use crate::pool::{available_parallelism, recover, JobFault, WorkerPool};
@@ -48,7 +48,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// The incremental, out-of-order fragment merger behind every merge
-/// phase — buffered block scans and the streaming chunk scan alike.
+/// phase ([`run_blocks_on`]).
 ///
 /// Fragments arrive as `(index, fragment)` in *any* order (whichever
 /// task finishes first). The merger keeps maximal runs of contiguous
@@ -96,64 +96,14 @@ impl<T, E> StreamMerger<T, E> {
     }
 
     /// Folds fragment `index` in, coalescing with the runs ending at
-    /// `index` and starting at `index + 1` if present.
-    pub fn push<M>(&mut self, index: usize, frag: T, merge: M)
-    where
-        M: Fn(T, T) -> std::result::Result<T, E>,
-    {
-        if self.error.is_some() {
-            return;
-        }
-        let started = Instant::now();
-        let mut start = index;
-        let mut end = index + 1;
-        let mut frag = frag;
-        // Left neighbour: the run ending exactly at `index`.
-        if let Some((&ls, &(le, _))) = self.runs.range(..index).next_back() {
-            if le == index {
-                let (_, (_, left)) = self.runs.remove_entry(&ls).expect("run exists");
-                self.merged += 1;
-                match merge(left, frag) {
-                    Ok(f) => {
-                        frag = f;
-                        start = ls;
-                    }
-                    Err(e) => {
-                        self.poison(e);
-                        self.merge_time += started.elapsed();
-                        return;
-                    }
-                }
-            }
-        }
-        // Right neighbour: the run starting exactly at `end`.
-        if let Some((end_right, right)) = self.runs.remove(&end) {
-            self.merged += 1;
-            match merge(frag, right) {
-                Ok(f) => {
-                    frag = f;
-                    end = end_right;
-                }
-                Err(e) => {
-                    self.poison(e);
-                    self.merge_time += started.elapsed();
-                    return;
-                }
-            }
-        }
-        self.runs.insert(start, (end, frag));
-        self.peak_runs = self.peak_runs.max(self.runs.len() + self.detached);
-        self.merge_time += started.elapsed();
-    }
-
-    /// [`StreamMerger::push`] for a merger shared across pool workers:
-    /// the lock is held only to detach adjacent runs and to reinsert
-    /// the result — the `merge` calls themselves run **outside** the
-    /// lock, so one expensive merge never stalls other workers from
-    /// folding their own fragments or claiming the next task. The
-    /// loop re-checks for new neighbours after every merge round
-    /// (another worker may have completed the adjacent run meanwhile),
-    /// so runs still coalesce maximally.
+    /// `index` and starting at `index + 1` if present. The merger is
+    /// shared across pool workers: the lock is held only to detach
+    /// adjacent runs and to reinsert the result — the `merge` calls
+    /// themselves run **outside** the lock, so one expensive merge
+    /// never stalls other workers from folding their own fragments or
+    /// claiming the next task. The loop re-checks for new neighbours
+    /// after every merge round (another worker may have completed the
+    /// adjacent run meanwhile), so runs still coalesce maximally.
     pub fn push_shared<M>(this: &Mutex<Self>, index: usize, frag: T, merge: M)
     where
         M: Fn(T, T) -> std::result::Result<T, E>,
@@ -271,6 +221,15 @@ impl<T, E> StreamMerger<T, E> {
     }
 }
 
+/// What one [`run_blocks_on`] fold did.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldStats {
+    /// Pairwise fragment merges.
+    pub merges: u64,
+    /// Most fragments alive at once ([`StreamMerger::peak_runs`]).
+    pub peak_fragments: u64,
+}
+
 /// Runs `process` over every block on up to `threads` workers of
 /// `pool`, folding the per-block fragments incrementally in block
 /// order with `merge` as completions arrive (see [`StreamMerger`]).
@@ -289,7 +248,7 @@ pub fn run_blocks_on<T, E, P, M>(
     token: Option<&CancelToken>,
     process: P,
     merge: M,
-) -> (std::result::Result<Option<T>, E>, Timings)
+) -> (std::result::Result<Option<T>, E>, Timings, FoldStats)
 where
     T: Send,
     E: Send + From<JobFault>,
@@ -322,6 +281,10 @@ where
     // ratios).
     timings.merge = merger.merge_time().min(elapsed);
     timings.process = elapsed - timings.merge;
+    let fold = FoldStats {
+        merges: merger.merges(),
+        peak_fragments: merger.peak_runs() as u64,
+    };
     // A pool fault outranks the merger's contents: an interrupted or
     // panicked job has holes, so its partial fold must not be
     // finished (or even asserted on).
@@ -329,25 +292,7 @@ where
         Err(f) => Err(E::from(f)),
         Ok(()) => merger.finish(),
     };
-    (result, timings)
-}
-
-/// [`run_blocks_on`] against the process-wide shared pool — the
-/// standalone API for callers without an engine. Not cancellable;
-/// build an [`crate::Engine`] for token-carrying execution.
-pub fn run_blocks<T, E, P, M>(
-    blocks: &[Block],
-    threads: usize,
-    process: P,
-    merge: M,
-) -> (std::result::Result<Option<T>, E>, Timings)
-where
-    T: Send,
-    E: Send + From<JobFault>,
-    P: Fn(Block) -> std::result::Result<T, E> + Sync,
-    M: Fn(T, T) -> std::result::Result<T, E> + Sync,
-{
-    run_blocks_on(WorkerPool::global(), blocks, threads, None, process, merge)
+    (result, timings, fold)
 }
 
 /// Runs `work` over the indices `0..n` on up to `threads` workers of
@@ -367,15 +312,6 @@ where
     P: Fn(usize) -> T + Sync,
 {
     pool.run_collect_cancellable(n, resolve_threads(threads), token, work)
-}
-
-/// [`run_indexed_on`] against the process-wide shared pool.
-pub fn run_indexed<T, P>(n: usize, threads: usize, work: P) -> Result<Vec<T>, JobFault>
-where
-    T: Send,
-    P: Fn(usize) -> T + Sync,
-{
-    run_indexed_on(WorkerPool::global(), n, threads, None, work)
 }
 
 /// Runs `work(outer, inner)` over the full `outer × inner` grid as
@@ -440,9 +376,11 @@ mod tests {
     fn sums_blocks_in_order() {
         let blocks = fixed_blocks(100, 10);
         for threads in [1, 2, 4, 8] {
-            let (result, _) = run_blocks(
+            let (result, ..) = run_blocks_on(
+                WorkerPool::global(),
                 &blocks,
                 threads,
+                None,
                 |b| Ok::<_, JobFault>(vec![b.index]),
                 |mut a, b| {
                     a.extend(b);
@@ -459,22 +397,38 @@ mod tests {
         assert_eq!(resolve_threads(0), available_parallelism());
         assert_eq!(resolve_threads(3), 3);
         let blocks = fixed_blocks(50, 5);
-        let (result, _) = run_blocks(&blocks, 0, |b| Ok::<_, JobFault>(b.len()), |a, b| Ok(a + b));
+        let (result, ..) = run_blocks_on(
+            WorkerPool::global(),
+            &blocks,
+            0,
+            None,
+            |b| Ok::<_, JobFault>(b.len()),
+            |a, b| Ok(a + b),
+        );
         assert_eq!(result.unwrap(), Some(50));
     }
 
     #[test]
     fn empty_blocks_yield_none() {
-        let (result, _) = run_blocks(&[], 4, |_| Ok::<_, JobFault>(0u64), |a, b| Ok(a + b));
+        let (result, ..) = run_blocks_on(
+            WorkerPool::global(),
+            &[],
+            4,
+            None,
+            |_| Ok::<_, JobFault>(0u64),
+            |a, b| Ok(a + b),
+        );
         assert_eq!(result.unwrap(), None);
     }
 
     #[test]
     fn process_errors_propagate() {
         let blocks = fixed_blocks(10, 5);
-        let (result, _) = run_blocks(
+        let (result, ..) = run_blocks_on(
+            WorkerPool::global(),
             &blocks,
             2,
+            None,
             |b| {
                 if b.index == 3 {
                     Err(TErr::Msg("boom"))
@@ -493,9 +447,11 @@ mod tests {
         // Merges coalesce adjacent runs in completion order: make the
         // failure reachable under any adjacency by failing whenever
         // block 2 is involved.
-        let (result, _) = run_blocks(
+        let (result, ..) = run_blocks_on(
+            WorkerPool::global(),
             &blocks,
             2,
+            None,
             |b| Ok(vec![b.index]),
             |a: Vec<usize>, b| {
                 if a.contains(&2) || b.contains(&2) {
@@ -512,7 +468,7 @@ mod tests {
     fn task_panics_surface_as_faults_not_pool_death() {
         let pool = WorkerPool::new(2);
         let blocks = fixed_blocks(100, 10);
-        let (result, _) = run_blocks_on(
+        let (result, ..) = run_blocks_on(
             &pool,
             &blocks,
             3,
@@ -530,7 +486,7 @@ mod tests {
             TErr::Fault(JobFault::Panicked("process blew up".to_string()))
         );
         // The same pool still serves the next scan.
-        let (ok, _) = run_blocks_on(
+        let (ok, ..) = run_blocks_on(
             &pool,
             &blocks,
             3,
@@ -547,7 +503,7 @@ mod tests {
         let blocks = fixed_blocks(100, 10);
         let token = CancelToken::new();
         token.cancel();
-        let (result, _) = run_blocks_on(
+        let (result, ..) = run_blocks_on(
             &pool,
             &blocks,
             3,
@@ -572,15 +528,15 @@ mod tests {
             vec![1, 3, 5, 0, 2, 4],
         ];
         for perm in perms {
-            let mut m: StreamMerger<Vec<usize>, ()> = StreamMerger::new();
+            let m: Mutex<StreamMerger<Vec<usize>, ()>> = Mutex::new(StreamMerger::new());
             for &i in &perm {
-                m.push(i, vec![i], |mut a, b| {
+                StreamMerger::push_shared(&m, i, vec![i], |mut a, b| {
                     a.extend(b);
                     Ok(a)
                 });
             }
             assert_eq!(
-                m.finish().unwrap().unwrap(),
+                m.into_inner().unwrap().finish().unwrap().unwrap(),
                 vec![0, 1, 2, 3, 4, 5],
                 "{perm:?}"
             );
@@ -592,37 +548,42 @@ mod tests {
         // Pushing evens then odds: after the evens, runs == 3 gaps + …
         // — the peak equals the maximal number of disjoint runs, not
         // the fragment count.
-        let mut m: StreamMerger<u64, ()> = StreamMerger::new();
+        let m: Mutex<StreamMerger<u64, ()>> = Mutex::new(StreamMerger::new());
         let n = 64usize;
         for i in (0..n).step_by(2) {
-            m.push(i, 1, |a, b| Ok(a + b));
+            StreamMerger::push_shared(&m, i, 1, |a, b| Ok(a + b));
         }
-        assert_eq!(m.peak_runs(), n / 2);
+        assert_eq!(m.lock().unwrap().peak_runs(), n / 2);
         for i in (1..n).step_by(2) {
-            m.push(i, 1, |a, b| Ok(a + b));
+            StreamMerger::push_shared(&m, i, 1, |a, b| Ok(a + b));
         }
-        // Coalescing kept the peak at the even-phase level.
-        assert_eq!(m.peak_runs(), n / 2);
+        // Coalescing kept the peak at the even-phase level, plus the
+        // one fragment the first odd push holds while it merges with
+        // both neighbours outside the lock.
+        let m = m.into_inner().unwrap();
+        assert_eq!(m.peak_runs(), n / 2 + 1);
         assert_eq!(m.finish().unwrap(), Some(n as u64));
     }
 
     #[test]
     fn stream_merger_poison_discards_fragments() {
-        let mut m: StreamMerger<u64, &'static str> = StreamMerger::new();
-        m.push(0, 7, |a, b| Ok(a + b));
-        m.poison("boom");
-        assert!(m.is_poisoned());
-        m.push(1, 9, |a, b| Ok(a + b)); // dropped
-        assert_eq!(m.finish().unwrap_err(), "boom");
+        let m: Mutex<StreamMerger<u64, &'static str>> = Mutex::new(StreamMerger::new());
+        StreamMerger::push_shared(&m, 0, 7, |a, b| Ok(a + b));
+        m.lock().unwrap().poison("boom");
+        assert!(m.lock().unwrap().is_poisoned());
+        StreamMerger::push_shared(&m, 1, 9, |a, b| Ok(a + b)); // dropped
+        assert_eq!(m.into_inner().unwrap().finish().unwrap_err(), "boom");
     }
 
     #[test]
     fn incremental_merge_agrees_with_left_fold_for_associative_ops() {
         for n in 0..24usize {
             let blocks = fixed_blocks(n.max(1) * 10, n.max(1));
-            let (result, _) = run_blocks(
+            let (result, ..) = run_blocks_on(
+                WorkerPool::global(),
                 &blocks,
                 3,
+                None,
                 |b| Ok::<_, JobFault>(vec![b.index]),
                 |mut a, b| {
                     a.extend(b);
@@ -641,7 +602,7 @@ mod tests {
     #[test]
     fn indexed_execution_preserves_order() {
         for threads in [1, 3, 7] {
-            let out = run_indexed(20, threads, |i| i * i).unwrap();
+            let out = run_indexed_on(WorkerPool::global(), 20, threads, None, |i| i * i).unwrap();
             assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -680,9 +641,11 @@ mod tests {
     #[test]
     fn timings_are_recorded() {
         let blocks = fixed_blocks(1000, 4);
-        let (_, t) = run_blocks(
+        let (_, t, _) = run_blocks_on(
+            WorkerPool::global(),
             &blocks,
             2,
+            None,
             |b| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 Ok::<_, JobFault>(b.len())

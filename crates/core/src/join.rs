@@ -544,9 +544,13 @@ mod tests {
     ) -> JoinOutcome {
         let cache = ReparseCache::new(options.sort_batch);
         let slots = map.occupied_slots(store);
-        let per_slot = crate::executor::run_indexed(slots.len(), options.threads, |i| {
-            join_partition(store, map, slots[i], spec, reparse, &cache, &options)
-        })
+        let per_slot = crate::executor::run_indexed_on(
+            crate::pool::WorkerPool::global(),
+            slots.len(),
+            options.threads,
+            None,
+            |i| join_partition(store, map, slots[i], spec, reparse, &cache, &options),
+        )
         .unwrap();
         fold_slot_results(map, per_slot.into_iter()).unwrap()
     }

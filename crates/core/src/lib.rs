@@ -93,10 +93,11 @@
 //! * [`stream`] — **chunk-fed streaming execution**: a
 //!   [`stream::ChunkSource`] (file, reader, bounded in-memory channel)
 //!   feeds an append-only stable-address [`StreamBuffer`], and
-//!   [`Engine::run_streaming`] scans regions as bytes
-//!   arrive — PAT regions cut at the last seen record marker, FAT
-//!   regions anywhere — overlapping ingest I/O, scanning and fragment
-//!   merging. Live fragments stay `O(workers)` (see `executor`), and
+//!   [`Engine::run_streaming`] runs regions through the buffered
+//!   scan's region kernel as bytes arrive — PAT regions cut at the
+//!   last seen record marker, FAT regions anywhere, XML one region at
+//!   end of stream — overlapping ingest I/O with scanning. Live
+//!   fragments stay `O(workers)` (see `executor`), and
 //!   streamed results are bit-identical to buffered execution for
 //!   every format × mode × chunk size.
 //! * [`pool`] — the **persistent execution runtime**: one

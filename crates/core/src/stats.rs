@@ -97,13 +97,14 @@ pub struct StreamStats {
     pub chunks: u64,
     /// Total bytes ingested.
     pub bytes: u64,
-    /// Scan regions dispatched to the worker pool.
+    /// Blocks dispatched to the worker pool, over every region (the
+    /// name predates the count; it is not the number of regions).
     pub regions: u64,
-    /// Pairwise fragment merges performed by the incremental merger.
+    /// Pairwise fragment merges, within regions and across them.
     pub merges: u64,
-    /// Peak number of fragments alive in the merger at any instant —
-    /// bounded by in-flight tasks + 1 (`O(workers)`), not by the chunk
-    /// count.
+    /// Peak number of fragments alive at any instant: one region's
+    /// in-flight runs plus the accumulator carried from earlier
+    /// regions — `O(workers)`, not the chunk count.
     pub peak_fragments: u64,
     /// Time the pipelined driver spent blocked waiting on the chunk
     /// source — the I/O-bound indicator.

@@ -1,17 +1,15 @@
 //! Streaming ingestion: chunk-fed execution over partial datasets.
 //!
 //! The paper's core property — transducer fragments that start from
-//! *any* byte offset and merge associatively later (§3) — means the
-//! engine never needed the whole buffer before the first byte is
-//! scanned. This module exploits that: a [`ChunkSource`] feeds
-//! fixed-size chunks into a [`StreamBuffer`]
-//! (append-only, stable addresses), and a `StreamingScan` dispatches
-//! scan regions to the engine's persistent worker pool *as the bytes
-//! arrive*, folding the resulting fragments through the incremental
-//! out-of-order [`StreamMerger`]. Fragments for chunk *k+1* spawn
-//! while chunk *k* is still being merged; live fragment memory stays
-//! `O(workers)` (one per gap between completed runs), never
-//! `O(chunks)`.
+//! *any* byte offset and merge associatively later (§3) — makes a
+//! stream a buffered scan whose bytes arrive in several regions. A
+//! [`ChunkSource`] feeds fixed-size chunks into a [`StreamBuffer`]
+//! (append-only, stable addresses), and a `StreamingScan` runs each
+//! newly safe region *as the bytes arrive* through the region kernel
+//! every buffered scan runs (`engine::RegionScan`), folding the
+//! region's fragment into one accumulator. Dispatch is synchronous, so
+//! regions fold in order, and live fragment memory stays `O(workers)`
+//! (one region's blocks plus the accumulator), never `O(chunks)`.
 //!
 //! Region safety per split:
 //!
@@ -32,8 +30,15 @@
 //!   including inside a marker, a UTF-8 escape or a number, without a
 //!   fragment ever reading past the published prefix.
 //! * **OSM XML** — relations resolve against a *global* node table,
-//!   so the scan only buffers during ingest and runs the ordinary
-//!   collection pass and assembly at seal.
+//!   so the scan only buffers during ingest and at seal runs one
+//!   region over the whole document, cut as the buffered scan cuts it.
+//!
+//! A streaming session answers mid-ingest queries over the queryable
+//! prefix, which ends where the last published record starts: the last
+//! marker for the marker split; for FAT the last feature start at the
+//! feature depth, found lazily when a session asks, so a
+//! Feature-shaped object inside `properties` never ends it; nothing
+//! for XML until seal.
 //!
 //! Results are **bit-identical** to buffered execution for every
 //! format × split × chunk size: parse fragments merge associatively,
@@ -44,20 +49,18 @@
 use crate::batch::{self, IndexCache, Source};
 use crate::cancel::CancelToken;
 use crate::dataset::{Dataset, StreamBuffer};
-use crate::engine::{parse_marker_block, Engine};
+use crate::engine::{Engine, RegionScan, Split};
 use crate::exec::{self, ExecOptions, RunOutcome};
-use crate::executor::{run_indexed_on, StreamMerger};
-use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
-use crate::pool::recover;
+use crate::pipeline::QueryAggregate;
 use crate::stats::{StreamStats, Timings};
 use crate::{Error, Result};
 use atgis_formats::feature::MetadataFilter;
 use atgis_formats::geojson::fat::{self, Entry, Lexed};
 use atgis_formats::split::find_marker;
-use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, ParseError};
+use atgis_formats::{Format, ParseError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default virtual reservation for streams of unknown size (64-bit
@@ -283,53 +286,10 @@ pub(crate) fn reserve(size_hint: Option<usize>) -> Result<StreamBuffer> {
     }
 }
 
-/// How the scan cuts dispatchable regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegionPlan {
-    /// Marker-aligned dispatch: regions end at the last seen marker.
-    Pat,
-    /// Arbitrary-offset FAT GeoJSON dispatch: every published byte
-    /// goes out immediately.
-    Fat,
-    /// Buffer only; parse at seal (OSM XML's global node table).
-    Sealed,
-}
-
-/// One scan fragment in flight: the PAT aggregate itself, or a FAT
-/// parse fragment still carrying unresolved block edges.
-enum Frag<A: QueryAggregate> {
-    Pat(A),
-    Fat(Box<FatGeoJsonFrag<A>>),
-}
-
-/// Merges two adjacent scan fragments.
-fn merge_frag<A: QueryAggregate>(
-    a: Frag<A>,
-    b: Frag<A>,
-    cx: &fat::Ctx<'_>,
-) -> std::result::Result<Frag<A>, ParseError> {
-    match (a, b) {
-        (Frag::Pat(x), Frag::Pat(y)) => Ok(Frag::Pat(x.combine(y))),
-        (Frag::Fat(x), Frag::Fat(y)) => Ok(Frag::Fat(Box::new(x.merge(*y, cx)?))),
-        _ => unreachable!("one split per scan"),
-    }
-}
-
-/// Where a FAT GeoJSON stream stands: phase 1 carried across regions
-/// in arrival order.
-#[derive(Debug, Clone, Copy)]
-struct FatCursor {
-    /// Lexer state and depth at the end of the dispatched bytes.
-    entry: Entry,
-    /// Depth of the features, once the first one is published.
-    depth: Option<i32>,
-    /// Where the search for the first feature resumes.
-    search: (usize, Entry),
-}
-
-/// An incremental scan over a growing stream: append chunks, dispatch
-/// the newly-safe regions to the worker pool, seal into the final
-/// aggregate plus the (zero-copy) sealed [`Dataset`].
+/// An incremental scan over a growing stream: append chunks, run the
+/// newly-safe regions through the engine's region kernel
+/// ([`RegionScan`]), seal into the final aggregate plus the
+/// (zero-copy) sealed [`Dataset`].
 ///
 /// Used directly by `QuerySession::ingest_chunk` (synchronous,
 /// pool released between calls so prefix queries can interleave) and
@@ -337,23 +297,19 @@ struct FatCursor {
 /// a pump thread reads ahead while regions scan and merge).
 pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     buf: Arc<StreamBuffer>,
-    format: Format,
-    filter: MetadataFilter,
-    proto: A,
-    plan: RegionPlan,
+    scan: RegionScan<A>,
     /// Bytes already covered by dispatched regions.
     dispatched: usize,
     /// Next byte to inspect in the marker scan.
     marker_scan: usize,
-    /// Latest safe PAT cut at or beyond `dispatched`.
+    /// End of the queryable prefix: the start of the last record seen.
     boundary: usize,
-    /// Next region ordinal (the merger's index space).
-    next_region: usize,
-    fat: FatCursor,
-    merger: Mutex<StreamMerger<Frag<A>, ParseError>>,
+    /// FAT: where the search for the next feature start resumes.
+    prefix: (usize, Entry),
+    /// The first malformed record: ingest goes on buffering, and the
+    /// seal fails with it.
+    failed: Option<ParseError>,
     pub(crate) stats: StreamStats,
-    split_time: std::time::Duration,
-    run_time: std::time::Duration,
 }
 
 impl<A: QueryAggregate + 'static> StreamingScan<A> {
@@ -368,30 +324,15 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         size_hint: Option<usize>,
     ) -> Result<Self> {
         let buf = reserve(size_hint)?;
-        let plan = match format {
-            Format::OsmXml => RegionPlan::Sealed,
-            f if engine.splits_fat(f) => RegionPlan::Fat,
-            _ => RegionPlan::Pat,
-        };
         Ok(StreamingScan {
             buf: Arc::new(buf),
-            format,
-            filter: MetadataFilter::All,
-            proto,
-            plan,
+            scan: RegionScan::new(engine, format, MetadataFilter::All, proto, 0),
             dispatched: 0,
             marker_scan: 0,
             boundary: 0,
-            next_region: 0,
-            fat: FatCursor {
-                entry: Entry::START,
-                depth: None,
-                search: (0, Entry::START),
-            },
-            merger: Mutex::new(StreamMerger::new()),
+            prefix: (0, Entry::START),
+            failed: None,
             stats: StreamStats::default(),
-            split_time: std::time::Duration::ZERO,
-            run_time: std::time::Duration::ZERO,
         })
     }
 
@@ -405,16 +346,42 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         self.buf.len()
     }
 
-    /// The longest prefix that is safe to query mid-ingest: every
-    /// record in it is complete (PAT boundary discipline). XML streams
-    /// report 0 until sealed — relations resolve against a global node
-    /// table, so no prefix answer would be sound.
-    pub fn queryable_len(&self) -> usize {
-        match self.plan {
-            RegionPlan::Sealed => 0,
-            // Both PAT and FAT prefixes are cut at the marker
-            // boundary: `boundary` tracks it in every non-XML plan.
-            _ => self.boundary,
+    /// The longest prefix that is safe to query mid-ingest: it ends
+    /// where the last published record starts, so every record in it
+    /// is complete. The marker split tracks that cut as it dispatches;
+    /// FAT finds it here, lexing only real feature starts at the
+    /// feature depth, so a Feature-shaped object inside `properties`
+    /// never ends the prefix. XML streams report 0 until sealed —
+    /// relations resolve against a global node table, so no prefix
+    /// answer would be sound.
+    pub fn queryable_len(&mut self) -> usize {
+        match self.scan.split {
+            Split::Xml => 0,
+            Split::Marker => self.boundary,
+            Split::Fat => {
+                let len = self.buf.len();
+                let input = self.buf.slice_to(len);
+                let Some(depth) = self.scan.feature_depth(input, len, false) else {
+                    return 0;
+                };
+                loop {
+                    let (at, entry) = self.prefix;
+                    match fat::find_sync(input, at, entry, len, Some(depth), false) {
+                        Lexed::Sync { at, depth } => {
+                            self.boundary = at;
+                            let inside = Entry {
+                                depth: depth + 1,
+                                ..Entry::START
+                            };
+                            self.prefix = (at + 1, inside);
+                        }
+                        Lexed::Stopped { at, entry } => {
+                            self.prefix = (at, entry);
+                            return self.boundary;
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -433,26 +400,11 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         self.dispatch(engine, false, None)
     }
 
-    /// FAT GeoJSON: resumes the search for the first feature start
-    /// over the published bytes. Until it is found, nothing is
-    /// dispatched — it fixes the depth every block parses features at.
-    fn feature_depth_known(&mut self, len: usize, at_eof: bool) -> bool {
-        if self.fat.depth.is_some() {
-            return true;
-        }
-        let (at, entry) = self.fat.search;
-        match fat::find_sync(self.buf.slice_to(len), at, entry, len, None, at_eof) {
-            Lexed::Sync { depth, .. } => self.fat.depth = Some(depth),
-            Lexed::Stopped { at, entry } => self.fat.search = (at, entry),
-        }
-        self.fat.depth.is_some()
-    }
-
     /// Advances the marker scan over newly published bytes, updating
     /// the safe boundary: the start of the last record seen. O(total
     /// bytes) across the whole stream.
     fn advance_boundary(&mut self) {
-        let marker = self.format.record_marker();
+        let marker = self.scan.format.record_marker();
         let len = self.buf.len();
         let input = self.buf.slice_to(len);
         let mut from = self.marker_scan;
@@ -470,208 +422,108 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             .max(self.marker_scan);
     }
 
-    /// Dispatches every safe region; with `at_eof` the tail past the
-    /// last marker goes out too. The `token` (when present) is polled
-    /// by every pool claimant before each region, so a cancelled or
-    /// past-deadline scan stops within one in-flight region per
-    /// worker and returns [`Error::Cancelled`] /
-    /// [`Error::DeadlineExceeded`].
+    /// Runs the newly-safe region through the region kernel. The
+    /// marker split holds the tail past the last marker seen until
+    /// more bytes (or EOF) arrive; FAT takes every published byte once
+    /// the first feature start is known; XML waits for EOF. The
+    /// `token` (when present) is polled by every pool claimant before
+    /// each block, so a cancelled or past-deadline scan stops within
+    /// one in-flight block per worker and returns
+    /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
     pub fn dispatch(
         &mut self,
         engine: &Engine,
         at_eof: bool,
         token: Option<&CancelToken>,
     ) -> Result<()> {
-        let plan = self.plan;
-        if plan == RegionPlan::Sealed {
+        if self.failed.is_some() {
             return Ok(());
         }
         let len = self.buf.len();
-        let started = Instant::now();
-        // FAT tracks the marker boundary too: it defines the queryable
-        // prefix for sessions.
-        self.advance_boundary();
-        let end = match plan {
-            RegionPlan::Fat if !self.feature_depth_known(len, at_eof) => {
-                self.split_time += started.elapsed();
-                return Ok(());
+        let end = match self.scan.split {
+            Split::Xml if !at_eof => return Ok(()),
+            Split::Marker if !at_eof => {
+                let started = Instant::now();
+                self.advance_boundary();
+                self.scan.timings.split += started.elapsed();
+                self.boundary
             }
-            RegionPlan::Pat if !at_eof => self.boundary,
             _ => len,
         };
         if end <= self.dispatched {
-            self.split_time += started.elapsed();
             return Ok(());
         }
-        let start = self.dispatched;
-        let region_len = end - start;
-        // Cut the region for pool parallelism: PAT sub-cuts stay
-        // marker-aligned, FAT cuts anywhere.
-        let pieces = region_len
-            .div_ceil(DISPATCH_TARGET)
-            .max(if region_len >= 4 * 1024 {
-                engine.threads().min(region_len / 1024).max(1)
-            } else {
-                1
-            });
-        let relative = match plan {
-            RegionPlan::Pat => marker_blocks(
-                &self.buf.slice_to(end)[start..],
-                self.format.record_marker().bytes,
-                pieces,
-            ),
-            _ => fixed_blocks(region_len, pieces),
-        };
-        let blocks: Vec<Block> = relative
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| Block {
-                index: 0,
-                start: b.start + start,
-                end: b.end + start,
-            })
-            .collect();
-        self.dispatched = end;
-        if blocks.is_empty() {
-            self.split_time += started.elapsed();
-            return Ok(());
-        }
-        let input = self.buf.slice_to(len);
-        let format = self.format;
-        // FAT GeoJSON phase 1: the blocks' state maps on the pool,
-        // chained from where the previous region ended.
-        let entries = if plan == RegionPlan::Fat {
-            let maps = run_indexed_on(engine.pool(), blocks.len(), engine.threads(), token, |i| {
-                fat::StateMap::of(blocks[i].slice(input))
-            })?;
-            let entries = fat::entries(&maps, self.fat.entry);
-            self.fat.entry = entries[blocks.len()];
-            entries
+        // Cut the region for pool parallelism. XML's one region is the
+        // whole document, cut like the buffered scan: on malformed
+        // input its collection pass is not split-invariant.
+        let region_len = end - self.dispatched;
+        let pieces = if self.scan.split == Split::Xml {
+            engine.block_count()
         } else {
-            Vec::new()
+            region_len
+                .div_ceil(DISPATCH_TARGET)
+                .max(if region_len >= 4 * 1024 {
+                    engine.threads().min(region_len / 1024).max(1)
+                } else {
+                    1
+                })
         };
-        self.split_time += started.elapsed();
-        let base = self.next_region;
-        self.next_region += blocks.len();
-        self.stats.regions += blocks.len() as u64;
-
-        // Run the regions on the pool; each completion folds straight
-        // into the shared merger (see `StreamMerger`), so merging of
-        // earlier regions overlaps the scanning of later ones.
-        let merger = &self.merger;
-        let proto = &self.proto;
-        let cx = fat::Ctx {
-            input,
-            depth: self.fat.depth.unwrap_or(0),
-            filter: &self.filter,
-            complete: at_eof,
-        };
-        let started = Instant::now();
-        let run = engine
-            .pool()
-            .run_cancellable(blocks.len(), engine.threads(), token, |i| {
-                crate::fault_point!("stream.region");
-                let b = blocks[i];
-                let result: std::result::Result<Frag<A>, ParseError> = match plan {
-                    RegionPlan::Pat => process_pat(input, b, format, cx.filter, proto),
-                    RegionPlan::Fat => Ok(Frag::Fat(Box::new(FatGeoJsonFrag::process(
-                        &cx, b, entries[i], proto,
-                    )))),
-                    RegionPlan::Sealed => unreachable!("sealed plans dispatch nothing"),
-                };
-                match result {
-                    Ok(frag) => StreamMerger::push_shared(merger, base + i, frag, |a, c| {
-                        merge_frag(a, c, &cx)
-                    }),
-                    Err(e) => recover(merger.lock()).poison(e),
-                }
-            });
-        self.run_time += started.elapsed();
-        run.map_err(Error::from)
+        let input = self.buf.slice_to(len);
+        match self
+            .scan
+            .region(engine, input, self.dispatched..end, pieces, at_eof, token)
+        {
+            Ok(true) => self.dispatched = end,
+            Ok(false) => {}
+            // A malformed record fails the seal, as it fails a buffered
+            // scan of the whole stream.
+            Err(Error::Parse(e)) => self.failed = Some(e),
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// Seals the stream: dispatches the tail, finalises the fold and
     /// returns the aggregate plus the sealed zero-copy dataset,
-    /// timings and stream statistics. XML streams run the ordinary
-    /// buffered pass here.
+    /// timings and stream statistics.
     pub fn seal(self, engine: &Engine) -> Result<(A, Dataset, Timings, StreamStats)> {
         self.seal_cancellable(engine, None)
     }
 
     /// [`StreamingScan::seal`] under an optional [`CancelToken`]: the
-    /// tail dispatch and the XML buffered pass observe the token at
-    /// region granularity.
+    /// tail dispatch observes the token at block granularity.
     pub fn seal_cancellable(
         mut self,
         engine: &Engine,
         token: Option<&CancelToken>,
     ) -> Result<(A, Dataset, Timings, StreamStats)> {
         self.dispatch(engine, true, token)?;
-        let len = self.buf.len();
-        let dataset = Dataset::from_stream_buffer(self.buf.clone(), len, self.format);
-        let mut stats = self.stats;
-        let merger = recover(self.merger.into_inner());
-        stats.peak_fragments = merger.peak_runs() as u64;
-        stats.merges = merger.merges();
-        // Summed merge time is worker-time (merges run concurrently);
-        // clamp so the phases partition the actual dispatch wall time.
-        let merge_time = merger.merge_time().min(self.run_time);
-        let mut timings = Timings {
-            split: self.split_time,
-            process: self.run_time - merge_time,
-            merge: merge_time,
-        };
-        if self.plan == RegionPlan::Sealed {
-            let (agg, t) =
-                engine.single_pass_cancellable(&dataset, &self.filter, self.proto, token)?;
-            return Ok((agg, dataset, t, stats));
+        if let Some(e) = self.failed {
+            return Err(Error::Parse(e));
         }
-        let started = Instant::now();
-        let agg = match merger.finish().map_err(Error::Parse)? {
-            None => self.proto,
-            Some(Frag::Pat(a)) => a,
-            Some(Frag::Fat(f)) => {
-                let cx = fat::Ctx {
-                    input: dataset.bytes(),
-                    depth: self
-                        .fat
-                        .depth
-                        .expect("FAT fragments follow the first feature"),
-                    filter: &self.filter,
-                    complete: true,
-                };
-                f.finalize(&cx).map_err(Error::Parse)?
-            }
+        let len = self.buf.len();
+        let dataset = Dataset::from_stream_buffer(self.buf.clone(), len, self.scan.format);
+        let stats = StreamStats {
+            regions: self.scan.blocks,
+            merges: self.scan.merges,
+            peak_fragments: self.scan.peak_fragments,
+            ..self.stats
         };
-        timings.merge += started.elapsed();
+        let (agg, timings) = self.scan.finish(dataset.bytes())?;
         Ok((agg, dataset, timings, stats))
     }
-}
-
-/// PAT region processing: block-local parse, absorb into a clone of
-/// the prototype.
-fn process_pat<A: QueryAggregate>(
-    input: &[u8],
-    b: Block,
-    format: Format,
-    filter: &MetadataFilter,
-    proto: &A,
-) -> std::result::Result<Frag<A>, ParseError> {
-    let mut agg = proto.clone();
-    for f in &parse_marker_block(input, format, b, filter)? {
-        agg.absorb(f);
-    }
-    Ok(Frag::Pat(agg))
 }
 
 impl Engine {
     /// The streaming entry point: executes `queries` over a dataset
     /// that **arrives while the queries run** — chunks from `source`
-    /// feed one shared scan as they appear, fragments merge
-    /// incrementally, and join-class queries run against the index
-    /// sealed at end of stream. Cancellation and deadline are observed
-    /// per chunk and per scan region; fault isolation and timing come
-    /// from the [`ExecOptions`]. One-shot streams never shard
+    /// feed one shared scan as they appear, each newly safe region
+    /// runs through the region kernel of the buffered scan and folds
+    /// into the regions before it, and join-class queries run against
+    /// the index sealed at end of stream. OSM XML scans once, at end
+    /// of stream. Cancellation and deadline are observed per chunk and
+    /// per block; fault isolation and timing come from the
+    /// [`ExecOptions`]. One-shot streams never shard
     /// ([`crate::ShardPolicy`] is ignored: the byte length needed to
     /// split the input only exists once the scan is over); use
     /// [`crate::QuerySession::run`] after sealing a streaming session

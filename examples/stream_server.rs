@@ -86,7 +86,7 @@ fn main() {
     );
     let stats = session.finish().expect("seal session");
     println!(
-        "sealed after {:?}: {} chunks, {} scan regions, peak {} fragments in flight",
+        "sealed after {:?}: {} chunks, {} scan blocks, peak {} fragments in flight",
         started.elapsed(),
         stats.chunks,
         stats.regions,

@@ -194,8 +194,11 @@ fn seeded_probabilistic_panics_either_fail_cleanly_or_match_oracle() {
         .exec1(&q, &Dataset::from_bytes(data.clone(), Format::GeoJson))
         .unwrap();
 
+    // Streamed regions run through the same block executor as
+    // buffered scans, so its failpoint fires inside every streamed
+    // block task.
     let injector = FaultInjector::new(seed);
-    injector.arm_random_panic("stream.region", 200);
+    injector.arm_random_panic("executor.block", 200);
     let mut clean_runs = 0u32;
     let mut panicked_runs = 0u32;
     for _ in 0..12 {
@@ -209,7 +212,7 @@ fn seeded_probabilistic_panics_either_fail_cleanly_or_match_oracle() {
             Err(other) => panic!("unexpected error under injection: {other:?}"),
         }
     }
-    fault::disarm("stream.region");
+    fault::disarm("executor.block");
     eprintln!("seed {seed}: {clean_runs} clean runs, {panicked_runs} injected panics");
     // Whatever the split, the engine must end the gauntlet healthy.
     let mut source = SliceChunkSource::new(&data, 256);

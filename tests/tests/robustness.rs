@@ -21,7 +21,9 @@
 //!   through WKT's newline split the 1-block answer or error;
 //! - generated GeoJSON, truncated or bit-flipped, through PAT at any
 //!   block count gives the one-block `fast::parse_block` answer or a
-//!   parse error.
+//!   parse error;
+//! - every hostile document streamed in 7- and 61-byte chunks gives
+//!   the buffered answer, or a parse error where buffering gives one.
 
 use atgis::pipeline::{ContainmentAgg, QueryAggregate};
 use atgis::stream::ChunkSource;
@@ -32,7 +34,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{geojson, osmxml, wkt, Format, MetadataFilter, Mode, RawFeature};
 use atgis_geometry::{Mbr, Polygon};
-use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, XorShift64};
+use atgis_tests::{RunExt, SchedRunExt, SessionRunExt, StreamRunExt, XorShift64};
 
 fn engine(threads: usize) -> Engine {
     Engine::builder().threads(threads).cell_size(2.0).build()
@@ -450,12 +452,43 @@ fn parse_xml_everywhere(engine: &Engine, bytes: &[u8], what: &str) {
     let _ = osmxml::collect_block(bytes, bytes.len() / 3, bytes.len() * 2 / 3);
     // A panic on a pool worker would come back as `TaskPanicked`.
     let dataset = Dataset::from_bytes(bytes.to_vec(), Format::OsmXml);
-    match engine.exec1(
-        &Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0)),
-        &dataset,
-    ) {
+    let buffered = engine.exec1(&world_query(), &dataset);
+    match &buffered {
         Ok(_) | Err(Error::Parse(_)) => {}
         Err(other) => panic!("{what}: neither an answer nor a parse error: {other}"),
+    }
+    assert_streams_like(engine, bytes, Format::OsmXml, &buffered, what);
+}
+
+fn world_query() -> Query {
+    Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0))
+}
+
+/// `bytes` through `Engine::run_streaming` at chunk lengths 7 and 61:
+/// each streamed answer equals the `buffered` one, or both are parse
+/// errors.
+fn assert_streams_like(
+    engine: &Engine,
+    bytes: &[u8],
+    format: Format,
+    buffered: &Result<QueryResult, Error>,
+    what: &str,
+) {
+    for chunk_len in [7, 61] {
+        let mut source = SliceChunkSource::new(bytes, chunk_len);
+        match (
+            engine.stream1(&world_query(), &mut source, format),
+            buffered,
+        ) {
+            (Ok(got), Ok(want)) => assert_eq!(
+                &got, want,
+                "{what}: streamed in {chunk_len}-byte chunks unlike buffered"
+            ),
+            (Err(Error::Parse(_)), Err(Error::Parse(_))) => {}
+            (got, want) => panic!(
+                "{what}: streamed in {chunk_len}-byte chunks gave {got:?}, buffered gave {want:?}"
+            ),
+        }
     }
 }
 
@@ -529,15 +562,17 @@ fn parse_geojson_fat_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], 
         }
     }
     let dataset = Dataset::from_bytes(bytes.to_vec(), Format::GeoJson);
-    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
-    match engine.exec1(&world, &dataset) {
+    let world = world_query();
+    let buffered = engine.exec1(&world, &dataset);
+    match &buffered {
         Ok(got) => match single.exec1(&world, &dataset) {
-            Ok(want) => assert_eq!(got, want, "{what}: 16 blocks answered unlike 1 block"),
+            Ok(want) => assert_eq!(got, &want, "{what}: 16 blocks answered unlike 1 block"),
             Err(e) => panic!("{what}: 16 blocks answered, 1 block failed: {e}"),
         },
         Err(Error::Parse(_)) => {}
         Err(other) => panic!("{what}: neither an answer nor a parse error: {other}"),
     }
+    assert_streams_like(engine, bytes, Format::GeoJson, &buffered, what);
 }
 
 /// GeoJSON engines in `mode`: 2 threads × 8 blocks, and 1 × 1.
@@ -628,6 +663,8 @@ fn parse_geojson_pat_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], 
             }
         }
     }
+    let buffered = engine.exec1(&Query::containment(world), &dataset);
+    assert_streams_like(engine, bytes, Format::GeoJson, &buffered, what);
 }
 
 #[test]
@@ -698,11 +735,13 @@ fn parse_wkt_everywhere(engine: &Engine, single: &Engine, bytes: &[u8], what: &s
         want.is_ok(),
         "{what}: the 1-block engine and the library parse disagree"
     );
-    match (engine.exec1(&world, &dataset), want) {
-        (Ok(got), Ok(want)) => assert_eq!(got, want, "{what}: 16 blocks answered unlike 1 block"),
+    let buffered = engine.exec1(&world, &dataset);
+    match (&buffered, want) {
+        (Ok(got), Ok(want)) => assert_eq!(got, &want, "{what}: 16 blocks answered unlike 1 block"),
         (Err(Error::Parse(_)), Err(Error::Parse(_))) => {}
         (got, want) => panic!("{what}: 16 blocks gave {got:?}, 1 block gave {want:?}"),
     }
+    assert_streams_like(engine, bytes, Format::Wkt, &buffered, what);
 }
 
 fn wkt_engines() -> (Engine, Engine) {

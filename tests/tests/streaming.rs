@@ -8,11 +8,13 @@
 //! sequential oracle.
 
 use atgis::stream::SliceChunkSource;
-use atgis::{chunk_channel, Dataset, Engine, Query, QueryResult};
+use atgis::{chunk_channel, Dataset, Engine, Query, QueryResult, QuerySession};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{assert_agrees_with_oracle, modes, oracle_answers, RunExt, StreamRunExt};
+use atgis_tests::{
+    assert_agrees_with_oracle, modes, oracle_answers, RunExt, SessionRunExt, StreamRunExt,
+};
 
 fn engine(threads: usize, mode: Mode) -> Engine {
     Engine::builder()
@@ -304,17 +306,10 @@ fn torture_geojson_chunk_splits_inside_utf8_escapes_and_markers() {
     sweep_all_chunk_lengths(&doc, Format::GeoJson);
 }
 
-#[test]
-fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
-    // The §3.5 trap: a Feature-shaped object inside `properties`. FAT
-    // regions start at every chunk boundary, so some region begins
-    // right before the decoy marker; the depth carried across regions
-    // keeps it from ever counting as a feature start. PAT cuts at
-    // markers, so the decoy is its documented limitation; the
-    // sequential oracle lexes the document as one FAT block, and the
-    // buffered FAT answer, pinned to the two real features, must
-    // agree with it.
-    let doc = concat!(
+/// The §3.5 trap: a Feature-shaped object inside feature 1's
+/// `properties`.
+fn trap_document() -> Vec<u8> {
+    concat!(
         r#"{"type":"FeatureCollection","features":["#,
         r#"{"type":"Feature","geometry":{"type":"Point","coordinates":[1.0,2.0]},"id":1,"#,
         r#""properties":{"trap":{"type":"Feature","x":1},"name":"decoy"}},"#,
@@ -322,7 +317,19 @@ fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
         r#"]}"#
     )
     .as_bytes()
-    .to_vec();
+    .to_vec()
+}
+
+#[test]
+fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
+    // FAT regions start at every chunk boundary, so some region begins
+    // right before the decoy marker; the depth carried across regions
+    // keeps it from ever counting as a feature start. PAT cuts at
+    // markers, so the decoy is its documented limitation; the
+    // sequential oracle lexes the document as one FAT block, and the
+    // buffered FAT answer, pinned to the two real features, must
+    // agree with it.
+    let doc = trap_document();
     let e = engine(2, Mode::Fat);
     let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
     let agg = Query::aggregation(Mbr::new(-180.0, -90.0, 180.0, 90.0));
@@ -342,6 +349,29 @@ fn torture_geojson_chunk_splits_around_a_nested_feature_marker() {
         Format::GeoJson,
         [(&world, &want_w), (&agg, &want_a)],
     );
+}
+
+#[test]
+fn fat_session_prefixes_end_only_at_real_feature_starts() {
+    // The trap fed one byte at a time into a FAT streaming session:
+    // every mid-ingest prefix query answers with a prefix of the real
+    // features, because the queryable prefix ends only where a feature
+    // at the feature depth starts, never at the decoy.
+    let world = Query::containment(Mbr::new(-180.0, -90.0, 180.0, 90.0));
+    let ids = |r: QueryResult| r.matches().iter().map(|m| m.id).collect::<Vec<u64>>();
+    let mut session = QuerySession::streaming(engine(2, Mode::Fat), Format::GeoJson).unwrap();
+    let mut last = Vec::new();
+    for (at, byte) in trap_document().iter().enumerate() {
+        session.ingest_chunk(std::slice::from_ref(byte)).unwrap();
+        last = match session.exec1(&world) {
+            Ok(r) => ids(r),
+            Err(e) => panic!("prefix query after byte {at}: {e}"),
+        };
+        assert!([1, 2].starts_with(&last), "after byte {at}: {last:?}");
+    }
+    assert_eq!(last, [1], "the prefix ends where feature 2 starts");
+    session.finish().unwrap();
+    assert_eq!(ids(session.exec1(&world).unwrap()), [1, 2]);
 }
 
 #[test]
