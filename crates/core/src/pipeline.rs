@@ -16,9 +16,9 @@ use crate::result::{AggregateValues, MatchRecord};
 use atgis_formats::feature::RawFeature;
 use atgis_formats::geojson::fat::{BlockScan, Ctx, Entry};
 use atgis_formats::{Block, ParseError};
-use atgis_geometry::relate::intersects;
-use atgis_geometry::{measures, DistanceModel, Geometry, Polygon};
+use atgis_geometry::{measures, DistanceModel, Geometry, Polygon, PreparedRegion};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The downstream (transform + aggregation) stages of a single-pass
 /// pipeline, as an associative aggregate over completed features.
@@ -234,18 +234,25 @@ impl QueryAggregate for MultiSink {
 /// Containment-query aggregate: buffers matching records (§4.4: "it
 /// is also used for containment queries to store the output of the
 /// transformation stage").
+///
+/// The region is prepared once, here, and shared by every per-block
+/// clone. Each feature's MBR is computed once and classified against
+/// it (§2.3's filter-refine): outside the region's MBR it is dropped,
+/// inside a rectangular region it matches, and only a feature whose
+/// MBR straddles the region's edge runs the exact edge test
+/// ([`PreparedRegion::intersects`]).
 #[derive(Debug, Clone)]
 pub struct ContainmentAgg {
-    region: std::sync::Arc<Polygon>,
+    region: Arc<PreparedRegion>,
     /// Matches found so far.
     pub matches: Vec<MatchRecord>,
 }
 
 impl ContainmentAgg {
     /// Creates the aggregate for a reference region.
-    pub fn new(region: std::sync::Arc<Polygon>) -> Self {
+    pub fn new(region: Arc<Polygon>) -> Self {
         ContainmentAgg {
-            region,
+            region: Arc::new(PreparedRegion::new(Arc::unwrap_or_clone(region))),
             matches: Vec::new(),
         }
     }
@@ -258,12 +265,7 @@ impl QueryAggregate for ContainmentAgg {
 
     fn absorb(&mut self, f: &RawFeature) {
         let mbr = f.geometry.mbr();
-        // MBR pre-filter, then exact geometry refinement (§2.3's
-        // filter-refine pattern).
-        if !mbr.intersects(&self.region.mbr()) {
-            return;
-        }
-        if intersects(&f.geometry, &Geometry::Polygon((*self.region).clone())) {
+        if self.region.intersects(&f.geometry, &mbr) {
             self.matches.push(MatchRecord {
                 id: f.id,
                 offset: f.offset,
@@ -282,6 +284,11 @@ impl QueryAggregate for ContainmentAgg {
 /// Aggregation-query aggregate: containment test plus numeric
 /// summarisation, with the streaming/buffered trade-off of Fig. 7.
 ///
+/// The containment test is [`ContainmentAgg`]'s: a region prepared
+/// once, each feature's MBR computed once and classified against it,
+/// and the exact edge test only for features whose MBR straddles the
+/// region's edge.
+///
 /// Sums accumulate in [`ExactSum`]s, so the reported values are the
 /// correctly-rounded true sums — identical bits no matter how the scan
 /// was chunked, blocked or threaded. That invariance is what lets the
@@ -289,7 +296,7 @@ impl QueryAggregate for ContainmentAgg {
 /// buffered path.
 #[derive(Debug, Clone)]
 pub struct MetricsAgg {
-    region: std::sync::Arc<Polygon>,
+    region: Arc<PreparedRegion>,
     model: DistanceModel,
     strategy: FilterStrategy,
     want_area: bool,
@@ -302,13 +309,13 @@ pub struct MetricsAgg {
 impl MetricsAgg {
     /// Creates the aggregate.
     pub fn new(
-        region: std::sync::Arc<Polygon>,
+        region: Arc<Polygon>,
         metrics: &[Metric],
         model: DistanceModel,
         strategy: FilterStrategy,
     ) -> Self {
         MetricsAgg {
-            region,
+            region: Arc::new(PreparedRegion::new(Arc::unwrap_or_clone(region))),
             model,
             strategy,
             want_area: metrics.contains(&Metric::Area),
@@ -329,8 +336,7 @@ impl MetricsAgg {
     }
 
     fn passes(&self, f: &RawFeature) -> bool {
-        f.geometry.mbr().intersects(&self.region.mbr())
-            && intersects(&f.geometry, &Geometry::Polygon((*self.region).clone()))
+        self.region.intersects(&f.geometry, &f.geometry.mbr())
     }
 }
 
@@ -434,7 +440,6 @@ mod tests {
     use atgis_formats::geojson::fat;
     use atgis_formats::MetadataFilter;
     use atgis_geometry::Mbr;
-    use std::sync::Arc;
 
     fn region() -> Arc<Polygon> {
         Arc::new(Polygon::from_mbr(&Mbr::new(-0.5, -0.5, 0.5, 0.5)))
@@ -672,5 +677,131 @@ mod tests {
             let agg = merged.unwrap().finalize(&cx).unwrap();
             assert_eq!(agg.matches.len(), 60, "blocks={n}");
         }
+    }
+
+    // ---- traps a region predicate decided from the MBR could open ----
+
+    fn geometry_feature(id: u64, geometry: Geometry) -> RawFeature {
+        RawFeature {
+            id,
+            geometry,
+            offset: id * 100,
+            len: 50,
+        }
+    }
+
+    fn rect(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Geometry {
+        Geometry::Polygon(Polygon::from_mbr(&Mbr::new(min_x, min_y, max_x, max_y)))
+    }
+
+    fn line(points: &[(f64, f64)]) -> Geometry {
+        Geometry::LineString(atgis_geometry::LineString::new(
+            points
+                .iter()
+                .map(|&(x, y)| atgis_geometry::Point::new(x, y))
+                .collect(),
+        ))
+    }
+
+    /// Ids of `features` both region sinks accept; panics if the
+    /// containment and aggregation sinks disagree.
+    fn accepted(region: Polygon, features: &[RawFeature]) -> Vec<u64> {
+        let region = Arc::new(region);
+        let mut c = ContainmentAgg::new(region.clone());
+        let mut m = MetricsAgg::new(
+            region,
+            &[Metric::Count],
+            DistanceModel::Planar,
+            FilterStrategy::Streaming,
+        );
+        for f in features {
+            c.absorb(f);
+            m.absorb(f);
+        }
+        assert_eq!(m.values().count as usize, c.matches.len(), "sinks disagree");
+        c.matches.iter().map(|r| r.id).collect()
+    }
+
+    #[test]
+    fn empty_geometries_never_match() {
+        use atgis_geometry::MultiPolygon;
+        let empties = [
+            geometry_feature(1, Geometry::Collection(vec![])),
+            geometry_feature(2, Geometry::MultiPolygon(MultiPolygon::new(vec![]))),
+            geometry_feature(3, Geometry::Collection(vec![Geometry::Collection(vec![])])),
+        ];
+        for region in [
+            Mbr::new(-0.5, -0.5, 0.5, 0.5),
+            Mbr::new(-180.0, -90.0, 180.0, 90.0),
+        ] {
+            assert!(accepted(Polygon::from_mbr(&region), &empties).is_empty());
+        }
+    }
+
+    #[test]
+    fn empty_and_nan_regions_match_nothing() {
+        let features = [
+            feature(1, 0.0, 0.0),
+            feature(2, 1.0, 1.0),
+            geometry_feature(3, rect(-1e9, -1e9, 1e9, 1e9)),
+            geometry_feature(4, rect(-2.0, -2.0, 2.0, 2.0)),
+            geometry_feature(5, line(&[(-5.0, 0.5), (5.0, 0.5)])),
+        ];
+        let nan = f64::NAN;
+        for region in [
+            Mbr::EMPTY,
+            Mbr::new(nan, 0.0, 1.0, 1.0),
+            Mbr::new(0.0, nan, 1.0, 1.0),
+            Mbr::new(0.0, 0.0, nan, 1.0),
+            Mbr::new(0.0, 0.0, 1.0, nan),
+            Mbr::new(nan, nan, nan, nan),
+        ] {
+            assert!(
+                accepted(Polygon::from_mbr(&region), &features).is_empty(),
+                "{region:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_and_corner_contact_matches() {
+        let features = [
+            // Shares the region's east edge from outside.
+            geometry_feature(1, rect(0.5, -0.2, 1.5, 0.2)),
+            // Touches the north-east corner only.
+            geometry_feature(2, rect(0.5, 0.5, 1.0, 1.0)),
+            // A line ending on the south-west corner.
+            geometry_feature(3, line(&[(-2.0, -2.0), (-0.5, -0.5)])),
+            // A line grazing the north edge.
+            geometry_feature(4, line(&[(-2.0, 0.5), (2.0, 0.5)])),
+            // Just clear of the corner: no contact.
+            geometry_feature(5, rect(0.5 + 1e-9, 0.5 + 1e-9, 1.0, 1.0)),
+        ];
+        let region = Polygon::from_mbr(&Mbr::new(-0.5, -0.5, 0.5, 0.5));
+        assert_eq!(accepted(region, &features), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn boundary_points_and_line_regions_match() {
+        let points = [
+            feature(1, 0.5, 0.0),   // east edge
+            feature(2, -0.5, -0.5), // corner
+            feature(3, 0.0, 0.5),   // north edge
+            feature(4, 0.5 + 1e-12, 0.0),
+        ];
+        let square = Polygon::from_mbr(&Mbr::new(-0.5, -0.5, 0.5, 0.5));
+        assert_eq!(accepted(square, &points), [1, 2, 3]);
+
+        // A zero-width region is the segment x = 0, -1 ≤ y ≤ 1.
+        let segment = Polygon::from_mbr(&Mbr::new(0.0, -1.0, 0.0, 1.0));
+        let features = [
+            feature(1, 0.0, 0.25),
+            feature(2, 0.25, 0.0),
+            geometry_feature(3, rect(-1.0, -0.5, 1.0, 0.5)),
+            geometry_feature(4, line(&[(-1.0, 0.0), (1.0, 0.0)])),
+            geometry_feature(5, rect(0.1, -0.5, 1.0, 0.5)),
+            geometry_feature(6, rect(-1.0, 1.0, 0.0, 2.0)),
+        ];
+        assert_eq!(accepted(segment, &features), [1, 3, 4, 6]);
     }
 }

@@ -9,6 +9,11 @@
 //! * spatial predicates (`intersects`, `contains`, `within`, `touches`,
 //!   `crosses`, `overlaps`, `disjoint`, DE-9IM `relate`) used by the
 //!   Table 1 operator catalogue;
+//! * [`PreparedRegion`], a query region set up once per query so the
+//!   scan's region filter decides most features from their MBR and
+//!   runs the exact, allocation-free edge test only for features whose
+//!   MBR straddles the region's edge (`relate::intersects` is the
+//!   reference it agrees with);
 //! * measures (area, perimeter, distance) in both planar and spherical
 //!   coordinate systems, including Andoyer's more accurate geodesic
 //!   formula used by the Fig. 13b experiment;
@@ -35,6 +40,7 @@ pub mod mbr;
 pub mod measures;
 pub mod point;
 pub mod polygon;
+pub mod prepared;
 pub mod relate;
 pub mod segment;
 pub mod setops;
@@ -46,6 +52,7 @@ pub use mbr::Mbr;
 pub use measures::{perimeter, planar_area, signed_ring_area, DistanceModel};
 pub use point::Point;
 pub use polygon::{Geometry, LineString, MultiPolygon, Polygon, Ring};
+pub use prepared::PreparedRegion;
 pub use relate::{
     contains, crosses, disjoint, distance, intersects, overlaps, relate, touches, within, De9Im,
     IntersectionMatrix,

@@ -114,17 +114,16 @@ pub fn area(g: &Geometry, model: DistanceModel) -> f64 {
 fn spherical_area(g: &Geometry) -> f64 {
     match g {
         Geometry::Point(_) | Geometry::LineString(_) => 0.0,
-        Geometry::Polygon(p) => {
-            let holes: f64 = p.holes.iter().map(|h| sphere::ring_area(&h.points)).sum();
-            (sphere::ring_area(&p.exterior.points) - holes).max(0.0)
-        }
-        Geometry::MultiPolygon(mp) => mp
-            .polygons
-            .iter()
-            .map(|p| spherical_area(&Geometry::Polygon(p.clone())))
-            .sum(),
+        Geometry::Polygon(p) => polygon_spherical_area(p),
+        Geometry::MultiPolygon(mp) => mp.polygons.iter().map(polygon_spherical_area).sum(),
         Geometry::Collection(gs) => gs.iter().map(spherical_area).sum(),
     }
+}
+
+/// Spherical-excess area of a polygon: exterior minus holes.
+fn polygon_spherical_area(p: &Polygon) -> f64 {
+    let holes: f64 = p.holes.iter().map(|h| sphere::ring_area(&h.points)).sum();
+    (sphere::ring_area(&p.exterior.points) - holes).max(0.0)
 }
 
 #[cfg(test)]
@@ -184,6 +183,48 @@ mod tests {
         assert_eq!(area(&p, DistanceModel::Planar), 0.0);
         let short = Geometry::LineString(crate::polygon::LineString::new(vec![Point::ORIGIN]));
         assert_eq!(perimeter(&short, DistanceModel::Planar), 0.0);
+    }
+
+    #[test]
+    fn multipolygon_measures_are_the_in_order_member_results() {
+        use crate::polygon::MultiPolygon;
+        let member = |x: f64, y: f64, hole: bool| {
+            let square = |x: f64, y: f64, s: f64| {
+                Ring::new(vec![
+                    Point::new(x, y),
+                    Point::new(x + s, y),
+                    Point::new(x + s, y + s * 0.7),
+                    Point::new(x, y + s),
+                ])
+            };
+            let holes = if hole {
+                vec![square(x + 0.1, y + 0.1, 0.3).normalised_cw()]
+            } else {
+                Vec::new()
+            };
+            Polygon::new(square(x, y, 1.0), holes)
+        };
+        let members = vec![
+            member(0.25, 10.0, true),
+            member(-3.5, 44.125, false),
+            member(120.0, -33.3, true),
+        ];
+        let mp = Geometry::MultiPolygon(MultiPolygon::new(members.clone()));
+        let solo: Vec<Geometry> = members.into_iter().map(Geometry::Polygon).collect();
+
+        let mut want = 0.0;
+        for g in &solo {
+            want += area(g, DistanceModel::Spherical);
+        }
+        assert_eq!(
+            area(&mp, DistanceModel::Spherical).to_bits(),
+            want.to_bits()
+        );
+        assert_eq!(
+            mp.points(),
+            solo.iter().flat_map(Geometry::points).collect::<Vec<_>>()
+        );
+        assert_eq!(mp.first_point(), Some(Point::new(0.25, 10.0)));
     }
 
     #[test]

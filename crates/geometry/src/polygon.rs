@@ -397,55 +397,103 @@ impl Geometry {
         }
     }
 
-    /// Iterator over every vertex of the geometry.
+    /// Every vertex of the geometry in document order: each polygon's
+    /// exterior ring, then its holes; collections depth first.
     pub fn points(&self) -> Vec<Point> {
         let mut out = Vec::with_capacity(self.num_points());
-        self.collect_points(&mut out);
+        for (vertices, _) in self.chains() {
+            out.extend_from_slice(vertices);
+        }
         out
     }
 
-    fn collect_points(&self, out: &mut Vec<Point>) {
-        match self {
-            Geometry::Point(p) => out.push(*p),
-            Geometry::LineString(ls) => out.extend_from_slice(&ls.points),
-            Geometry::Polygon(p) => {
-                out.extend_from_slice(&p.exterior.points);
-                for h in &p.holes {
-                    out.extend_from_slice(&h.points);
-                }
-            }
-            Geometry::MultiPolygon(mp) => {
-                for p in &mp.polygons {
-                    Geometry::Polygon(p.clone()).collect_points(out);
-                }
-            }
-            Geometry::Collection(gs) => {
-                for g in gs {
-                    g.collect_points(out);
-                }
-            }
+    /// The first vertex of [`Geometry::points`], found without
+    /// collecting them.
+    pub(crate) fn first_point(&self) -> Option<Point> {
+        self.chains()
+            .find_map(|(vertices, _)| vertices.first().copied())
+    }
+
+    /// The geometry's vertex runs in document order, each with whether
+    /// it closes back on itself: a point is an open run of one, a
+    /// linestring an open run, and each polygon yields its exterior and
+    /// then its holes as closed runs. Collections are walked depth
+    /// first. Nothing is allocated unless collections nest.
+    pub(crate) fn chains(&self) -> Chains<'_> {
+        Chains {
+            next: Some(self),
+            members: Vec::new(),
+            polygons: [].iter(),
+            holes: [].iter(),
         }
+    }
+
+    /// Every edge of the geometry, in the order of [`Geometry::points`]:
+    /// consecutive vertex pairs of each linestring, and each ring's
+    /// edges including its closing one. Points have none.
+    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        self.chains().flat_map(|(vertices, closed)| {
+            let n = vertices.len();
+            let edges = if closed { n } else { n.saturating_sub(1) };
+            (0..edges).map(move |i| Segment::new(vertices[i], vertices[(i + 1) % n]))
+        })
     }
 
     /// All edges of the geometry (empty for points).
     pub fn all_segments(&self) -> Vec<Segment> {
-        let mut out = Vec::new();
-        match self {
-            Geometry::Point(_) => {}
-            Geometry::LineString(ls) => out.extend(ls.segments()),
-            Geometry::Polygon(p) => out.extend(p.all_segments()),
-            Geometry::MultiPolygon(mp) => {
-                for p in &mp.polygons {
-                    out.extend(p.all_segments());
-                }
+        self.segments().collect()
+    }
+}
+
+/// Iterator behind [`Geometry::chains`].
+pub(crate) struct Chains<'a> {
+    /// The geometry to visit next, before anything on `members`.
+    next: Option<&'a Geometry>,
+    /// The unvisited members of every collection being walked,
+    /// innermost last.
+    members: Vec<std::slice::Iter<'a, Geometry>>,
+    /// The unvisited members of the multipolygon being walked.
+    polygons: std::slice::Iter<'a, Polygon>,
+    /// The unvisited holes of the polygon being walked.
+    holes: std::slice::Iter<'a, Ring>,
+}
+
+impl<'a> Chains<'a> {
+    fn polygon(&mut self, p: &'a Polygon) -> (&'a [Point], bool) {
+        self.holes = p.holes.iter();
+        (&p.exterior.points, true)
+    }
+}
+
+impl<'a> Iterator for Chains<'a> {
+    type Item = (&'a [Point], bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(h) = self.holes.next() {
+                return Some((&h.points, true));
             }
-            Geometry::Collection(gs) => {
-                for g in gs {
-                    out.extend(g.all_segments());
-                }
+            if let Some(p) = self.polygons.next() {
+                return Some(self.polygon(p));
+            }
+            let g = match self.next.take() {
+                Some(g) => g,
+                None => match self.members.last_mut()?.next() {
+                    Some(g) => g,
+                    None => {
+                        self.members.pop();
+                        continue;
+                    }
+                },
+            };
+            match g {
+                Geometry::Point(p) => return Some((std::slice::from_ref(p), false)),
+                Geometry::LineString(ls) => return Some((&ls.points, false)),
+                Geometry::Polygon(p) => return Some(self.polygon(p)),
+                Geometry::MultiPolygon(mp) => self.polygons = mp.polygons.iter(),
+                Geometry::Collection(gs) => self.members.push(gs.iter()),
             }
         }
-        out
     }
 }
 
@@ -590,6 +638,69 @@ mod tests {
         assert!(g.contains_point(&Point::new(0.5, 0.5)));
         let mbr = g.mbr();
         assert_eq!(mbr.max_x, 5.0);
+    }
+
+    #[test]
+    fn chains_walk_nested_geometry_in_document_order() {
+        let holed = Polygon::new(
+            square(0.0, 0.0, 2.0).exterior,
+            vec![square(0.0, 0.0, 1.0).exterior.normalised_cw()],
+        );
+        let line = LineString::new(vec![Point::new(7.0, 7.0), Point::new(8.0, 9.0)]);
+        let g = Geometry::Collection(vec![
+            Geometry::Collection(vec![]),
+            Geometry::Point(Point::new(5.0, 5.0)),
+            Geometry::Collection(vec![
+                Geometry::MultiPolygon(MultiPolygon::new(vec![
+                    holed.clone(),
+                    square(9.0, 9.0, 0.5),
+                ])),
+                Geometry::LineString(line.clone()),
+            ]),
+            Geometry::Polygon(unit_square()),
+        ]);
+
+        let mut want = Vec::new();
+        want.extend(holed.all_segments());
+        want.extend(square(9.0, 9.0, 0.5).all_segments());
+        want.extend(line.segments());
+        want.extend(unit_square().all_segments());
+        assert_eq!(g.segments().collect::<Vec<_>>(), want);
+        assert_eq!(g.all_segments(), want);
+
+        let mut points = vec![Point::new(5.0, 5.0)];
+        points.extend(&holed.exterior.points);
+        points.extend(&holed.holes[0].points);
+        points.extend(&square(9.0, 9.0, 0.5).exterior.points);
+        points.extend(&line.points);
+        points.extend(&unit_square().exterior.points);
+        assert_eq!(g.points(), points);
+        assert_eq!(g.first_point(), Some(Point::new(5.0, 5.0)));
+
+        let closed: Vec<bool> = g.chains().map(|(_, closed)| closed).collect();
+        assert_eq!(closed, [false, true, true, true, false, true]);
+    }
+
+    #[test]
+    fn chains_of_empty_and_degenerate_geometry() {
+        assert_eq!(Geometry::Collection(vec![]).chains().count(), 0);
+        assert_eq!(Geometry::Collection(vec![]).first_point(), None);
+        let empty = Geometry::MultiPolygon(MultiPolygon::new(vec![]));
+        assert_eq!(empty.segments().count(), 0);
+        assert_eq!(empty.first_point(), None);
+        assert_eq!(Geometry::Point(Point::ORIGIN).segments().count(), 0);
+        // A one-vertex ring closes on itself, as `Ring::segments` does.
+        let dot = Geometry::Polygon(Polygon::from_exterior(vec![Point::ORIGIN]));
+        assert_eq!(
+            dot.all_segments(),
+            [Segment::new(Point::ORIGIN, Point::ORIGIN)]
+        );
+        // A hole-only polygon's first vertex is its hole's.
+        let hole_only = Geometry::Polygon(Polygon::new(
+            Ring::default(),
+            vec![square(3.0, 3.0, 1.0).exterior],
+        ));
+        assert_eq!(hole_only.first_point(), hole_only.points().first().copied());
     }
 
     #[test]

@@ -181,12 +181,12 @@ pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
         }
     }
     // Containment probes (either direction), per §3.4.
-    if let Some(p) = first_point(a) {
+    if let Some(p) = a.first_point() {
         if b.contains_point(&p) {
             return true;
         }
     }
-    if let Some(p) = first_point(b) {
+    if let Some(p) = b.first_point() {
         if a.contains_point(&p) {
             return true;
         }
@@ -316,10 +316,6 @@ fn on_geometry_boundary(g: &Geometry, p: &Point) -> bool {
 
 fn has_point_outside(a: &Geometry, b: &Geometry) -> bool {
     a.points().iter().any(|p| !b.contains_point(p))
-}
-
-fn first_point(g: &Geometry) -> Option<Point> {
-    g.points().first().copied()
 }
 
 /// Minimum planar distance between two geometries (ST_Distance): zero

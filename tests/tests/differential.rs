@@ -8,14 +8,15 @@
 //! over memory-mapped datasets instead of heap buffers, covering both
 //! `Dataset` storage paths.
 
+use atgis::stream::SliceChunkSource;
 use atgis::{
-    Dataset, Engine, ExecOptions, ProbeStrategy, Query, QueryResult, QueryScheduler, QuerySession,
-    ScheduledQuery, SchedulerConfig,
+    Dataset, Engine, ExecOptions, FilterStrategy, Metric, ProbeStrategy, Query, QueryResult,
+    QueryScheduler, QuerySession, ScheduledQuery, SchedulerConfig,
 };
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::Format;
-use atgis_geometry::Mbr;
+use atgis_geometry::{DistanceModel, Mbr, Point, Polygon, Ring};
 use atgis_tests::{
     assert_agrees_with_oracle, modes, oracle_answers, RunExt, SchedRunExt, SessionRunExt,
 };
@@ -235,6 +236,98 @@ fn fat_and_pat_modes_match_oracle() {
             let mut got: Vec<u64> = r.matches().iter().map(|m| m.id).collect();
             got.sort_unstable();
             assert_eq!(got, want, "containment {format:?} mode={mode:?}");
+        }
+    }
+}
+
+/// A concave L with a square hole in its foot, inside the generator's
+/// extent. Every region that reaches the engine from `Query::containment`
+/// or `Query::aggregation` is a rectangle; this one is not, so each
+/// feature its MBR meets takes the sinks' exact edge test.
+fn l_region_with_hole() -> Polygon {
+    let ring =
+        |points: &[(f64, f64)]| Ring::new(points.iter().map(|&(x, y)| Point::new(x, y)).collect());
+    Polygon::new(
+        ring(&[
+            (-10.0, 39.0),
+            (5.0, 39.0),
+            (5.0, 45.0),
+            (-3.0, 45.0),
+            (-3.0, 52.0),
+            (-10.0, 52.0),
+        ]),
+        vec![ring(&[
+            (-9.2, 41.2),
+            (-9.2, 41.8),
+            (-8.4, 41.8),
+            (-8.4, 41.2),
+        ])],
+    )
+}
+
+#[test]
+fn non_rectangular_region_matches_oracle_everywhere() {
+    let region = l_region_with_hole();
+    let queries = vec![
+        Query::containment_polygon(region.clone()),
+        Query::Aggregation {
+            region: region.clone(),
+            metrics: vec![Metric::Area, Metric::Perimeter, Metric::Count],
+            model: DistanceModel::Spherical,
+            strategy: FilterStrategy::Auto,
+        },
+    ];
+    for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
+        let ds = dataset(305, 120, format);
+        let answers = oracle_answers(&ds, &queries);
+        // The L must select something, and both its notch and its hole
+        // must drop features its bounding box would select.
+        let mut solid = region.clone();
+        solid.holes.clear();
+        let boxed = oracle(&ds, format, &BaselineQuery::containment(region.mbr()));
+        let solid = oracle(&ds, format, &BaselineQuery::Containment(solid));
+        match (&answers[0], &solid, &boxed) {
+            (
+                Some(BaselineAnswer::Matches(l)),
+                BaselineAnswer::Matches(s),
+                BaselineAnswer::Matches(b),
+            ) => assert!(
+                !l.is_empty() && l.len() < s.len() && s.len() < b.len(),
+                "{format:?}: {} < {} < {}",
+                l.len(),
+                s.len(),
+                b.len()
+            ),
+            other => panic!("{other:?}"),
+        }
+        let mut first: Option<Vec<QueryResult>> = None;
+        for &mode in modes(format) {
+            for blocks in [1usize, 3, 8] {
+                let engine = Engine::builder()
+                    .threads(1)
+                    .block_multiplier(blocks)
+                    .mode(mode)
+                    .cell_size(2.0)
+                    .build();
+                let label = format!("{format:?} {mode:?} blocks={blocks}");
+                let got = engine.execb(&queries, &ds).unwrap();
+                assert_agrees_with_oracle(&answers, &got, &label);
+                let sharded = engine
+                    .run(&queries, &ds, &ExecOptions::new().sharded(4))
+                    .and_then(|o| o.collapse())
+                    .unwrap();
+                assert_eq!(sharded, got, "{label} sharded 4 ways");
+                let mut source = SliceChunkSource::new(ds.bytes(), 61);
+                let streamed = engine
+                    .run_streaming(&queries, &mut source, format, &ExecOptions::new())
+                    .and_then(|o| o.collapse())
+                    .unwrap();
+                assert_eq!(streamed, got, "{label} streamed in 61-byte chunks");
+                match &first {
+                    None => first = Some(got),
+                    Some(want) => assert_eq!(&got, want, "{label} vs the first configuration"),
+                }
+            }
         }
     }
 }
