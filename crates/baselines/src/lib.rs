@@ -74,12 +74,24 @@ pub(crate) fn geometry_matches(g: &Geometry, region: &Polygon) -> bool {
     g.mbr().intersects(&region.mbr()) && relate::intersects(g, &Geometry::Polygon(region.clone()))
 }
 
-pub(crate) fn answer_containment(features: &[RawFeature], region: &Polygon) -> BaselineAnswer {
-    let mut ids: Vec<u64> = features
+/// The features intersecting `region`. A region with a NaN or infinite
+/// vertex has no well-defined edges or interior and matches nothing,
+/// the engine's rule too (`PreparedRegion::new`).
+fn matching<'a>(
+    features: &'a [RawFeature],
+    region: &'a Polygon,
+) -> impl Iterator<Item = &'a RawFeature> {
+    let finite = std::iter::once(&region.exterior)
+        .chain(&region.holes)
+        .flat_map(|ring| &ring.points)
+        .all(|p| p.x.is_finite() && p.y.is_finite());
+    features
         .iter()
-        .filter(|f| geometry_matches(&f.geometry, region))
-        .map(|f| f.id)
-        .collect();
+        .filter(move |f| finite && geometry_matches(&f.geometry, region))
+}
+
+pub(crate) fn answer_containment(features: &[RawFeature], region: &Polygon) -> BaselineAnswer {
+    let mut ids: Vec<u64> = matching(features, region).map(|f| f.id).collect();
     ids.sort_unstable();
     BaselineAnswer::Matches(ids)
 }
@@ -89,12 +101,10 @@ pub(crate) fn answer_aggregation(features: &[RawFeature], region: &Polygon) -> B
     let mut count = 0;
     let mut area = 0.0;
     let mut perimeter = 0.0;
-    for f in features {
-        if geometry_matches(&f.geometry, region) {
-            count += 1;
-            area += measures::area(&f.geometry, DistanceModel::Spherical);
-            perimeter += measures::perimeter(&f.geometry, DistanceModel::Spherical);
-        }
+    for f in matching(features, region) {
+        count += 1;
+        area += measures::area(&f.geometry, DistanceModel::Spherical);
+        perimeter += measures::perimeter(&f.geometry, DistanceModel::Spherical);
     }
     BaselineAnswer::Aggregate(count, area, perimeter)
 }
@@ -117,6 +127,32 @@ mod tests {
         match answer_containment(&features, &region) {
             BaselineAnswer::Matches(ids) => assert_eq!(ids, vec![1, 3]),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_regions_match_nothing() {
+        // A region with a NaN or infinite bound matches nothing, even
+        // features on its finite edges.
+        let mk = |id, x| RawFeature {
+            id,
+            geometry: Geometry::Point(Point::new(x, 0.0)),
+            offset: id,
+            len: 1,
+        };
+        let features = vec![mk(1, 0.0), mk(2, 0.5), mk(3, 1.0)];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let region = Polygon::from_mbr(&Mbr::new(0.0, -1.0, bad, 1.0));
+            assert_eq!(
+                answer_containment(&features, &region),
+                BaselineAnswer::Matches(vec![]),
+                "max_x = {bad}"
+            );
+            assert_eq!(
+                answer_aggregation(&features, &region),
+                BaselineAnswer::Aggregate(0, 0.0, 0.0),
+                "max_x = {bad}"
+            );
         }
     }
 }

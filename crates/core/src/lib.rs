@@ -145,8 +145,8 @@
 //! ## The scan fast path
 //!
 //! All format scanning funnels through two vectorised primitives:
-//! `atgis-transducer`'s per-state skip classes (structural lexing
-//! skips 8 bytes per iteration between interesting bytes — see the
+//! `atgis-transducer`'s lane loop (structural lexing skips a whole
+//! SIMD lane per iteration between interesting bytes — see the
 //! `atgis_transducer::dfa` docs) and `atgis-formats`' SWAR
 //! `memchr`/`find_marker` (marker-aligned splitting, string scanning,
 //! XML tag seeking). The speculative byte-at-a-time slow path still

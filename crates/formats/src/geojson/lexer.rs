@@ -114,9 +114,9 @@ pub fn lex_block(bytes: &[u8], base: u64) -> DfaFragment<Vec<Token>> {
 }
 
 /// Reference implementation of [`lex_block`]: independent
-/// byte-at-a-time runs per start state, no skip classes, no tape
-/// sharing — the seed's lexing path, kept for differential tests and
-/// the structural-scan ablation benches.
+/// byte-at-a-time runs per start state ([`ByteDfa::run_bytewise`]),
+/// no lane loop, no tape sharing — the seed's lexing path, kept for
+/// differential tests and the structural-scan ablation benches.
 pub fn lex_block_bytewise(bytes: &[u8], base: u64) -> DfaFragment<Vec<Token>> {
     let dfa = lexer();
     let entries = ALL_STATES

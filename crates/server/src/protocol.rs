@@ -395,6 +395,21 @@ impl<'a> Reader<'a> {
         Ok(Mbr::new(self.f64()?, self.f64()?, self.f64()?, self.f64()?))
     }
 
+    /// A query region: an MBR whose four bounds are finite. A NaN or
+    /// infinite bound has no well-defined edge or interior, so the
+    /// request is malformed rather than a query that matches nothing.
+    fn region(&mut self) -> WireResult<Mbr> {
+        let m = self.mbr()?;
+        if [m.min_x, m.min_y, m.max_x, m.max_y]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            Ok(m)
+        } else {
+            err("non-finite query region")
+        }
+    }
+
     /// A `u32` element count for fixed-`size` records, validated
     /// against the bytes actually present *before* any allocation.
     fn count(&mut self, size: usize) -> WireResult<usize> {
@@ -588,9 +603,9 @@ pub fn parse_request(payload: &[u8]) -> WireResult<Request> {
             let priority = priority_from_u8(r.u8()?)?;
             let timeout_ms = r.u64()?;
             let query = match r.u8()? {
-                1 => QuerySpec::Containment(r.mbr()?),
+                1 => QuerySpec::Containment(r.region()?),
                 2 => {
-                    let region = r.mbr()?;
+                    let region = r.region()?;
                     let metrics = MetricMask(r.u8()?);
                     if !metrics.is_valid() {
                         return err("bad metric mask");
@@ -902,6 +917,47 @@ mod tests {
                 ..
             } => assert_eq!(mbr.min_x.to_bits(), (-0.0f64).to_bits()),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_query_regions_are_malformed() {
+        let submit =
+            |spec: &QuerySpec| parse_request(&encode_submit(1, 2, Priority::Interactive, 5, spec));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for k in 0..4 {
+                let mut b = [0.0, 0.0, 1.0, 1.0];
+                b[k] = bad;
+                let region = Mbr::new(b[0], b[1], b[2], b[3]);
+                let what = format!("bound {k} = {bad}");
+                assert!(submit(&QuerySpec::Containment(region)).is_err(), "{what}");
+                let metrics = MetricMask::ALL;
+                let agg = QuerySpec::Aggregation { region, metrics };
+                assert!(submit(&agg).is_err(), "{what}");
+            }
+        }
+        // Only request regions are checked: the unbounded perimeter
+        // filter of a combined query still parses, and so does a
+        // response record whose MBR is empty (infinite bounds).
+        let combined = QuerySpec::Combined {
+            id_threshold: 1,
+            min_left: 0.0,
+            max_right: f64::INFINITY,
+        };
+        assert!(submit(&combined).is_ok());
+        let record = MatchRecord {
+            id: 1,
+            offset: 0,
+            len: 1,
+            mbr: Mbr::EMPTY,
+        };
+        let frame = encode_result(3, &QueryResult::Matches(vec![record]));
+        match parse_response(&frame) {
+            Ok(Response::Result {
+                result: QueryResult::Matches(records),
+                ..
+            }) => assert_eq!(records[0].mbr, Mbr::EMPTY),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -163,6 +163,14 @@ fn malformed_frames_get_structured_errors_never_hangs() {
     raw.write_all(&[0xEE]).unwrap();
     expect_malformed(raw, "unknown opcode");
 
+    // A well-formed submit whose query region has a NaN bound.
+    let nan_region = QuerySpec::Containment(Mbr::new(f64::NAN, 48.0, 2.0, 52.0));
+    let frame = protocol::encode_submit(9, 0, Priority::Interactive, NO_TIMEOUT, &nan_region);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+    raw.write_all(&frame).unwrap();
+    expect_malformed(raw, "NaN query region");
+
     // A submit frame cut off mid-payload, then a hard close: the
     // server must neither panic nor hang on the half-frame.
     let mut raw = TcpStream::connect(addr).unwrap();

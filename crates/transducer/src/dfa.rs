@@ -11,18 +11,23 @@
 //! merges per-start tapes with relation composition.
 //!
 //! Three scan optimisations make the hot path memory-bound rather than
-//! dispatch-bound (the skip-to-structural-byte technique of
-//! simdjson/Mison-style raw scanners):
+//! dispatch-bound:
 //!
-//! * **per-state skip classes** — [`DfaBuilder::build`] computes, for
-//!   every state, the 256-bit set of *interesting* bytes (anything
-//!   that leaves the state or emits an action). States with at most
-//!   eight interesting bytes get a multi-needle lane scanner (AVX2 /
-//!   SSE2 / SWAR, runtime-dispatched via [`crate::simd::kernel`]) that
-//!   tests a full lane of input per iteration; sparse states fall back
-//!   to a bitmap probe, and dense states to the plain table walk.
-//!   Skipped bytes are provably self-loops with no action, so output
-//!   is bit-identical across kernels.
+//! * **one lane scan** — [`DfaBuilder::build`] computes, for every
+//!   state, the 256-bit set of *interesting* bytes (anything that
+//!   leaves the state or emits an action), and one scan plan: the
+//!   states with at most eight interesting bytes are *covered* when
+//!   the union of their sets itself fits eight needles. A covered
+//!   state runs one lane loop (AVX2 / SSE2 / SWAR, runtime-dispatched
+//!   via [`crate::simd::kernel`]) that masks a whole lane of input
+//!   against the union needles — simdjson's structural-character mask
+//!   — and filters each hit by the current state's set, so flips
+//!   among covered states stay inside the loop. Every other state
+//!   steps through the table byte by byte. Skipped bytes are provably
+//!   self-loops with no action, so output is bit-identical across
+//!   kernels and to [`ByteDfa::run_bytewise`]. The GeoJSON lexer's
+//!   OUT/STR states union to exactly eight bytes; its escape state
+//!   steps.
 //! * **prefix/shared tapes** — the fragment exploits *convergence*
 //!   (§3.1): speculation proceeds in lockstep only until every
 //!   speculative run reaches the same state, after which a single
@@ -30,42 +35,21 @@
 //!   stored **once** per fragment instead of being cloned into every
 //!   per-start entry (the paper's output-matrix tape sharing), and
 //!   merges move tapes instead of cloning them.
-//! * **speculation pruning + vectorised lockstep** — duplicate start
-//!   states and speculative runs that collapse onto the same
-//!   trajectory before emitting anything (e.g. a JSON escape state
-//!   folding into the in-string state after one byte) are deduplicated
-//!   into a single run, and the lockstep phase skips bytes
-//!   uninteresting to *every* live run with the same lane kernels as
-//!   the shared phase whenever the union interesting set fits eight
-//!   needles — so even speculation that never converges (JSON quote
-//!   parity) scans at lane speed instead of probing bytewise.
+//! * **speculation pruning + lane lockstep** — duplicate start states
+//!   and speculative runs that collapse onto the same trajectory
+//!   before emitting anything (e.g. a JSON escape state folding into
+//!   the in-string state after one byte) are deduplicated into a
+//!   single run, and while every live run is covered the lockstep
+//!   phase skips bytes uninteresting to *every* live run with the same
+//!   lane loop as the shared phase — so even speculation that never
+//!   converges (JSON quote parity) scans at lane speed instead of
+//!   probing bytewise.
 
 use crate::merge::Mergeable;
 use crate::simd::{self, HitMasker};
 
 /// Action id meaning "emit nothing".
 pub const NO_ACTION: u8 = 0;
-
-/// How the bulk scanner skips a state's uninteresting bytes. The
-/// `Few*` classes store the raw needle bytes (padded with duplicates);
-/// broadcast vectors are built at scan entry for whichever kernel the
-/// runtime dispatch selects.
-#[derive(Debug, Clone)]
-enum SkipClass {
-    /// No interesting bytes: the whole rest of the block is skipped.
-    All,
-    /// At most two interesting bytes — the string-interior case.
-    Few2([u8; 2]),
-    /// Three or four interesting bytes.
-    Few4([u8; 4]),
-    /// Five to eight interesting bytes.
-    Few8([u8; 8]),
-    /// Arbitrary sparse set: per-byte 256-bit bitmap probe.
-    Bitmap,
-    /// Mostly interesting bytes: skipping would not pay; walk the
-    /// table directly.
-    Dense,
-}
 
 /// A deterministic byte-level finite transducer with a precomputed
 /// flattened transition+action table.
@@ -78,26 +62,49 @@ pub struct ByteDfa {
     /// Per-state interesting-byte sets (bit set ⇒ the byte either
     /// leaves the state or emits an action).
     interesting: Vec<[u64; 4]>,
-    /// Per-state scanner selection derived from `interesting`.
-    skip: Vec<SkipClass>,
-    /// The fused-scan plan, when the union of every needle-class
-    /// state's interesting set itself fits eight needles.
-    fused: Option<FusedScan>,
+    /// The lane-scan plan derived from `interesting`.
+    fused: FusedScan,
 }
 
-/// Plan for the fused scan: one fixed needle set covering every
-/// needle-class (and all-skip) state, so a run crossing those states
-/// (e.g. JSON in/out-of-string flips) stays inside a single lane loop
-/// with a single masker. Hits are filtered per-state with the bitmap —
-/// a union hit that is boring for the *current* state is a provable
+/// Plan for the lane scan: one fixed needle set covering every
+/// *covered* state, so a run crossing those states (e.g. JSON
+/// in/out-of-string flips) stays inside a single lane loop with a
+/// single masker. Hits are filtered per-state with the bitmap — a
+/// union hit that is boring for the *current* state is a provable
 /// silent self-loop, so skipping it is exact.
 #[derive(Debug, Clone)]
 struct FusedScan {
+    /// The union of the covered states' interesting sets,
+    /// duplicate-padded to eight bytes.
     needles: [u8; 8],
-    n: usize,
-    /// Per-state: true when the fused loop may run this state (its
+    /// Per-state: true when the lane loop may run this state (its
     /// interesting set is contained in the union needle set).
     covered: Vec<bool>,
+}
+
+impl FusedScan {
+    /// Plans the lane scan: every state with at most eight interesting
+    /// bytes is covered if the union of their sets fits eight needles
+    /// (the JSON lexer's OUT/STR pair unions to exactly the eight
+    /// structural bytes), and no state is otherwise. An empty union is
+    /// a valid plan: its NUL padding hits are dropped by every covered
+    /// state's empty bitmap.
+    fn plan(interesting: &[[u64; 4]]) -> Self {
+        let covered: Vec<bool> = interesting.iter().map(|m| popcount(m) <= 8).collect();
+        let mut union = [0u64; 4];
+        for (map, _) in interesting.iter().zip(&covered).filter(|(_, c)| **c) {
+            for (acc, w) in union.iter_mut().zip(map) {
+                *acc |= w;
+            }
+        }
+        match needle_set(&union) {
+            Some(needles) => FusedScan { needles, covered },
+            None => FusedScan {
+                needles: [0; 8],
+                covered: vec![false; interesting.len()],
+            },
+        }
+    }
 }
 
 #[inline]
@@ -149,13 +156,12 @@ impl ByteDfa {
     /// Runs sequentially from `state`, invoking `emit(action, position)`
     /// for every non-zero action. Returns the final state.
     ///
-    /// The scan is a lane at a time: for needle-class states the hit
-    /// mask of a whole input lane (8/16/32 bytes depending on the
-    /// dispatched kernel) is computed once and its set bits are
-    /// consumed in place while the state is stable (self-transitions
-    /// on structural bytes, e.g. commas and brackets outside strings,
-    /// stay inside the lane loop), so neither skipped runs nor
-    /// hit-dense runs rescan input.
+    /// A covered state runs the lane loop: the hit mask of a whole
+    /// input lane (8/16/32 bytes depending on the dispatched kernel) is
+    /// computed once and its set bits are consumed in place, across
+    /// flips among covered states (e.g. JSON quote transitions), so
+    /// neither skipped runs nor hit-dense runs rescan input. Any other
+    /// state steps through the table byte by byte until it leaves.
     pub fn run<F: FnMut(u8, u64)>(
         &self,
         mut state: u8,
@@ -165,242 +171,44 @@ impl ByteDfa {
     ) -> u8 {
         let len = bytes.len();
         let mut pos = 0usize;
-        'class: while pos < len {
-            // Fused fast path: while the state is covered by the union
-            // needle set, one fixed masker survives state flips (e.g.
-            // JSON quote transitions) — no per-flip re-dispatch or
-            // masker rebuild. Exits only into uncovered (dense/bitmap)
-            // states or at end of input.
-            if let Some(f) = &self.fused {
-                if f.covered[state as usize] {
-                    match self.run_fused(f, &mut state, bytes, pos, base, &mut emit) {
-                        Some(p) => {
-                            pos = p;
-                            continue 'class;
-                        }
-                        None => return state,
+        'state: while pos < len {
+            if self.fused.covered[state as usize] {
+                match self.run_fused(&mut state, bytes, pos, base, &mut emit) {
+                    Some(p) => {
+                        pos = p;
+                        continue 'state;
                     }
+                    None => return state,
                 }
             }
-            match &self.skip[state as usize] {
-                // Self-loops with no action forever: nothing left to do.
-                SkipClass::All => return state,
-                SkipClass::Dense => {
-                    while pos < len {
-                        let (next, action) = self.step(state, bytes[pos]);
-                        if action != NO_ACTION {
-                            emit(action, base + pos as u64);
-                        }
-                        pos += 1;
-                        if next != state {
-                            state = next;
-                            continue 'class;
-                        }
-                    }
+            while pos < len {
+                let (next, action) = self.step(state, bytes[pos]);
+                if action != NO_ACTION {
+                    emit(action, base + pos as u64);
                 }
-                SkipClass::Few2(nd) => {
-                    match self.run_few(nd, &mut state, bytes, pos, base, &mut emit) {
-                        Some(p) => pos = p,
-                        None => pos = len,
-                    }
-                }
-                SkipClass::Few4(nd) => {
-                    match self.run_few(nd, &mut state, bytes, pos, base, &mut emit) {
-                        Some(p) => pos = p,
-                        None => pos = len,
-                    }
-                }
-                SkipClass::Few8(nd) => {
-                    match self.run_few(nd, &mut state, bytes, pos, base, &mut emit) {
-                        Some(p) => pos = p,
-                        None => pos = len,
-                    }
-                }
-                SkipClass::Bitmap => {
-                    let map = &self.interesting[state as usize];
-                    while pos < len {
-                        let b = bytes[pos];
-                        if bit(map, b) {
-                            let (next, action) = self.step(state, b);
-                            if action != NO_ACTION {
-                                emit(action, base + pos as u64);
-                            }
-                            pos += 1;
-                            if next != state {
-                                state = next;
-                                continue 'class;
-                            }
-                        } else {
-                            pos += 1;
-                        }
-                    }
+                pos += 1;
+                if next != state {
+                    state = next;
+                    continue 'state;
                 }
             }
         }
         state
     }
 
-    /// Kernel dispatch for one needle-class state: AVX2 when detected,
-    /// SSE2 on x86_64 otherwise, portable SWAR elsewhere (or when
+    /// Kernel dispatch for the lane loop: AVX2 when detected, SSE2 on
+    /// x86_64 otherwise, portable SWAR elsewhere (or when
     /// `ATGIS_NO_SIMD` forces the fallback).
-    #[inline]
-    fn run_few<const N: usize, F: FnMut(u8, u64)>(
-        &self,
-        needles: &[u8; N],
-        state: &mut u8,
-        bytes: &[u8],
-        pos: usize,
-        base: u64,
-        emit: &mut F,
-    ) -> Option<usize> {
-        match simd::kernel() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch guarantees AVX2 was detected.
-            simd::Kernel::Avx2 => unsafe {
-                self.run_few_avx2(needles, state, bytes, pos, base, emit)
-            },
-            #[cfg(target_arch = "x86_64")]
-            simd::Kernel::Sse2 => self.run_few_masked(
-                simd::x86::Sse2Masker::new(needles),
-                state,
-                bytes,
-                pos,
-                base,
-                emit,
-            ),
-            _ => self.run_few_masked(
-                simd::SwarMasker::new(needles),
-                state,
-                bytes,
-                pos,
-                base,
-                emit,
-            ),
-        }
-    }
-
-    /// AVX2 instantiation of [`Self::run_few_masked`]: the
-    /// `#[target_feature]` wrapper lets the `#[inline(always)]`
-    /// generic body (and the masker's intrinsics) compile with AVX2
-    /// codegen.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (guaranteed by [`simd::kernel`]).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_few_avx2<const N: usize, F: FnMut(u8, u64)>(
-        &self,
-        needles: &[u8; N],
-        state: &mut u8,
-        bytes: &[u8],
-        pos: usize,
-        base: u64,
-        emit: &mut F,
-    ) -> Option<usize> {
-        // SAFETY: caller guarantees AVX2.
-        let m = unsafe { simd::x86::Avx2Masker::new(needles) };
-        self.run_few_masked(m, state, bytes, pos, base, emit)
-    }
-
-    /// Lane-mask scan for one needle-class state, generic over the
-    /// scanning kernel: computes each lane's hit mask once and
-    /// consumes its set bits in place while the state is stable.
-    /// Returns `Some(resume_pos)` when the state changed (the caller
-    /// re-dispatches on the new state's class) or `None` when the
-    /// input is exhausted.
-    #[inline(always)]
-    fn run_few_masked<M: HitMasker, F: FnMut(u8, u64)>(
-        &self,
-        m: M,
-        state: &mut u8,
-        bytes: &[u8],
-        mut pos: usize,
-        base: u64,
-        emit: &mut F,
-    ) -> Option<usize> {
-        let len = bytes.len();
-        while pos + M::WIDTH <= len {
-            // SAFETY: the loop condition guarantees a full lane of
-            // readable bytes; AVX2 maskers are only constructed inside
-            // AVX2-dispatched contexts.
-            let mut h = unsafe { m.mask(bytes.as_ptr().add(pos)) };
-            while h != 0 {
-                let i = pos + M::index_of(h);
-                // SAFETY: `i < pos + M::WIDTH <= len`.
-                let b = unsafe { *bytes.get_unchecked(i) };
-                let (next, action) = self.step_fast(*state, b);
-                if action != NO_ACTION {
-                    emit(action, base + i as u64);
-                }
-                if next != *state {
-                    *state = next;
-                    return Some(i + 1);
-                }
-                h &= h - 1;
-            }
-            pos += M::WIDTH;
-        }
-        // Sub-lane tail.
-        let map = &self.interesting[*state as usize];
-        while pos < len {
-            let b = bytes[pos];
-            if bit(map, b) {
-                let (next, action) = self.step(*state, b);
-                if action != NO_ACTION {
-                    emit(action, base + pos as u64);
-                }
-                pos += 1;
-                if next != *state {
-                    *state = next;
-                    return Some(pos);
-                }
-            } else {
-                pos += 1;
-            }
-        }
-        None
-    }
-
-    /// Width dispatch for the fused scan: picks the narrowest needle
-    /// count class that holds the union set (the needle array is
-    /// duplicate-padded, so slicing it is always valid).
     #[inline]
     fn run_fused<F: FnMut(u8, u64)>(
         &self,
-        f: &FusedScan,
         state: &mut u8,
         bytes: &[u8],
         pos: usize,
         base: u64,
         emit: &mut F,
     ) -> Option<usize> {
-        let nd = &f.needles;
-        match f.n {
-            1..=2 => {
-                let nd2: [u8; 2] = [nd[0], nd[1]];
-                self.run_fused_kernel(&nd2, &f.covered, state, bytes, pos, base, emit)
-            }
-            3..=4 => {
-                let nd4: [u8; 4] = [nd[0], nd[1], nd[2], nd[3]];
-                self.run_fused_kernel(&nd4, &f.covered, state, bytes, pos, base, emit)
-            }
-            _ => self.run_fused_kernel(nd, &f.covered, state, bytes, pos, base, emit),
-        }
-    }
-
-    /// Kernel dispatch for the fused scan (mirrors [`Self::run_few`]).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn run_fused_kernel<const N: usize, F: FnMut(u8, u64)>(
-        &self,
-        needles: &[u8; N],
-        covered: &[bool],
-        state: &mut u8,
-        bytes: &[u8],
-        pos: usize,
-        base: u64,
-        emit: &mut F,
-    ) -> Option<usize> {
+        let (needles, covered) = (&self.fused.needles, &self.fused.covered[..]);
         match simd::kernel() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch guarantees AVX2 was detected.
@@ -436,9 +244,9 @@ impl ByteDfa {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn run_fused_avx2<const N: usize, F: FnMut(u8, u64)>(
+    unsafe fn run_fused_avx2<F: FnMut(u8, u64)>(
         &self,
-        needles: &[u8; N],
+        needles: &[u8; 8],
         covered: &[bool],
         state: &mut u8,
         bytes: &[u8],
@@ -451,14 +259,13 @@ impl ByteDfa {
         self.run_fused_masked(m, covered, state, bytes, pos, base, emit)
     }
 
-    /// The fused lane loop: scans with the *union* needle masker and
-    /// filters each hit against the current state's interesting bitmap
-    /// (a union hit outside that bitmap is a silent self-loop for the
+    /// The lane loop: scans with the *union* needle masker and filters
+    /// each hit against the current state's interesting bitmap (a
+    /// union hit outside that bitmap is a silent self-loop for the
     /// current state, so skipping it is exact). State flips among
     /// covered states swap the bitmap and carry on inside the same
-    /// loop; only a transition into an uncovered (dense/bitmap-class)
-    /// state returns, with `Some(resume_pos)`. `None` means the input
-    /// is exhausted.
+    /// loop; only a transition into an uncovered state returns, with
+    /// `Some(resume_pos)`. `None` means the input is exhausted.
     ///
     /// Soundness of continuing mid-lane after a flip: the hit mask
     /// holds *every* union byte in the lane, and the union contains
@@ -621,93 +428,33 @@ impl DfaBuilder {
     }
 
     /// Finalises the automaton: flattens the tables and computes the
-    /// per-state interesting-byte sets and skip classes the bulk
+    /// per-state interesting-byte sets and the lane-scan plan the bulk
     /// scanner uses.
     pub fn build(self) -> ByteDfa {
         let n = self.trans.len();
         let mut table = Vec::with_capacity(n * 256);
         let mut interesting = Vec::with_capacity(n);
-        let mut skip = Vec::with_capacity(n);
         for s in 0..n {
             let mut map = [0u64; 4];
-            let mut needles: Vec<u8> = Vec::new();
             for b in 0..256usize {
                 let next = self.trans[s][b];
                 let action = self.actions[s][b];
                 table.push(next as u16 | (action as u16) << 8);
                 if next != s as u8 || action != NO_ACTION {
                     map[b >> 6] |= 1u64 << (b & 63);
-                    if needles.len() < 8 {
-                        needles.push(b as u8);
-                    }
                 }
             }
-            let count = map.iter().map(|w| w.count_ones()).sum::<u32>();
-            skip.push(match count {
-                0 => SkipClass::All,
-                1..=2 => SkipClass::Few2(padded_needles(&needles)),
-                3..=4 => SkipClass::Few4(padded_needles(&needles)),
-                5..=8 => SkipClass::Few8(padded_needles(&needles)),
-                // Past ~1/3 interesting bytes the probe loop stops
-                // paying for itself; walk the table.
-                9..=96 => SkipClass::Bitmap,
-                _ => SkipClass::Dense,
-            });
             interesting.push(map);
         }
-
-        // Fused-scan plan: union the interesting sets of every state
-        // the fused loop can run (needle-class and all-skip states).
-        // If the union still fits eight needles, one fixed masker
-        // covers state flips among those states — the JSON lexer's
-        // OUT/STR pair unions to exactly the eight structural bytes.
-        let covered: Vec<bool> = skip
-            .iter()
-            .map(|c| {
-                matches!(
-                    c,
-                    SkipClass::All | SkipClass::Few2(_) | SkipClass::Few4(_) | SkipClass::Few8(_)
-                )
-            })
-            .collect();
-        let mut union = [0u64; 4];
-        for (s, cov) in covered.iter().enumerate() {
-            if *cov {
-                for (acc, w) in union.iter_mut().zip(&interesting[s]) {
-                    *acc |= w;
-                }
-            }
-        }
-        let fused = match needle_set(&union) {
-            Some((needles, count)) if count >= 1 => Some(FusedScan {
-                needles,
-                n: count,
-                covered,
-            }),
-            _ => None,
-        };
-
+        let fused = FusedScan::plan(&interesting);
         ByteDfa {
             n_states: n,
             start: self.start,
             table,
             interesting,
-            skip,
             fused,
         }
     }
-}
-
-/// Copies `needles` into a fixed-size array, padding the remainder by
-/// repeating the last needle (duplicate compares are wasted work but
-/// never false hits). `needles` must be non-empty and at most `N`
-/// long.
-#[inline]
-fn padded_needles<const N: usize>(needles: &[u8]) -> [u8; N] {
-    debug_assert!(!needles.is_empty() && needles.len() <= N);
-    let mut out = [needles[needles.len() - 1]; N];
-    out[..needles.len()].copy_from_slice(needles);
-    out
 }
 
 /// A speculative fragment of a byte DFA run over one block.
@@ -757,11 +504,10 @@ impl<O: Mergeable + Clone> DfaFragment<O> {
     /// runs that land in the same state before emitting anything are
     /// folded as they collapse (the cheap lookahead pruning: a JSON
     /// escape start folds into the in-string start after one
-    /// non-special byte). Bytes uninteresting to every live run are
-    /// self-loops with no action for all of them, so the lockstep skip
-    /// scans with the same lane kernels as the shared phase whenever
-    /// the union interesting set fits eight needles, and falls back to
-    /// the bitmap probe otherwise. Once all runs converge, a single
+    /// non-special byte). While every live run is covered, the lockstep
+    /// skips bytes uninteresting to every live run with the same lane
+    /// loop as [`ByteDfa::run`]; a live run outside the plan steps
+    /// every run one byte. Once all runs converge, a single
     /// bulk-scanned shared run covers the rest of the block and its
     /// tape is stored once.
     pub fn run_block<F>(dfa: &ByteDfa, starts: &[u8], bytes: &[u8], base: u64, mut build: F) -> Self
@@ -791,38 +537,19 @@ impl<O: Mergeable + Clone> DfaFragment<O> {
         // fold into one or all reach the same state.
         let mut pos = 0usize;
         while pos < len && !states_all_equal(&runs) {
-            // Fused lockstep: while every live run sits in a state
-            // covered by the DFA's union needle set, one fixed masker
-            // survives state flips (quote parity flips OUT↔STR without
-            // ever converging) — no per-flip masker rebuild.
-            if let Some(f) = &dfa.fused {
-                if runs.iter().all(|r| f.covered[r.state as usize]) {
-                    pos =
-                        lockstep_fused(dfa, f, &mut runs, &mut alias, bytes, pos, base, &mut build);
-                    continue;
-                }
-            }
-            let live = combined_interesting(dfa, &runs);
-            match needle_set(&live) {
-                Some((_, 0)) => {
-                    // No live run has interesting bytes left: the rest
-                    // of the block is a silent self-loop for everyone.
-                    pos = len;
-                }
-                Some((nd, n)) => {
-                    pos = lockstep_dispatch(
-                        dfa, &live, &nd, n, &mut runs, &mut alias, bytes, pos, base, &mut build,
-                    );
-                }
-                None => {
-                    // Dense union (e.g. a default-transition escape
-                    // state is live): step this byte for every run,
-                    // then re-evaluate — folding usually retires the
-                    // dense state within a byte or two.
-                    let b = bytes[pos];
-                    step_all_at(dfa, &mut runs, &mut alias, b, base + pos as u64, &mut build);
-                    pos += 1;
-                }
+            if runs.iter().all(|r| dfa.fused.covered[r.state as usize]) {
+                // Lane lockstep: one fixed masker survives state flips
+                // among covered states (quote parity flips OUT↔STR
+                // without ever converging).
+                pos = lockstep_fused(dfa, &mut runs, &mut alias, bytes, pos, base, &mut build);
+            } else {
+                // A live run outside the plan (e.g. a default-transition
+                // escape state): step this byte for every run, then
+                // re-evaluate — folding usually retires such a run
+                // within a byte or two.
+                let b = bytes[pos];
+                step_all_at(dfa, &mut runs, &mut alias, b, base + pos as u64, &mut build);
+                pos += 1;
             }
         }
 
@@ -1078,12 +805,17 @@ fn fold_runs<O>(runs: &mut Vec<Run<O>>, alias: &mut [usize]) {
     }
 }
 
-/// Extracts the needle bytes of `map` when they fit a lane scanner:
-/// `Some((needles, count))` for at most 8 set bits (count may be 0),
-/// `None` for denser sets.
-fn needle_set(map: &[u64; 4]) -> Option<([u8; 8], usize)> {
-    let count = map.iter().map(|w| w.count_ones()).sum::<u32>() as usize;
-    if count > 8 {
+/// Number of bytes in an interesting set.
+#[inline]
+fn popcount(map: &[u64; 4]) -> u32 {
+    map.iter().map(|w| w.count_ones()).sum()
+}
+
+/// The needle bytes of `map` when they fit the lane scanner (at most
+/// eight set bits), `None` for denser sets. Unused slots repeat a
+/// needle, so they never add a hit; an empty set pads with NUL.
+fn needle_set(map: &[u64; 4]) -> Option<[u8; 8]> {
+    if popcount(map) > 8 {
         return None;
     }
     let mut nd = [0u8; 8];
@@ -1096,21 +828,18 @@ fn needle_set(map: &[u64; 4]) -> Option<([u8; 8], usize)> {
             w &= w - 1;
         }
     }
-    // Pad with a duplicate so unused compare slots never false-hit.
     let pad = nd[n.saturating_sub(1)];
     for slot in nd.iter_mut().skip(n.max(1)) {
         *slot = pad;
     }
-    Some((nd, n))
+    Some(nd)
 }
 
-/// Width dispatch for the fused lockstep (mirrors
+/// Kernel dispatch for the lane lockstep (mirrors
 /// [`ByteDfa::run_fused`]): scans with the DFA-wide union needle set,
 /// which outlives state flips among covered states.
-#[allow(clippy::too_many_arguments)]
 fn lockstep_fused<O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
     dfa: &ByteDfa,
-    f: &FusedScan,
     runs: &mut Vec<Run<O>>,
     alias: &mut [usize],
     bytes: &[u8],
@@ -1118,33 +847,7 @@ fn lockstep_fused<O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
     base: u64,
     build: &mut F,
 ) -> usize {
-    let nd = &f.needles;
-    match f.n {
-        1..=2 => {
-            let nd2: [u8; 2] = [nd[0], nd[1]];
-            lockstep_fused_kernel(dfa, &nd2, &f.covered, runs, alias, bytes, pos, base, build)
-        }
-        3..=4 => {
-            let nd4: [u8; 4] = [nd[0], nd[1], nd[2], nd[3]];
-            lockstep_fused_kernel(dfa, &nd4, &f.covered, runs, alias, bytes, pos, base, build)
-        }
-        _ => lockstep_fused_kernel(dfa, nd, &f.covered, runs, alias, bytes, pos, base, build),
-    }
-}
-
-/// Kernel dispatch for the fused lockstep.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_fused_kernel<const N: usize, O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
-    dfa: &ByteDfa,
-    nd: &[u8; N],
-    covered: &[bool],
-    runs: &mut Vec<Run<O>>,
-    alias: &mut [usize],
-    bytes: &[u8],
-    pos: usize,
-    base: u64,
-    build: &mut F,
-) -> usize {
+    let (nd, covered) = (&dfa.fused.needles, &dfa.fused.covered[..]);
     match simd::kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch guarantees AVX2 was detected.
@@ -1180,17 +883,13 @@ fn lockstep_fused_kernel<const N: usize, O: Mergeable + Clone, F: FnMut(&mut O, 
 /// AVX2 instantiation of [`lockstep_fused_masked`].
 ///
 /// # Safety
-/// The CPU must support AVX2.
+/// The CPU must support AVX2 (guaranteed by [`simd::kernel`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn lockstep_fused_avx2<
-    const N: usize,
-    O: Mergeable + Clone,
-    F: FnMut(&mut O, u8, u64, u8),
->(
+unsafe fn lockstep_fused_avx2<O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
     dfa: &ByteDfa,
-    nd: &[u8; N],
+    nd: &[u8; 8],
     covered: &[bool],
     runs: &mut Vec<Run<O>>,
     alias: &mut [usize],
@@ -1373,154 +1072,6 @@ fn union2(dfa: &ByteDfa, s0: u8, s1: u8) -> [u64; 4] {
     [a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]]
 }
 
-/// Picks the needle width and kernel for one lockstep span and runs it.
-/// Returns the resume position: either the input is exhausted, or a
-/// state changed / runs folded and the caller must re-derive the union
-/// set.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_dispatch<O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
-    dfa: &ByteDfa,
-    live: &[u64; 4],
-    nd: &[u8; 8],
-    n: usize,
-    runs: &mut Vec<Run<O>>,
-    alias: &mut [usize],
-    bytes: &[u8],
-    pos: usize,
-    base: u64,
-    build: &mut F,
-) -> usize {
-    match n {
-        1..=2 => {
-            let nd2: [u8; 2] = [nd[0], nd[1.min(n - 1)]];
-            lockstep_kernel(dfa, live, &nd2, runs, alias, bytes, pos, base, build)
-        }
-        3..=4 => {
-            let nd4: [u8; 4] = [nd[0], nd[1], nd[2], nd[3.min(n - 1)]];
-            lockstep_kernel(dfa, live, &nd4, runs, alias, bytes, pos, base, build)
-        }
-        _ => lockstep_kernel(dfa, live, nd, runs, alias, bytes, pos, base, build),
-    }
-}
-
-/// Kernel dispatch for one lockstep span (mirrors
-/// [`ByteDfa::run_few`]).
-#[allow(clippy::too_many_arguments)]
-fn lockstep_kernel<const N: usize, O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
-    dfa: &ByteDfa,
-    live: &[u64; 4],
-    nd: &[u8; N],
-    runs: &mut Vec<Run<O>>,
-    alias: &mut [usize],
-    bytes: &[u8],
-    pos: usize,
-    base: u64,
-    build: &mut F,
-) -> usize {
-    match simd::kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch guarantees AVX2 was detected.
-        simd::Kernel::Avx2 => unsafe {
-            lockstep_avx2(dfa, live, nd, runs, alias, bytes, pos, base, build)
-        },
-        #[cfg(target_arch = "x86_64")]
-        simd::Kernel::Sse2 => lockstep_masked(
-            dfa,
-            simd::x86::Sse2Masker::new(nd),
-            live,
-            runs,
-            alias,
-            bytes,
-            pos,
-            base,
-            build,
-        ),
-        _ => lockstep_masked(
-            dfa,
-            simd::SwarMasker::new(nd),
-            live,
-            runs,
-            alias,
-            bytes,
-            pos,
-            base,
-            build,
-        ),
-    }
-}
-
-/// AVX2 instantiation of [`lockstep_masked`].
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn lockstep_avx2<const N: usize, O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
-    dfa: &ByteDfa,
-    live: &[u64; 4],
-    nd: &[u8; N],
-    runs: &mut Vec<Run<O>>,
-    alias: &mut [usize],
-    bytes: &[u8],
-    pos: usize,
-    base: u64,
-    build: &mut F,
-) -> usize {
-    // SAFETY: caller guarantees AVX2.
-    let m = unsafe { simd::x86::Avx2Masker::new(nd) };
-    lockstep_masked(dfa, m, live, runs, alias, bytes, pos, base, build)
-}
-
-/// One vectorised lockstep span: scans lanes for bytes in the union
-/// interesting set, stepping *every* live run at each hit (bytes
-/// outside the set are silent self-loops for all of them). Returns as
-/// soon as any run changes state or folds — the union set may have
-/// changed, so the caller rebuilds the masker — or when the input is
-/// exhausted.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn lockstep_masked<M: HitMasker, O: Mergeable + Clone, F: FnMut(&mut O, u8, u64, u8)>(
-    dfa: &ByteDfa,
-    m: M,
-    live: &[u64; 4],
-    runs: &mut Vec<Run<O>>,
-    alias: &mut [usize],
-    bytes: &[u8],
-    mut pos: usize,
-    base: u64,
-    build: &mut F,
-) -> usize {
-    let len = bytes.len();
-    while pos + M::WIDTH <= len {
-        // SAFETY: the loop condition guarantees a full lane of
-        // readable bytes; AVX2 maskers only exist in AVX2 contexts.
-        let mut h = unsafe { m.mask(bytes.as_ptr().add(pos)) };
-        while h != 0 {
-            let i = pos + M::index_of(h);
-            if step_all_at(dfa, runs, alias, bytes[i], base + i as u64, build) {
-                return i + 1;
-            }
-            h &= h - 1;
-        }
-        pos += M::WIDTH;
-    }
-    // Sub-lane tail: bitmap probe over the union set.
-    while pos < len {
-        let b = bytes[pos];
-        if bit(live, b) {
-            let changed = step_all_at(dfa, runs, alias, b, base + pos as u64, build);
-            pos += 1;
-            if changed {
-                return pos;
-            }
-        } else {
-            pos += 1;
-        }
-    }
-    pos
-}
-
 /// OR of the interesting sets of the live runs: a byte may be skipped
 /// in lockstep only when it is uninteresting to *every* live run, i.e.
 /// outside the union of their interesting sets.
@@ -1656,28 +1207,76 @@ mod tests {
         }
     }
 
+    /// Asserts `run` ≡ `run_bytewise` from every state, and
+    /// `run_block` from all states ≡ independent bytewise runs.
+    fn assert_runs_like_bytewise(dfa: &ByteDfa, input: &[u8], base: u64) {
+        let all: Vec<u8> = (0..dfa.num_states() as u8).collect();
+        for &start in &all {
+            let mut fast = Vec::new();
+            let mut slow = Vec::new();
+            let ff = dfa.run(start, input, base, |a, p| fast.push((a, p)));
+            let fs = dfa.run_bytewise(start, input, base, |a, p| slow.push((a, p)));
+            assert_eq!(ff, fs, "final state, start={start}, input={input:?}");
+            assert_eq!(fast, slow, "tape, start={start}, input={input:?}");
+        }
+        let block = DfaFragment::run_block(
+            dfa,
+            &all,
+            input,
+            base,
+            |t: &mut Vec<(u8, u64)>, a, p, _b| t.push((a, p)),
+        );
+        let reference = DfaFragment::from_entries(
+            all.iter()
+                .map(|&s| {
+                    let mut tape = Vec::new();
+                    let fin = dfa.run_bytewise(s, input, base, |a, p| tape.push((a, p)));
+                    (s, fin, tape)
+                })
+                .collect(),
+        );
+        assert_eq!(block, reference, "run_block, input={input:?}");
+    }
+
     #[test]
-    fn skip_classes_are_assigned() {
-        // State 1 (in-string) has exactly two interesting bytes — the
-        // two-needle class; a state with none gets All; a
-        // default-transition state to elsewhere is Dense.
+    fn lane_plan_covers_sparse_states_whose_union_fits_eight_needles() {
+        // The string lexer's OUT and STR states union to three needles
+        // and are covered; its default-transition escape state steps.
         let dfa = string_lexer();
-        assert!(matches!(dfa.skip[1], SkipClass::Few2(..)));
-        assert!(matches!(dfa.skip[2], SkipClass::Dense));
+        assert_eq!(dfa.fused.covered, [true, true, false]);
+        // A state with no interesting bytes is covered by an empty
+        // union, whose NUL padding hits it drops.
         let sink = DfaBuilder::new(1, 0).build();
-        assert!(matches!(sink.skip[0], SkipClass::All));
+        assert_eq!(sink.fused.covered, [true]);
+        // 90 interesting bytes: stepped; the empty sink state beside
+        // it is still covered.
         let mut wide = DfaBuilder::new(2, 0);
         for b in 0..90u8 {
             wide.transition(0, b, 1);
         }
         let wide = wide.build();
-        assert!(matches!(wide.skip[0], SkipClass::Bitmap));
+        assert_eq!(wide.fused.covered, [false, true]);
         let mut three = DfaBuilder::new(2, 0);
         three.transitions(0, b"abc", 1);
-        assert!(matches!(three.build().skip[0], SkipClass::Few4(..)));
+        let three = three.build();
+        assert_eq!(three.fused.covered, [true, true]);
         let mut six = DfaBuilder::new(2, 0);
         six.transitions(0, b"abcdef", 1);
-        assert!(matches!(six.build().skip[0], SkipClass::Few8(..)));
+        let six = six.build();
+        assert_eq!(six.fused.covered, [true, true]);
+        // Two sparse states whose union is ten needles: no plan.
+        let mut ten = DfaBuilder::new(2, 0);
+        ten.transitions(0, b"abcde", 1).transitions(1, b"fghij", 0);
+        let ten = ten.build();
+        assert_eq!(ten.fused.covered, [false, false]);
+
+        let mut input = b"a,b\"c\\\"d,e\"fghij,\x00\xff".repeat(5);
+        input.extend((0..=255u8).rev());
+        for dfa in [&dfa, &sink, &wide, &three, &six, &ten] {
+            for cut in [0, 1, 17, 40, input.len()] {
+                assert_runs_like_bytewise(dfa, &input[cut..], 5);
+            }
+        }
     }
 
     #[test]
@@ -1798,6 +1397,235 @@ mod tests {
         }
     }
 
+    /// One SplitMix64 step: the seeded source of the random automata.
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Bytes the random automata and inputs favour.
+    const HOT: &[u8; 16] = b"\"\\{}[],:ab\x00\xff \n0x";
+
+    /// A seeded automaton of 2–5 states. Each state has 0, 1–8, 9–96
+    /// or more than 96 interesting bytes; the 1–8-byte states draw
+    /// from the first 1, 4, 8 or 16 `HOT` bytes, so the union of the
+    /// sparse states is empty, within eight needles or past them.
+    fn random_dfa(seed: u64) -> ByteDfa {
+        let mut r = seed;
+        let n = 2 + (splitmix(&mut r) % 4) as usize;
+        let pool = &HOT[..[1, 4, 8, 16, 16, 16][(splitmix(&mut r) % 6) as usize]];
+        let mut b = DfaBuilder::new(n, 0);
+        for s in 0..n as u8 {
+            let count = match splitmix(&mut r) % 6 {
+                0 => 0,
+                1..=3 => 1 + splitmix(&mut r) % 8,
+                4 => 9 + splitmix(&mut r) % 88,
+                _ => 97 + splitmix(&mut r) % 160,
+            };
+            // An odd stride visits distinct bytes of the power-of-two
+            // pool or byte range, so a state has exactly `count`
+            // interesting bytes (fewer when the pool is smaller).
+            let (first, stride) = (splitmix(&mut r), splitmix(&mut r) | 1);
+            for k in 0..count {
+                let at = first.wrapping_add(k.wrapping_mul(stride));
+                let byte = if count <= 8 {
+                    pool[(at % pool.len() as u64) as usize]
+                } else {
+                    at as u8
+                };
+                let to = (splitmix(&mut r) % n as u64) as u8;
+                let action = match (splitmix(&mut r) % 4) as u8 {
+                    NO_ACTION if to == s => 1,
+                    a => a,
+                };
+                b.transition(s, byte, to).action(s, byte, action);
+            }
+        }
+        b.build()
+    }
+
+    /// A seeded input: three bytes in four from `HOT`, the rest any.
+    fn random_input(seed: u64, len: usize) -> Vec<u8> {
+        let mut r = seed ^ 0x5EED;
+        (0..len)
+            .map(|_| match splitmix(&mut r) {
+                x if x % 4 == 0 => (x >> 8) as u8,
+                x => HOT[((x >> 8) % HOT.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_automata_cover_every_plan_shape() {
+        // Over fixed seeds the generator must produce every kind of
+        // plan: an empty covered union, one within eight needles, one
+        // past eight (no plan), and automata with covered and stepped
+        // states side by side. The plan is checked against its
+        // definition, and every automaton runs like the bytewise loop.
+        let (mut empty, mut fits, mut over, mut partial) = (0, 0, 0, 0);
+        for seed in 0..200u64 {
+            let dfa = random_dfa(seed);
+            let sparse: Vec<bool> = dfa.interesting.iter().map(|m| popcount(m) <= 8).collect();
+            let mut union = [0u64; 4];
+            for (m, _) in dfa.interesting.iter().zip(&sparse).filter(|(_, s)| **s) {
+                for (acc, w) in union.iter_mut().zip(m) {
+                    *acc |= w;
+                }
+            }
+            match popcount(&union) {
+                0 => empty += 1,
+                1..=8 => fits += 1,
+                _ => over += 1,
+            }
+            if popcount(&union) <= 8 {
+                assert_eq!(dfa.fused.covered, sparse, "seed {seed}");
+                if sparse.contains(&true) && sparse.contains(&false) {
+                    partial += 1;
+                }
+            } else {
+                assert!(!dfa.fused.covered.contains(&true), "seed {seed}");
+            }
+            let input = random_input(seed, 150);
+            assert_runs_like_bytewise(&dfa, &input, seed);
+        }
+        assert!(
+            empty > 0 && fits > 0 && over > 0 && partial > 0,
+            "plan shapes: {empty} empty, {fits} fit, {over} over, {partial} partial"
+        );
+    }
+
+    /// A lexer-shaped automaton: the GeoJSON lexer's OUT/STR/ESC states,
+    /// whose OUT and STR sets union to exactly eight needles.
+    fn lexer_shaped() -> ByteDfa {
+        let mut b = DfaBuilder::new(3, 0);
+        b.transition(0, b'"', 1).action(0, b'"', 7);
+        for (a, &c) in b"{}[],:".iter().enumerate() {
+            b.action(0, c, a as u8 + 1);
+        }
+        b.transition(1, b'"', 0)
+            .action(1, b'"', 8)
+            .transition(1, b'\\', 2)
+            .default_transition(2, 1);
+        b.build()
+    }
+
+    /// `run` with the lane loop pinned to masker `m`; uncovered states
+    /// step the table as `run` does.
+    fn run_with<M: HitMasker>(dfa: &ByteDfa, m: M, mut state: u8, bytes: &[u8]) -> (u8, Vec<u64>) {
+        let covered = &dfa.fused.covered;
+        let mut tape = Vec::new();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            if covered[state as usize] {
+                let mut emit = |_a, p| tape.push(p);
+                match dfa.run_fused_masked(m, covered, &mut state, bytes, pos, 0, &mut emit) {
+                    Some(p) => pos = p,
+                    None => break,
+                }
+            } else {
+                let (next, action) = dfa.step(state, bytes[pos]);
+                if action != NO_ACTION {
+                    tape.push(pos as u64);
+                }
+                state = next;
+                pos += 1;
+            }
+        }
+        (state, tape)
+    }
+
+    /// The bytewise run from `start`: final state and tape positions.
+    fn bytewise(dfa: &ByteDfa, start: u8, bytes: &[u8]) -> (u8, Vec<u64>) {
+        let mut tape = Vec::new();
+        let fin = dfa.run_bytewise(start, bytes, 0, |_a, p| tape.push(p));
+        (fin, tape)
+    }
+
+    /// Runs both lockstep lane loops pinned to masker `m` from OUT and
+    /// STR, and checks each run against the bytewise run over the
+    /// bytes the loop consumed before it stopped (convergence, an
+    /// uncovered state, or the end of input).
+    fn lockstep_with<M: HitMasker>(dfa: &ByteDfa, m: M, bytes: &[u8]) {
+        let covered = &dfa.fused.covered;
+        let mut push = |t: &mut Vec<u64>, _a, p, _b| t.push(p);
+        let run = |state, emitted| Run {
+            state,
+            tape: Vec::new(),
+            emitted,
+        };
+        // Two silent runs: the general loop, which hands over to the
+        // two-run loop once both have emitted.
+        let mut runs = vec![run(0, false), run(1, false)];
+        let mut alias = vec![0, 1];
+        let end = lockstep_fused_masked(
+            dfa, m, covered, &mut runs, &mut alias, bytes, 0, 0, &mut push,
+        );
+        for (start, &j) in [0u8, 1].iter().zip(&alias) {
+            let got = (runs[j].state, runs[j].tape.clone());
+            assert_eq!(
+                got,
+                bytewise(dfa, *start, &bytes[..end]),
+                "lockstep from {start}"
+            );
+        }
+        // Two runs that have both emitted: the two-run loop directly.
+        let (mut r0, mut r1) = (run(0, true), run(1, true));
+        let end = lockstep_fused2_masked(dfa, m, covered, &mut r0, &mut r1, bytes, 0, 0, &mut push);
+        assert_eq!(
+            (r0.state, r0.tape),
+            bytewise(dfa, 0, &bytes[..end]),
+            "two-run from 0"
+        );
+        assert_eq!(
+            (r1.state, r1.tape),
+            bytewise(dfa, 1, &bytes[..end]),
+            "two-run from 1"
+        );
+    }
+
+    #[test]
+    fn lane_loops_match_bytewise_on_every_kernel_and_alignment() {
+        // SWAR and SSE2 run directly, whatever kernel the probe picks;
+        // the dispatched `run` and `run_block` add AVX2 where the host
+        // has it.
+        let dfa = lexer_shaped();
+        assert_eq!(dfa.fused.covered, [true, true, false]);
+        assert_eq!(popcount(&union2(&dfa, 0, 1)), 8);
+        let plain =
+            br#"{"type":"Feature","id":7,"coords":[[1.5,2],[3,4]],"p":{"k":"v, [x]: {y}"}} "#;
+        let escaped = br#"{"a":"q\"uo\\te","b":["\u00e9",",:"]} tail text without structure "#;
+        for text in [&plain[..], &escaped[..]] {
+            let buf = text.repeat(3);
+            for off in 0..64 {
+                for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
+                    let bytes = &buf[off..off + len];
+                    let nd = &dfa.fused.needles;
+                    for start in 0..3u8 {
+                        let want = bytewise(&dfa, start, bytes);
+                        let swar = simd::SwarMasker::new(nd);
+                        assert_eq!(run_with(&dfa, swar, start, bytes), want, "swar {off}+{len}");
+                        #[cfg(target_arch = "x86_64")]
+                        {
+                            let sse2 = simd::x86::Sse2Masker::new(nd);
+                            assert_eq!(
+                                run_with(&dfa, sse2, start, bytes),
+                                want,
+                                "sse2 {off}+{len}"
+                            );
+                        }
+                    }
+                    lockstep_with(&dfa, simd::SwarMasker::new(nd), bytes);
+                    #[cfg(target_arch = "x86_64")]
+                    lockstep_with(&dfa, simd::x86::Sse2Masker::new(nd), bytes);
+                    assert_runs_like_bytewise(&dfa, bytes, 0);
+                }
+            }
+        }
+    }
+
     fn arb_input() -> impl Strategy<Value = Vec<u8>> {
         prop::collection::vec(prop::sample::select(b"ab,\"\\ :x".to_vec()), 0..120)
     }
@@ -1848,6 +1676,15 @@ mod tests {
             let fs = dfa.run_bytewise(start, &input, 0, |a, p| slow.push((a, p)));
             prop_assert_eq!(ff, fs);
             prop_assert_eq!(fast, slow);
+        }
+
+        #[test]
+        fn random_automata_run_like_bytewise(
+            seed in 0u64..u64::MAX,
+            len in 0usize..300,
+            base in 0u64..1000,
+        ) {
+            assert_runs_like_bytewise(&random_dfa(seed), &random_input(seed, len), base);
         }
 
         #[test]

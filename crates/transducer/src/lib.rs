@@ -19,11 +19,11 @@
 //! * [`dfa`] — table-driven byte-level deterministic finite transducers
 //!   and their speculative fragments, used for lexing (§3.3 "finite
 //!   transducers"). The transition+action tables are flattened into a
-//!   single `state × byte → u16` array, and each state carries a
-//!   *skip class* computed at build time (SWAR multi-needle scan,
-//!   bitmap probe, or dense table walk) so the shared post-convergence
-//!   run skips uninteresting bytes 8 at a time instead of stepping the
-//!   automaton per byte. Fragments store one **shared** tape for the
+//!   single `state × byte → u16` array, and one scan plan computed at
+//!   build time covers every state whose interesting bytes fit the
+//!   eight union needles of a SIMD lane loop, so covered runs skip
+//!   uninteresting bytes a lane at a time; every other state steps
+//!   the table byte by byte. Fragments store one **shared** tape for the
 //!   converged suffix plus small per-start prefixes, and merges move
 //!   tapes instead of cloning them;
 //! * [`dyck`] — the associative form of *pushdown* structural parsing:
@@ -37,10 +37,10 @@
 //!   speculative/main state pair of Fig. 4 (§3.3);
 //! * [`merge`] — the [`merge::Mergeable`] trait every fragment
 //!   implements, plus blanket impls for tuples, vectors and numbers;
-//! * [`scan`] — the shared byte-scanning primitives
-//!   (`memchr`/`memchr2`/`memchr_n`, lexeme span classes, and the
-//!   zero-byte-detect masks) that both the DFA fast path and the
-//!   `atgis-formats` scanners build on;
+//! * [`scan`] — the shared byte-scanning primitives (`memchr`/
+//!   `memchr2`, lexeme span classes, and the zero-byte-detect masks)
+//!   that the `atgis-formats` scanners and the DFA lane loop's SWAR
+//!   masker build on;
 //! * [`simd`] — the runtime-dispatched explicit SIMD kernels behind
 //!   [`scan`] (SSE2 baseline + AVX2 behind a cached
 //!   `is_x86_feature_detected!` probe, SWAR as the portable fallback,

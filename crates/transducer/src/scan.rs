@@ -1,8 +1,9 @@
-//! Byte-scanning primitives shared by the transducer fast path
-//! ([`crate::dfa`]) and the raw-format scanners in `atgis-formats`.
+//! Byte-scanning primitives for the raw-format scanners in
+//! `atgis-formats`, plus the SWAR zero-byte masks that the
+//! [`crate::dfa`] lane loop's portable masker is built on.
 //!
-//! The public entry points ([`memchr`], [`memchr2`], [`memchr_n`],
-//! [`number_span`], [`json_scalar_span`]) dispatch once per call on
+//! The public entry points ([`memchr`], [`memchr2`], [`number_span`],
+//! [`alpha_span`], [`json_scalar_span`]) dispatch once per call on
 //! the cached [`crate::simd::kernel`] probe: AVX2 (32-byte lanes) when
 //! the CPU reports it, SSE2 (16-byte lanes, the x86_64 baseline)
 //! otherwise, and the portable SWAR kernels kept verbatim below on
@@ -61,30 +62,6 @@ pub fn memchr2(a: u8, b: u8, haystack: &[u8], from: usize) -> Option<usize> {
     }
 }
 
-/// Position of the first occurrence of any needle at or after `from`.
-/// `needles` must be non-empty; sets larger than 8 are rejected (the
-/// DFA skip classes and format scanners never exceed 8 — use a bitmap
-/// probe past that).
-#[inline]
-pub fn memchr_n(needles: &[u8], haystack: &[u8], from: usize) -> Option<usize> {
-    assert!(
-        !needles.is_empty() && needles.len() <= 8,
-        "memchr_n needle set must have 1..=8 bytes"
-    );
-    match needles {
-        [n] => memchr(*n, haystack, from),
-        [a, b] => memchr2(*a, *b, haystack, from),
-        _ => match simd::kernel() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: dispatch guarantees AVX2 was detected.
-            Kernel::Avx2 => unsafe { simd::x86::memchr_n_avx2(needles, haystack, from) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => simd::x86::memchr_n_sse2(needles, haystack, from),
-            _ => memchr_n_swar(needles, haystack, from),
-        },
-    }
-}
-
 /// SWAR `memchr`: 8 haystack bytes per iteration, scalar tail. The
 /// portable fallback, also reachable via `ATGIS_NO_SIMD=1`.
 pub fn memchr_swar(needle: u8, haystack: &[u8], from: usize) -> Option<usize> {
@@ -120,31 +97,6 @@ pub fn memchr2_swar(a: u8, b: u8, haystack: &[u8], from: usize) -> Option<usize>
     haystack[i.min(haystack.len())..]
         .iter()
         .position(|&x| x == a || x == b)
-        .map(|p| i + p)
-}
-
-/// SWAR multi-needle first-match: one broadcast word per needle.
-pub fn memchr_n_swar(needles: &[u8], haystack: &[u8], from: usize) -> Option<usize> {
-    let mut bc = [0u64; 8];
-    let n = needles.len().min(8);
-    for (slot, &b) in bc.iter_mut().zip(needles) {
-        *slot = SWAR_LO.wrapping_mul(b as u64);
-    }
-    let mut i = from;
-    while i + 8 <= haystack.len() {
-        let w = u64::from_le_bytes(haystack[i..i + 8].try_into().expect("8 bytes"));
-        let mut hits = 0u64;
-        for &b in &bc[..n] {
-            hits |= eq_mask(w, b);
-        }
-        if hits != 0 {
-            return Some(i + (hits.trailing_zeros() >> 3) as usize);
-        }
-        i += 8;
-    }
-    haystack[i.min(haystack.len())..]
-        .iter()
-        .position(|&x| needles.contains(&x))
         .map(|p| i + p)
 }
 
@@ -208,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn memchr_n_finds_first_of_set() {
-        let hay = b"abcdefghijklmnop{q\"r,";
-        assert_eq!(memchr_n(b"\"{,", hay, 0), Some(16));
-        assert_eq!(memchr_n(b"\",", hay, 0), Some(18));
-        assert_eq!(memchr_n(b"z!", hay, 0), None);
-        assert_eq!(memchr_n_swar(b"\"{,", hay, 0), Some(16));
-    }
-
-    #[test]
     fn number_span_stops_at_separators() {
         assert_eq!(number_span(b"12.5e-7,next", 0), 7);
         assert_eq!(number_span(b"abc", 0), 0);
@@ -252,22 +195,6 @@ mod tests {
                 .map(|p| p + from);
             prop_assert_eq!(memchr2(b'#', b'@', &hay, from), want);
             prop_assert_eq!(memchr2_swar(b'#', b'@', &hay, from), want);
-        }
-
-        #[test]
-        fn memchr_n_agrees_with_std(
-            hay in prop::collection::vec(prop::sample::select(b"ab#@\\\x00:,".to_vec()), 0..100),
-            from in 0usize..100,
-            nlen in 1usize..8,
-        ) {
-            let needles = &b"#@\\:,xy"[..nlen];
-            let from = from.min(hay.len());
-            let want = hay[from..]
-                .iter()
-                .position(|b| needles.contains(b))
-                .map(|p| p + from);
-            prop_assert_eq!(memchr_n(needles, &hay, from), want);
-            prop_assert_eq!(memchr_n_swar(needles, &hay, from), want);
         }
 
         #[test]

@@ -1,5 +1,5 @@
 //! Runtime-dispatched explicit SIMD kernels behind the scanning
-//! primitives of [`crate::scan`] and the [`crate::dfa`] skip scanner.
+//! primitives of [`crate::scan`] and the [`crate::dfa`] lane loop.
 //!
 //! The paper's premise is that in-situ query speed is bounded by how
 //! fast the structural scanner moves over raw bytes. This module owns
@@ -23,7 +23,7 @@
 //! get whatever kernel the probe selected.
 //!
 //! The **fallback contract**: every kernel family (`memchr`,
-//! `memchr2`, `memchr_n`, [`HitMasker`], [`SpanClass`] spans) returns
+//! `memchr2`, [`HitMasker`], [`SpanClass`] spans) returns
 //! results byte-for-byte identical to the SWAR implementation, which
 //! is itself bit-identical to the scalar loop, at every alignment,
 //! offset and length. Tails shorter than a lane fall back to the
@@ -107,7 +107,7 @@ pub fn no_simd_requested() -> bool {
 /// A multi-needle hit-mask scanner over fixed-width lanes: `mask`
 /// reports which of the `WIDTH` bytes at a pointer match any needle,
 /// and the caller consumes hits via `index_of` + clear-lowest-bit.
-/// This is the abstraction [`crate::dfa`] runs its skip scanner
+/// This is the abstraction [`crate::dfa`] runs its lane loop
 /// through: the generic scan loop is written once and monomorphised
 /// per kernel (the AVX2 instantiation lives inside a
 /// `#[target_feature]` wrapper so the whole loop body gets AVX2
@@ -151,6 +151,8 @@ impl<const N: usize> SwarMasker<N> {
 impl<const N: usize> HitMasker for SwarMasker<N> {
     const WIDTH: usize = 8;
 
+    /// # Safety
+    /// `ptr` must be valid for 8 readable bytes.
     #[inline(always)]
     unsafe fn mask(&self, ptr: *const u8) -> u64 {
         // SAFETY: caller guarantees 8 readable bytes.
@@ -304,40 +306,6 @@ pub mod x86 {
             .map(|p| i + p)
     }
 
-    /// SSE2 multi-needle first-match (`needles` must be non-empty and
-    /// short — the caller caps it at 8).
-    #[inline]
-    pub fn memchr_n_sse2(needles: &[u8], hay: &[u8], from: usize) -> Option<usize> {
-        let len = hay.len();
-        // SAFETY: SSE2 is baseline on x86_64.
-        let mut vecs = [unsafe { _mm_setzero_si128() }; 8];
-        let n = needles.len().min(8);
-        for (slot, &b) in vecs.iter_mut().zip(needles) {
-            // SAFETY: SSE2 is baseline on x86_64.
-            *slot = unsafe { _mm_set1_epi8(b as i8) };
-        }
-        let mut i = from;
-        while i + 16 <= len {
-            // SAFETY: loop condition guarantees 16 readable bytes.
-            let m = unsafe {
-                let v = _mm_loadu_si128(hay.as_ptr().add(i).cast());
-                let mut m = 0u32;
-                for nv in &vecs[..n] {
-                    m |= _mm_movemask_epi8(_mm_cmpeq_epi8(v, *nv)) as u32;
-                }
-                m
-            };
-            if m != 0 {
-                return Some(i + m.trailing_zeros() as usize);
-            }
-            i += 16;
-        }
-        hay[i.min(len)..]
-            .iter()
-            .position(|&x| needles.contains(&x))
-            .map(|p| i + p)
-    }
-
     /// AVX2 `memchr`: 32 bytes per iteration, SSE2 step + scalar tail.
     ///
     /// # Safety
@@ -382,35 +350,7 @@ pub mod x86 {
         memchr2_sse2(a, b, hay, i)
     }
 
-    /// AVX2 multi-needle first-match.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn memchr_n_avx2(needles: &[u8], hay: &[u8], from: usize) -> Option<usize> {
-        let len = hay.len();
-        let mut vecs = [_mm256_setzero_si256(); 8];
-        let n = needles.len().min(8);
-        for (slot, &b) in vecs.iter_mut().zip(needles) {
-            *slot = _mm256_set1_epi8(b as i8);
-        }
-        let mut i = from;
-        while i + 32 <= len {
-            // SAFETY: loop condition guarantees 32 readable bytes.
-            let v = unsafe { _mm256_loadu_si256(hay.as_ptr().add(i).cast()) };
-            let mut m = 0u32;
-            for nv in &vecs[..n] {
-                m |= _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, *nv)) as u32;
-            }
-            if m != 0 {
-                return Some(i + m.trailing_zeros() as usize);
-            }
-            i += 32;
-        }
-        memchr_n_sse2(needles, hay, i)
-    }
-
-    /// SSE2 masker for the DFA skip scanner: one broadcast vector per
+    /// SSE2 masker for the DFA lane loop: one broadcast vector per
     /// needle, byte-granular movemask hits.
     #[derive(Clone, Copy)]
     pub struct Sse2Masker<const N: usize> {
@@ -434,6 +374,8 @@ pub mod x86 {
     impl<const N: usize> HitMasker for Sse2Masker<N> {
         const WIDTH: usize = 16;
 
+        /// # Safety
+        /// `ptr` must be valid for 16 readable bytes.
         #[inline(always)]
         unsafe fn mask(&self, ptr: *const u8) -> u64 {
             // SAFETY: caller guarantees 16 readable bytes.
@@ -467,6 +409,7 @@ pub mod x86 {
         /// The CPU must support AVX2.
         #[inline(always)]
         pub unsafe fn new(needles: &[u8; N]) -> Self {
+            // SAFETY: caller guarantees AVX2.
             let mut v = [unsafe { _mm256_setzero_si256() }; N];
             for (slot, &b) in v.iter_mut().zip(needles) {
                 // SAFETY: caller guarantees AVX2.
@@ -479,6 +422,9 @@ pub mod x86 {
     impl<const N: usize> HitMasker for Avx2Masker<N> {
         const WIDTH: usize = 32;
 
+        /// # Safety
+        /// `ptr` must be valid for 32 readable bytes, and the CPU must
+        /// support AVX2.
         #[inline(always)]
         unsafe fn mask(&self, ptr: *const u8) -> u64 {
             // SAFETY: caller guarantees 32 readable bytes and AVX2.
@@ -664,21 +610,6 @@ mod tests {
         }
 
         #[test]
-        fn memchr_n_kernels_agree_with_scalar_at_every_alignment() {
-            let needle_sets: &[&[u8]] = &[b"#", b"#@", b"#@\\", b"\"\\{}[],:", b"QZ"];
-            alignments(|hay| {
-                for needles in needle_sets {
-                    let want = hay.iter().position(|b| needles.contains(b));
-                    assert_eq!(memchr_n_sse2(needles, hay, 0), want);
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: feature checked above.
-                        assert_eq!(unsafe { memchr_n_avx2(needles, hay, 0) }, want);
-                    }
-                }
-            });
-        }
-
-        #[test]
         fn hit_maskers_agree_across_kernels() {
             let needles8 = *b"\"\\{}[],:";
             let needles2 = *b"\"\\";
@@ -696,8 +627,7 @@ mod tests {
                 // its own width and compare against the scalar truth.
                 for w in 0..8 {
                     // SAFETY: off + 32 <= buf.len() bounds all widths.
-                    let m2 = unsafe { swar2.mask(p) };
-                    let m8 = unsafe { swar8.mask(p) };
+                    let (m2, m8) = unsafe { (swar2.mask(p), swar8.mask(p)) };
                     let hit2 = m2 >> (w * 8) & 0x80 != 0;
                     let hit8 = m8 >> (w * 8) & 0x80 != 0;
                     assert_eq!(hit2, needles2.contains(&buf[off + w]));
@@ -705,8 +635,7 @@ mod tests {
                 }
                 for w in 0..16 {
                     // SAFETY: as above.
-                    let m2 = unsafe { sse2.mask(p) };
-                    let m8 = unsafe { sse8.mask(p) };
+                    let (m2, m8) = unsafe { (sse2.mask(p), sse8.mask(p)) };
                     assert_eq!(m2 >> w & 1 != 0, needles2.contains(&buf[off + w]));
                     assert_eq!(m8 >> w & 1 != 0, needles8.contains(&buf[off + w]));
                 }

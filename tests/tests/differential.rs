@@ -332,6 +332,39 @@ fn non_rectangular_region_matches_oracle_everywhere() {
     }
 }
 
+#[test]
+fn non_finite_region_matches_nothing_in_engine_and_oracle() {
+    // A region with a NaN or infinite bound matches nothing, in the
+    // engine's prepared sinks and in the oracle alike; the same box
+    // with a finite bound selects features, so the check has teeth.
+    let finite = Mbr::new(-6.0, 44.0, 4.0, 56.0);
+    for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
+        let ds = dataset(301, 90, format);
+        match oracle(&ds, format, &BaselineQuery::containment(finite)) {
+            BaselineAnswer::Matches(ids) => assert!(!ids.is_empty(), "{format:?}"),
+            other => panic!("{other:?}"),
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let region = Mbr {
+                max_x: bad,
+                ..finite
+            };
+            let queries = vec![Query::containment(region), Query::aggregation(region)];
+            let answers = oracle_answers(&ds, &queries);
+            assert_eq!(answers[0], Some(BaselineAnswer::Matches(vec![])));
+            for threads in [1, 2] {
+                let engine = Engine::builder().threads(threads).build();
+                let got = engine
+                    .run(&queries, &ds, &ExecOptions::new())
+                    .and_then(|o| o.collapse())
+                    .unwrap();
+                let label = format!("{format:?} max_x={bad} threads={threads}");
+                assert_agrees_with_oracle(&answers, &got, &label);
+            }
+        }
+    }
+}
+
 /// Every query-kind mix the batch suite sweeps: each kind alone, every
 /// pair class, and a full 8-query mixed batch with duplicates (the
 /// serving-traffic shape).
@@ -843,7 +876,7 @@ fn scheduled_batch_matches_sequential_on_xml() {
 #[test]
 fn bulk_scanner_matches_bytewise_reference() {
     // The GeoJSON structural lexer over a real serialised dataset:
-    // `ByteDfa::run` (SWAR skip classes) must emit exactly the action
+    // `ByteDfa::run` (the SIMD lane loop) must emit exactly the action
     // tape of the byte-at-a-time reference from every start state.
     let bytes = write_geojson(&OsmGenerator::new(307).generate(100));
     let dfa = atgis_formats::geojson::lexer::lexer();
