@@ -12,10 +12,10 @@
 //! MonetDB's "requires sufficient memory to hold the product of the
 //! joined columns" behaviour.
 
-use crate::{BaselineAnswer, BaselineQuery};
+use crate::{region_is_finite, BaselineAnswer, BaselineQuery};
 use atgis_formats::{parse_all, Format, MetadataFilter, Mode, ParseError, RawFeature};
 use atgis_geometry::relate::intersects;
-use atgis_geometry::{measures, DistanceModel, Geometry, Mbr};
+use atgis_geometry::{measures, DistanceModel, Geometry, Mbr, Polygon};
 
 /// Whether queries stop at bounding boxes (`-B`) or refine with full
 /// geometries (`-G`).
@@ -68,7 +68,7 @@ impl ColumnStore {
     ) -> BaselineAnswer {
         match query {
             BaselineQuery::Containment(region) => {
-                let hits = self.scan(&region.mbr(), threads);
+                let hits = self.scan(region, threads);
                 let mut ids: Vec<u64> = hits
                     .into_iter()
                     .filter(|&i| {
@@ -84,7 +84,7 @@ impl ColumnStore {
                 BaselineAnswer::Matches(ids)
             }
             BaselineQuery::Aggregation(region) => {
-                let hits = self.scan(&region.mbr(), threads);
+                let hits = self.scan(region, threads);
                 let mut count = 0;
                 let mut area = 0.0;
                 let mut perimeter = 0.0;
@@ -132,8 +132,14 @@ impl ColumnStore {
         }
     }
 
-    /// Multi-threaded sequential scan of the bbox column.
-    fn scan(&self, query: &Mbr, threads: usize) -> Vec<usize> {
+    /// Multi-threaded sequential scan of the bbox column for the rows
+    /// whose box meets `region`'s; a region that is not finite meets
+    /// none.
+    fn scan(&self, region: &Polygon, threads: usize) -> Vec<usize> {
+        if !region_is_finite(region) {
+            return Vec::new();
+        }
+        let query = &region.mbr();
         let threads = threads.max(1);
         if threads == 1 || self.boxes.len() < 1024 {
             return self

@@ -10,10 +10,10 @@
 //! only then are queries cheap. `data_to_query` = load + index +
 //! first-query, the metric AT-GIS optimises.
 
-use crate::{BaselineAnswer, BaselineQuery};
+use crate::{region_is_finite, BaselineAnswer, BaselineQuery};
 use atgis_formats::{parse_all, Format, MetadataFilter, Mode, ParseError, RawFeature};
 use atgis_geometry::relate::intersects;
-use atgis_geometry::{measures, DistanceModel, Geometry};
+use atgis_geometry::{measures, DistanceModel, Geometry, Polygon};
 use atgis_rtree::RTree;
 use std::time::{Duration, Instant};
 
@@ -68,13 +68,22 @@ impl IndexedStore {
         self.features.is_empty()
     }
 
+    /// The indexed rows whose box meets `region`'s; a region that is
+    /// not finite meets none.
+    fn probe(index: &RTree, region: &Polygon) -> Vec<u64> {
+        if region_is_finite(region) {
+            index.query(&region.mbr())
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Executes a query using the index (which must have been built).
     pub fn execute(&self, query: &BaselineQuery) -> BaselineAnswer {
         let index = self.index.as_ref().expect("index not built");
         match query {
             BaselineQuery::Containment(region) => {
-                let mut ids: Vec<u64> = index
-                    .query(&region.mbr())
+                let mut ids: Vec<u64> = Self::probe(index, region)
                     .into_iter()
                     .map(|i| &self.features[i as usize])
                     .filter(|f| intersects(&f.geometry, &Geometry::Polygon(region.clone())))
@@ -87,7 +96,7 @@ impl IndexedStore {
                 let mut count = 0;
                 let mut area = 0.0;
                 let mut perimeter = 0.0;
-                for i in index.query(&region.mbr()) {
+                for i in Self::probe(index, region) {
                     let f = &self.features[i as usize];
                     if intersects(&f.geometry, &Geometry::Polygon(region.clone())) {
                         count += 1;

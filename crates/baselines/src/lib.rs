@@ -74,17 +74,23 @@ pub(crate) fn geometry_matches(g: &Geometry, region: &Polygon) -> bool {
     g.mbr().intersects(&region.mbr()) && relate::intersects(g, &Geometry::Polygon(region.clone()))
 }
 
-/// The features intersecting `region`. A region with a NaN or infinite
-/// vertex has no well-defined edges or interior and matches nothing,
-/// the engine's rule too (`PreparedRegion::new`).
+/// Whether every vertex of `region` is finite. A region with a NaN or
+/// infinite vertex has no well-defined edges or interior and matches
+/// nothing in every baseline, the engine's rule too
+/// (`PreparedRegion::new`).
+pub(crate) fn region_is_finite(region: &Polygon) -> bool {
+    std::iter::once(&region.exterior)
+        .chain(&region.holes)
+        .flat_map(|ring| &ring.points)
+        .all(|p| p.x.is_finite() && p.y.is_finite())
+}
+
+/// The features intersecting `region` (none when it is not finite).
 fn matching<'a>(
     features: &'a [RawFeature],
     region: &'a Polygon,
 ) -> impl Iterator<Item = &'a RawFeature> {
-    let finite = std::iter::once(&region.exterior)
-        .chain(&region.holes)
-        .flat_map(|ring| &ring.points)
-        .all(|p| p.x.is_finite() && p.y.is_finite());
+    let finite = region_is_finite(region);
     features
         .iter()
         .filter(move |f| finite && geometry_matches(&f.geometry, region))

@@ -19,7 +19,7 @@
 //! state with the cross-batch aggregate cache on: repeated
 //! single-pass traffic skips execution entirely.
 
-use atgis::{Dataset, Engine, Query, QueryResult, QueryScheduler, QuerySession, SchedulerConfig};
+use atgis::{Dataset, Engine, Query, QueryResult, QueryScheduler, QuerySession};
 use atgis_bench::{RunExt, SchedRunExt, SessionRunExt};
 use atgis_datagen::{write_geojson, OsmGenerator};
 use atgis_formats::Format;
@@ -76,17 +76,11 @@ fn bench_sched(c: &mut Criterion) {
         .map(|q| engine.exec1(q, &ds).unwrap())
         .collect();
     assert_eq!(unscheduled, sequential, "batch must equal sequential");
-    // Dedup-only scheduler for the headline comparison: the aggregate
-    // cache is disabled so every iteration measures real scheduling
+    // Cache-less scheduler for the headline comparison: capacity 0
+    // disables the aggregate cache so every iteration measures real scheduling
     // work, not a cache hit (the warm-cache steady state is its own
     // group below).
-    let scheduler = QueryScheduler::with_config(
-        engine.clone(),
-        SchedulerConfig {
-            cache: false,
-            ..SchedulerConfig::default()
-        },
-    );
+    let scheduler = QueryScheduler::with_cache_capacity(engine.clone(), 0);
     let id = scheduler.register(ds.clone());
     let (scheduled, sstats) = scheduler.execb_timed(id, &queries).unwrap();
     assert_eq!(scheduled, unscheduled, "scheduling must not change results");

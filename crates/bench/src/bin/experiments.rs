@@ -643,7 +643,7 @@ fn fig_batch() {
 }
 
 fn fig_sched() {
-    use atgis::{QueryScheduler, SchedulerConfig};
+    use atgis::QueryScheduler;
     println!("=== fig_sched: scheduled vs unscheduled duplicate-heavy batch (16 queries) ===");
     let w = Workload::build(scaled(6000));
     let threshold = (w.objects / 8) as u64;
@@ -665,13 +665,8 @@ fn fig_sched() {
     let plain = atgis::QuerySession::new(e.clone(), w.osm_g.clone());
     plain.execb(&queries).unwrap(); // warm the index
     let (unscheduled, d_plain) = time_best_of(3, || plain.execb(&queries).unwrap());
-    let sched = QueryScheduler::with_config(
-        e.clone(),
-        SchedulerConfig {
-            cache: false, // measure scheduling work, not cache hits
-            ..SchedulerConfig::default()
-        },
-    );
+    // Cache capacity 0: measure scheduling work, not cache hits.
+    let sched = QueryScheduler::with_cache_capacity(e.clone(), 0);
     let id = sched.register(w.osm_g.clone());
     sched.execb(id, &queries).unwrap(); // warm its index too
     let ((scheduled, stats), d_sched) =

@@ -405,18 +405,8 @@ impl QuerySession {
     /// available, served from the warm cache exactly as in a pinned
     /// session.
     pub fn streaming(engine: Engine, format: Format) -> Result<Self> {
-        QuerySession::streaming_sized(engine, format, None)
-    }
-
-    /// [`QuerySession::streaming`] with a known stream size, so the
-    /// buffer reservation is exact.
-    pub fn streaming_sized(
-        engine: Engine,
-        format: Format,
-        size_hint: Option<usize>,
-    ) -> Result<Self> {
         let sink = partition_sink(engine.config());
-        let scan = StreamingScan::new(&engine, format, MultiSink::new(vec![sink]), size_hint)?;
+        let scan = StreamingScan::new(&engine, format, MultiSink::new(vec![sink]), None)?;
         let dataset = Dataset::from_stream_buffer(scan.buffer().clone(), 0, format);
         Ok(QuerySession {
             engine,
@@ -537,9 +527,8 @@ impl QuerySession {
     /// seals the index.
     pub fn run(&self, queries: &[Query], opts: &ExecOptions) -> Result<RunOutcome> {
         let token = opts.effective_token();
-        let shards = opts.shards.resolve(self.engine.threads());
         let epoch = self.persist_epoch();
-        let (outcomes, stats) = self.run_isolated_core(queries, token.as_ref(), shards)?;
+        let (outcomes, stats) = self.run_isolated_core(queries, token.as_ref(), opts.shards)?;
         // Write-through: a run that built a partition index or bounded
         // a shard layout leaves it on disk for the next process.
         // Standalone sessions have no generation counter; 1 matches a
@@ -1019,7 +1008,6 @@ fn finish_batch(
         key,
         single_pass_sinks,
     } = prep;
-    let cfg = engine.config();
     let needs_index = !plan.join_specs.is_empty();
     let scan_total = stats.shared_scan.total();
     let mut results: Vec<Option<std::result::Result<QueryResult, QueryError>>> =
@@ -1112,7 +1100,6 @@ fn finish_batch(
         let reparse = make_reparser(input, dataset.format(), index.xml_table.as_deref());
         let options = JoinOptions {
             threads: engine.threads(),
-            probe: cfg.probe,
             ..JoinOptions::default()
         };
         // One re-parse cache for the whole batch: objects probed by

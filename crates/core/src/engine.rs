@@ -6,7 +6,7 @@ use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on, FoldStats};
-use crate::join::{ProbeStrategy, Reparser};
+use crate::join::Reparser;
 use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
 use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
 use crate::pool::WorkerPool;
@@ -31,7 +31,6 @@ pub struct EngineBuilder {
     pub(crate) cell_deg: f64,
     pub(crate) grid_extent: Mbr,
     pub(crate) adaptive: AdaptiveConfig,
-    pub(crate) probe: ProbeStrategy,
     persist_root: Option<std::path::PathBuf>,
 }
 
@@ -44,7 +43,6 @@ impl Default for EngineBuilder {
             cell_deg: 1.0,
             grid_extent: Mbr::new(-180.0, -90.0, 180.0, 90.0),
             adaptive: AdaptiveConfig::default(),
-            probe: ProbeStrategy::Auto,
             persist_root: None,
         }
     }
@@ -94,20 +92,6 @@ impl EngineBuilder {
     /// into their own sub-grid. `0` keeps the pure uniform grid.
     pub fn partition_target(mut self, n: usize) -> Self {
         self.adaptive.target_per_cell = n;
-        self
-    }
-
-    /// Full skew-adaptive split configuration (target, sub-grid cap,
-    /// replication budget).
-    pub fn adaptive_config(mut self, cfg: AdaptiveConfig) -> Self {
-        self.adaptive = cfg;
-        self
-    }
-
-    /// MBR COMPARE algorithm selection for joins (sweep vs R-tree
-    /// probe; the default picks per partition by cost).
-    pub fn probe_strategy(mut self, probe: ProbeStrategy) -> Self {
-        self.probe = probe;
         self
     }
 
@@ -254,9 +238,8 @@ impl Engine {
         opts: &ExecOptions,
     ) -> Result<RunOutcome> {
         let token = opts.effective_token();
-        let shards = opts.shards.resolve(self.threads());
-        let set = if shards > 1 {
-            Some(ShardSet::build(self, dataset, shards, token.as_ref())?)
+        let set = if opts.shards > 1 {
+            Some(ShardSet::build(self, dataset, opts.shards, token.as_ref())?)
         } else {
             None
         };
@@ -1016,28 +999,6 @@ mod tests {
         assert_eq!(ud.map.split_cells, 0, "uniform never splits");
         assert!(ad.map.split_cells > 0, "tiny target must split: {ad:?}");
         assert!(ad.map.slots > ud.map.slots);
-    }
-
-    #[test]
-    fn probe_strategies_agree_at_engine_level() {
-        let ds = dataset(80, Format::GeoJson);
-        let q = Query::join(40);
-        let sweep = Engine::builder()
-            .cell_size(4.0)
-            .probe_strategy(crate::join::ProbeStrategy::Sweep)
-            .build();
-        let rtree = Engine::builder()
-            .cell_size(4.0)
-            .probe_strategy(crate::join::ProbeStrategy::RTree)
-            .build();
-        let (s, _) = timed_join(&sweep, &q, &ds);
-        let (r, d) = timed_join(&rtree, &q, &ds);
-        assert_eq!(s.joined(), r.joined());
-        assert!(
-            d.rtree_partitions > 0,
-            "forced probe must be recorded: {d:?}"
-        );
-        assert_eq!(d.sweep_partitions, 0);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! [`crate::Engine::run`] / [`crate::Engine::run_streaming`],
 //! [`crate::batch::QuerySession::run`], and
 //! [`crate::scheduler::QueryScheduler::run`] /
-//! [`crate::scheduler::QueryScheduler::run_multi`] /
-//! [`crate::scheduler::QueryScheduler::run_streaming`]. All of them
-//! return a [`RunOutcome`].
+//! [`crate::scheduler::QueryScheduler::run_multi`]. All of them return
+//! a [`RunOutcome`].
 //!
 //! ```
 //! use atgis::{Dataset, Engine, ExecOptions, Query};
@@ -50,32 +49,6 @@ pub enum Isolation {
     PerQuery,
 }
 
-/// How a batch fans out across dataset shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ShardPolicy {
-    /// Single-node execution: one scan over the whole dataset.
-    #[default]
-    Single,
-    /// Scatter–gather over exactly `n` byte-range shards (clamped to
-    /// at least 1; the dataset may yield fewer marker-aligned shards
-    /// than requested).
-    Count(usize),
-    /// Let the engine pick: one shard per worker thread, capped at 8.
-    Auto,
-}
-
-impl ShardPolicy {
-    /// The shard count this policy requests on an engine with
-    /// `threads` workers.
-    pub fn resolve(&self, threads: usize) -> usize {
-        match *self {
-            ShardPolicy::Single => 1,
-            ShardPolicy::Count(n) => n.max(1),
-            ShardPolicy::Auto => threads.clamp(1, 8),
-        }
-    }
-}
-
 /// One request shape for every execution layer. Construct with
 /// [`ExecOptions::new`] and the builder methods, or as a struct
 /// literal (all fields are public).
@@ -95,9 +68,12 @@ pub struct ExecOptions {
     /// SLO class applied to every query (scheduler layer; ignored by
     /// the engine/session layers, which have no admission control).
     pub priority: Priority,
-    /// Scatter–gather fan-out (ignored by streaming entry points,
-    /// which shard by chunk arrival instead).
-    pub shards: ShardPolicy,
+    /// Scatter–gather fan-out: the number of byte-range shards (the
+    /// dataset may yield fewer marker-aligned shards than requested).
+    /// 1, and the default 0, run single-node; streaming entry points
+    /// ignore it, since a stream has no byte length to split until
+    /// the scan is over.
+    pub shards: usize,
 }
 
 impl ExecOptions {
@@ -169,15 +145,10 @@ impl ExecOptions {
         self
     }
 
-    /// Set the shard fan-out policy.
-    pub fn with_shards(mut self, shards: ShardPolicy) -> Self {
-        self.shards = shards;
+    /// Scatter–gather over `n` shards.
+    pub fn sharded(mut self, n: usize) -> Self {
+        self.shards = n;
         self
-    }
-
-    /// Scatter–gather over `n` shards (`ShardPolicy::Count(n)`).
-    pub fn sharded(self, n: usize) -> Self {
-        self.with_shards(ShardPolicy::Count(n))
     }
 
     /// The token execution actually polls: the caller's token, a
@@ -276,16 +247,6 @@ pub(crate) fn finish_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_policy_resolution() {
-        assert_eq!(ShardPolicy::Single.resolve(16), 1);
-        assert_eq!(ShardPolicy::Count(0).resolve(16), 1);
-        assert_eq!(ShardPolicy::Count(4).resolve(1), 4);
-        assert_eq!(ShardPolicy::Auto.resolve(1), 1);
-        assert_eq!(ShardPolicy::Auto.resolve(4), 4);
-        assert_eq!(ShardPolicy::Auto.resolve(64), 8);
-    }
 
     #[test]
     fn effective_token_composes_token_and_deadline() {

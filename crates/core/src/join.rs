@@ -5,9 +5,9 @@
 //!
 //! 1. **MBR COMPARE** — per partition, find all intersecting
 //!    left/right MBR pairs; a cost-based choice picks a sort + sweep
-//!    or, for badly asymmetric sides, an STR-bulk-loaded R-tree over
-//!    the smaller side probed with the larger (see
-//!    [`ProbeStrategy`]);
+//!    or, for badly asymmetric sides or dense partitions, an
+//!    STR-bulk-loaded R-tree over the smaller side probed with the
+//!    larger (see `use_rtree`);
 //! 2. **SORT** — buffer candidates up to a threshold, then order them
 //!    by the input-file offset of the *larger* side so that objects
 //!    needing re-parsing are processed adjacently and stay in memory
@@ -121,26 +121,6 @@ impl JoinSpec {
     }
 }
 
-/// How MBR COMPARE finds intersecting pairs within one partition.
-///
-/// The sort + sweep costs `O(L log L + R log R)` to sort plus a window
-/// scan that degrades toward `O(L·R)` when the two sides' x-extents
-/// overlap heavily. Bulk-loading the smaller side into an R-tree costs
-/// `O(S log S)` once and `O(log S + k)` per probe, which wins when the
-/// sides are badly asymmetric — the shape skewed inputs produce after
-/// hot-cell splitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeStrategy {
-    /// Cost-based choice per partition: the R-tree when one side
-    /// dwarfs the other or the partition is dense, else the sweep.
-    #[default]
-    Auto,
-    /// Always sort + sweep (the paper's prototype behaviour).
-    Sweep,
-    /// Always STR bulk-load the smaller side and probe with the larger.
-    RTree,
-}
-
 /// Join pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JoinOptions {
@@ -155,20 +135,6 @@ pub(crate) struct JoinOptions {
     /// "By adjusting the threshold in SORT, the number of stored
     /// objects can be reduced").
     pub sort_batch: usize,
-    /// MBR COMPARE algorithm selection.
-    pub probe: ProbeStrategy,
-    /// [`ProbeStrategy::Auto`] asymmetry threshold: the R-tree probe
-    /// is chosen when the larger side is at least this many times the
-    /// smaller (and the smaller is big enough for the build to pay).
-    pub rtree_ratio: usize,
-    /// [`ProbeStrategy::Auto`] density threshold, in objects per
-    /// square degree of the partition's owned region: partitions at
-    /// least this dense prefer the R-tree even when the sides are
-    /// symmetric, because tightly packed MBRs overlap heavily in x and
-    /// degrade the sweep's window scans toward `O(L·R)`. Only
-    /// partition maps that know their grid geometry can derive a
-    /// density; `f64::INFINITY` disables the heuristic.
-    pub density_threshold: f64,
 }
 
 impl Default for JoinOptions {
@@ -176,12 +142,22 @@ impl Default for JoinOptions {
         JoinOptions {
             threads: 0,
             sort_batch: 1 << 16,
-            probe: ProbeStrategy::Auto,
-            rtree_ratio: 8,
-            density_threshold: 512.0,
         }
     }
 }
+
+/// The R-tree probe needs at least this many objects on the smaller
+/// side (the one bulk loaded) for the build to pay.
+const RTREE_MIN_SMALL_SIDE: usize = 64;
+
+/// Asymmetry rule: the R-tree probe is chosen when the larger side is
+/// at least this many times the smaller.
+const RTREE_SIDE_RATIO: usize = 8;
+
+/// Density rule, in objects per square degree of the partition's
+/// owned region: partitions at least this dense prefer the R-tree even
+/// when the sides are symmetric.
+const RTREE_DENSITY: f64 = 512.0;
 
 /// The MBR COMPARE algorithm one partition ran, with the cost-model
 /// input that picked it.
@@ -189,8 +165,6 @@ impl Default for JoinOptions {
 pub(crate) enum ProbeChoice {
     /// Sort + sweep.
     Sweep,
-    /// R-tree probe forced by [`ProbeStrategy::RTree`].
-    RTreeForced,
     /// R-tree probe chosen by the side-asymmetry rule.
     RTreeAsymmetry,
     /// R-tree probe chosen by the partition-density rule alone.
@@ -231,7 +205,6 @@ pub(crate) fn fold_slot_results(
         }
         match probed {
             Some(ProbeChoice::Sweep) => decisions.sweep_partitions += 1,
-            Some(ProbeChoice::RTreeForced) => decisions.rtree_partitions += 1,
             Some(ProbeChoice::RTreeAsymmetry) => {
                 decisions.rtree_partitions += 1;
                 decisions.rtree_by_asymmetry += 1;
@@ -289,7 +262,7 @@ pub(crate) fn join_partition(
     }
 
     // MBR COMPARE: cost-based sweep vs R-tree probe.
-    let choice = use_rtree(options, lefts.len(), rights.len(), density);
+    let choice = use_rtree(lefts.len(), rights.len(), density);
     let mut candidates = if choice != ProbeChoice::Sweep {
         mbr_compare_rtree(&lefts, &rights)
     } else {
@@ -388,35 +361,37 @@ pub(crate) fn join_partition(
     Ok((out, Some(choice), density))
 }
 
-/// Resolves the per-partition MBR COMPARE algorithm choice from side
-/// asymmetry *and* partition density (objects per square degree).
-fn use_rtree(options: &JoinOptions, lefts: usize, rights: usize, density: f64) -> ProbeChoice {
-    match options.probe {
-        ProbeStrategy::Sweep => ProbeChoice::Sweep,
-        ProbeStrategy::RTree => ProbeChoice::RTreeForced,
-        ProbeStrategy::Auto => {
-            let small = lefts.min(rights);
-            let large = lefts.max(rights);
-            // The build must amortise: the small side (the one bulk
-            // loaded) has to be non-trivial either way.
-            if small < 64 {
-                return ProbeChoice::Sweep;
-            }
-            // Asymmetry rule: per-probe log cost beats the sweep's
-            // window scans when one side dwarfs the other.
-            if large >= small.saturating_mul(options.rtree_ratio.max(1)) {
-                return ProbeChoice::RTreeAsymmetry;
-            }
-            // Density rule: dense partitions pack MBRs so tightly
-            // that x-intervals overlap pervasively and the sweep's
-            // window scan degrades toward O(L·R) even for symmetric
-            // sides; the R-tree keeps discriminating on both axes.
-            if density >= options.density_threshold {
-                return ProbeChoice::RTreeDensity;
-            }
-            ProbeChoice::Sweep
-        }
+/// Picks the per-partition MBR COMPARE algorithm from side asymmetry
+/// *and* partition density (objects per square degree).
+///
+/// The sort + sweep costs `O(L log L + R log R)` to sort plus a window
+/// scan that degrades toward `O(L·R)` when the two sides' x-extents
+/// overlap heavily. Bulk-loading the smaller side into an R-tree costs
+/// `O(S log S)` once and `O(log S + k)` per probe, which wins when the
+/// sides are badly asymmetric — the shape skewed inputs produce after
+/// hot-cell splitting — or when the partition is dense.
+fn use_rtree(lefts: usize, rights: usize, density: f64) -> ProbeChoice {
+    let small = lefts.min(rights);
+    let large = lefts.max(rights);
+    // The build must amortise: the small side (the one bulk loaded)
+    // has to be non-trivial either way.
+    if small < RTREE_MIN_SMALL_SIDE {
+        return ProbeChoice::Sweep;
     }
+    // Asymmetry rule: per-probe log cost beats the sweep's window
+    // scans when one side dwarfs the other.
+    if large >= small.saturating_mul(RTREE_SIDE_RATIO) {
+        return ProbeChoice::RTreeAsymmetry;
+    }
+    // Density rule: dense partitions pack MBRs so tightly that
+    // x-intervals overlap pervasively and the sweep's window scan
+    // degrades toward O(L·R) even for symmetric sides; the R-tree
+    // keeps discriminating on both axes. An unknown density (0: the
+    // map has no grid geometry) never triggers it.
+    if density >= RTREE_DENSITY {
+        return ProbeChoice::RTreeDensity;
+    }
+    ProbeChoice::Sweep
 }
 
 /// Finds all MBR-intersecting (left, right) pairs by STR-bulk-loading
@@ -669,7 +644,6 @@ mod tests {
                 JoinOptions {
                     threads: 1,
                     sort_batch,
-                    ..JoinOptions::default()
                 },
             );
             assert_eq!(got, base, "sort_batch={sort_batch}");
@@ -746,60 +720,46 @@ mod tests {
 
     #[test]
     fn auto_probe_requires_asymmetry_and_volume() {
-        let opts = JoinOptions::default();
+        let floor = RTREE_MIN_SMALL_SIDE;
         assert_eq!(
-            use_rtree(&opts, 100, 100, 0.0),
+            use_rtree(100, 100, 0.0),
             ProbeChoice::Sweep,
             "symmetric: sweep"
         );
         assert_eq!(
-            use_rtree(&opts, 10, 1000, 0.0),
+            use_rtree(floor - 1, 1000, 0.0),
             ProbeChoice::Sweep,
             "small side too small to pay the build"
         );
         assert_eq!(
-            use_rtree(&opts, 64, 64 * 8, 0.0),
+            use_rtree(floor, floor * RTREE_SIDE_RATIO, 0.0),
             ProbeChoice::RTreeAsymmetry,
             "asymmetric and big: rtree"
         );
-        let forced = JoinOptions {
-            probe: ProbeStrategy::RTree,
-            ..JoinOptions::default()
-        };
-        assert_eq!(use_rtree(&forced, 1, 1, 0.0), ProbeChoice::RTreeForced);
-        let sweep = JoinOptions {
-            probe: ProbeStrategy::Sweep,
-            ..JoinOptions::default()
-        };
-        assert_eq!(use_rtree(&sweep, 64, 1000, 1e9), ProbeChoice::Sweep);
+        assert_eq!(
+            use_rtree(floor * RTREE_SIDE_RATIO - 1, floor, 0.0),
+            ProbeChoice::Sweep,
+            "just under the ratio, either side larger"
+        );
+        assert_eq!(use_rtree(64, 512, 0.0), ProbeChoice::RTreeAsymmetry);
     }
 
     #[test]
     fn auto_probe_factors_partition_density() {
-        let opts = JoinOptions::default();
         // Dense symmetric partitions flip to the R-tree...
         assert_eq!(
-            use_rtree(&opts, 200, 200, opts.density_threshold),
+            use_rtree(200, 200, RTREE_DENSITY),
             ProbeChoice::RTreeDensity
         );
+        assert_eq!(use_rtree(200, 200, 512.0), ProbeChoice::RTreeDensity);
         // ...sparse ones stay with the sweep...
-        assert_eq!(
-            use_rtree(&opts, 200, 200, opts.density_threshold * 0.5),
-            ProbeChoice::Sweep
-        );
+        assert_eq!(use_rtree(200, 200, RTREE_DENSITY * 0.5), ProbeChoice::Sweep);
         // ...tiny partitions never pay the build regardless of density...
-        assert_eq!(use_rtree(&opts, 8, 8, 1e12), ProbeChoice::Sweep);
+        assert_eq!(use_rtree(8, 8, 1e12), ProbeChoice::Sweep);
         // ...and asymmetry is attributed before density.
-        assert_eq!(
-            use_rtree(&opts, 64, 64 * 8, 1e12),
-            ProbeChoice::RTreeAsymmetry
-        );
+        assert_eq!(use_rtree(64, 64 * 8, 1e12), ProbeChoice::RTreeAsymmetry);
         // An unknown density (0: no grid geometry) never triggers.
-        let inf = JoinOptions {
-            density_threshold: f64::INFINITY,
-            ..JoinOptions::default()
-        };
-        assert_eq!(use_rtree(&inf, 500, 500, 1e12), ProbeChoice::Sweep);
+        assert_eq!(use_rtree(500, 500, 0.0), ProbeChoice::Sweep);
     }
 
     #[test]
@@ -855,25 +815,68 @@ mod tests {
 
     #[test]
     fn probe_strategies_agree_on_join_results() {
-        let (store, squares) = join_fixture();
-        let reparse = square_reparser(squares);
-        let mut results = Vec::new();
-        for probe in [
-            ProbeStrategy::Auto,
-            ProbeStrategy::Sweep,
-            ProbeStrategy::RTree,
+        // Cell 0 pits the smallest side the R-tree builds for against
+        // RTREE_SIDE_RATIO times as many objects, so the asymmetry rule
+        // picks the R-tree; cell 1 holds two small sides and sweeps.
+        // Both arms must produce the brute-force pairs.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
+        let mut store = ArrayStore::new(grid.num_cells());
+        let mut squares = HashMap::new();
+        let threshold = 10_000;
+        let few = RTREE_MIN_SMALL_SIDE as u64;
+        let many = few * RTREE_SIDE_RATIO as u64;
+        for (x0, first, n) in [
+            (0.0, 0, few),
+            (0.0, threshold, many),
+            (2.1, 5_000, 12),
+            (2.1, threshold + 5_000, 12),
         ] {
-            results.push(join_pairs(
-                &store,
-                &reparse,
-                JoinOptions {
-                    probe,
-                    ..JoinOptions::default()
-                },
-            ));
+            for id in first..first + n {
+                let poly = square_at(
+                    x0 + rng.gen_range(0.0..1.5),
+                    rng.gen_range(0.0..1.5),
+                    rng.gen_range(0.02..0.3),
+                );
+                let e = PartEntry {
+                    id,
+                    offset: id,
+                    len: 0,
+                    mbr: poly.mbr(),
+                };
+                for cell in grid.cells_for(&e.mbr) {
+                    store.push(cell, e);
+                }
+                squares.insert(id, poly);
+            }
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
+        let mut want = Vec::new();
+        for (&l, lp) in squares.iter().filter(|(&id, _)| id < threshold) {
+            for (&r, rp) in squares.iter().filter(|(&id, _)| id >= threshold) {
+                if intersects(
+                    &Geometry::Polygon(lp.clone()),
+                    &Geometry::Polygon(rp.clone()),
+                ) {
+                    want.push((l, r));
+                }
+            }
+        }
+        want.sort_unstable();
+        assert!(!want.is_empty(), "fixture must produce pairs");
+        let map = PartitionMap::uniform(&store);
+        let reparse = square_reparser(squares);
+        let out = join_all(
+            &store,
+            &map,
+            &JoinSpec::threshold(threshold),
+            &reparse,
+            JoinOptions::default(),
+        );
+        let d = out.decisions;
+        assert_eq!((d.rtree_by_asymmetry, d.sweep_partitions), (1, 1), "{d:?}");
+        let got: Vec<(u64, u64)> = out.pairs.iter().map(|p| (p.left_id, p.right_id)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

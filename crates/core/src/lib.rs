@@ -63,7 +63,9 @@
 //!   impossible), admission-controls batches into waves so a
 //!   scan-heavy outlier cannot stall the cheap majority, and lifts
 //!   batches to **multiple datasets** in one call
-//!   ([`scheduler::QueryScheduler::run_multi`]).
+//!   ([`scheduler::QueryScheduler::run_multi`]). Dedup and admission
+//!   always run, with fixed thresholds; the cache capacity is the one
+//!   setting ([`scheduler::QueryScheduler::with_cache_capacity`]).
 //! * [`batch`] — the **shared-scan batch layer**: a batched
 //!   [`Engine::run`] fans every submitted query's aggregate out of a
 //!   single parse pass (the [`pipeline::MultiSink`] fan-out),
@@ -132,8 +134,9 @@
 //! * [`join`] — the two-pass PBSM join pipeline of Fig. 8 (MBR
 //!   compare → sort → re-parse/buffer → refine → dedup), with a
 //!   cost-based per-partition choice between the sort+sweep and an
-//!   `atgis-rtree` STR bulk-load + probe for badly asymmetric sides,
-//!   and a join-wide sharded re-parse cache.
+//!   `atgis-rtree` STR bulk-load + probe for badly asymmetric sides or
+//!   dense partitions (fixed thresholds, no override), and a join-wide
+//!   sharded re-parse cache.
 //! * [`query`] / [`result`] — Table 3's query forms and their results.
 //! * [`dataset`] — raw bytes plus format; heap-owned, memory-mapped
 //!   ([`Dataset::mmap`]) so multi-GB inputs don't double resident
@@ -187,15 +190,13 @@ pub use cancel::{CancelToken, Interrupt};
 pub use dataset::{Dataset, StreamBuffer};
 pub use engine::{Engine, EngineBuilder};
 pub use exact::ExactSum;
-pub use exec::{ExecOptions, Isolation, RunOutcome, ShardPolicy};
-pub use join::ProbeStrategy;
+pub use exec::{ExecOptions, Isolation, RunOutcome};
 pub use partition::{AdaptiveConfig, PartitionMap, PartitionMapStats};
 pub use persist::{PersistError, PersistStats, PersistStore, Snapshot};
 pub use query::{FilterStrategy, Metric, Query, ScanClass};
 pub use result::{AggregateValues, JoinPair, MatchRecord, QueryError, QueryOutcome, QueryResult};
 pub use scheduler::{
     AggregateCache, AggregateCacheStats, DatasetId, Priority, QueryScheduler, ScheduledQuery,
-    SchedulerConfig,
 };
 pub use shard::ShardSet;
 pub use stats::{

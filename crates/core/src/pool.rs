@@ -405,11 +405,15 @@ impl WorkerPool {
     ) -> Result<Vec<T>, JobFault> {
         let mut slots: Vec<Option<T>> = Vec::new();
         slots.resize_with(n, || None);
-        let writer = SlotWriter(slots.as_mut_ptr());
+        let writer = SlotWriter {
+            ptr: slots.as_mut_ptr(),
+            len: slots.len(),
+        };
         self.run_cancellable(n, concurrency, token, |i| {
-            // SAFETY: `i` is claimed by exactly one task, so this slot
-            // has a unique writer; the Vec outlives the job because
-            // `run` blocks until all tasks complete.
+            // SAFETY: the pool hands out each index in `0..n` to exactly
+            // one task, so `i < n` and this slot has a unique writer;
+            // the Vec outlives the job because `run` blocks until all
+            // tasks complete.
             unsafe { *writer.slot(i) = Some(f(i)) };
         })?;
         Ok(slots
@@ -419,20 +423,35 @@ impl WorkerPool {
     }
 }
 
-/// Raw pointer into the slot vector; `Sync` because slot claims are
-/// disjoint (see `run_collect`).
-struct SlotWriter<T>(*mut Option<T>);
+/// Raw pointer into the slot vector of one `run_collect` job, shared
+/// by every task of the job.
+struct SlotWriter<T> {
+    ptr: *mut Option<T>,
+    len: usize,
+}
 
+// SAFETY: `ptr` points into a `Vec<Option<T>>` that outlives the job,
+// and each task writes only the slot of the index it claimed, so a
+// `T` is moved into a slot on one thread and later read back on the
+// submitting thread: that needs `T: Send`. `len` is a plain count.
 unsafe impl<T: Send> Send for SlotWriter<T> {}
+// SAFETY: sharing `&SlotWriter` only lets threads call `slot`, whose
+// callers write disjoint slots (one claim per index), so no `&T` is
+// ever shared between threads and no slot is touched by two of them;
+// `T: Send` covers the values moved in, as above.
 unsafe impl<T: Send> Sync for SlotWriter<T> {}
 
 impl<T> SlotWriter<T> {
     /// The unique writer pointer for slot `i`.
     ///
     /// # Safety
-    /// Caller must hold the exclusive claim on index `i`.
+    /// `i` must be less than the slot count, and the caller must hold
+    /// the exclusive claim on index `i`.
     unsafe fn slot(&self, i: usize) -> *mut Option<T> {
-        self.0.add(i)
+        debug_assert!(i < self.len, "slot {i} out of {}", self.len);
+        // SAFETY: the caller guarantees `i < len`, so the offset stays
+        // inside the slot vector's allocation.
+        unsafe { self.ptr.add(i) }
     }
 }
 

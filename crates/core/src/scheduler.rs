@@ -75,7 +75,7 @@
 //! assert_eq!(warm.scan_passes, 0);
 //! ```
 
-use crate::batch::{self, IndexCache, QuerySession, Source};
+use crate::batch::QuerySession;
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::engine::Engine;
@@ -84,9 +84,7 @@ use crate::pool::recover;
 use crate::query::{FilterStrategy, Metric, Query, ScanClass};
 use crate::result::{QueryError, QueryOutcome, QueryResult};
 use crate::stats::{SchedulerStats, WaveStats};
-use crate::stream::ChunkSource;
 use crate::{Error, Result};
-use atgis_formats::Format;
 use atgis_geometry::Polygon;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,45 +159,20 @@ impl ScheduledQuery {
     }
 }
 
-/// Scheduling policy knobs. The defaults enable every policy with
-/// conservative thresholds: dedup and caching always help (they are
-/// bit-exact), and admission only isolates a query when it is
-/// expected to out-cost the **rest of its batch combined**, because a
-/// split wave pays an extra structural pass.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Share one sink between queries with identical predicates.
-    pub dedup: bool,
-    /// Serve repeated single-pass predicates from the
-    /// [`AggregateCache`].
-    pub cache: bool,
-    /// Maximum finished aggregates the cache retains (least recently
-    /// used entries are evicted beyond this).
-    pub cache_capacity: usize,
-    /// Split scan-heavy outliers into their own waves.
-    pub admission: bool,
-    /// A query is admitted to the shared wave only while its
-    /// estimated cost stays within this ratio of the wave built so
-    /// far (ascending-cost admission); costlier queries are isolated
-    /// into their own waves.
-    pub outlier_ratio: f64,
-    /// Prior cost of a join-class query, in scan-equivalents, used
-    /// until the scheduler has observed a real join on the dataset.
-    pub join_cost_weight: f64,
-}
+/// Finished aggregates the cache of [`QueryScheduler::new`] retains.
+const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            dedup: true,
-            cache: true,
-            cache_capacity: 256,
-            admission: true,
-            outlier_ratio: 4.0,
-            join_cost_weight: 4.0,
-        }
-    }
-}
+/// Admission's outlier bound: a query is admitted to the shared wave
+/// only while its estimated cost stays within this ratio of the wave
+/// built so far (ascending-cost admission); costlier queries run in
+/// their own waves. A split wave pays an extra structural pass, so the
+/// bound is loose: only a query that out-costs its company several
+/// times over is isolated.
+const OUTLIER_RATIO: f64 = 4.0;
+
+/// Prior cost of a join-class query, in scan-equivalents, used until
+/// the scheduler has observed a real join on the dataset.
+const JOIN_COST_PRIOR: f64 = 4.0;
 
 /// The canonical identity of a query's predicate — the dedup and
 /// cache key. Two queries with equal keys are guaranteed to produce
@@ -440,7 +413,7 @@ struct SchedEntry {
     /// Exponentially-weighted measured cost of a join-class query on
     /// this dataset, in scan-equivalents. `None` until a join has
     /// actually run; admission then stops guessing
-    /// ([`SchedulerConfig::join_cost_weight`]) and uses evidence.
+    /// ([`JOIN_COST_PRIOR`]) and uses evidence.
     observed_join_cost: Mutex<Option<f64>>,
 }
 
@@ -467,34 +440,30 @@ impl SchedEntry {
 
 /// The multi-tenant scheduler: owns one [`Engine`], any number of
 /// registered datasets (each a [`QuerySession`] with a warm partition
-/// index), a shared [`AggregateCache`], and the admission/dedup
-/// policies of [`SchedulerConfig`]. See the module docs for the
+/// index) and a shared [`AggregateCache`], and applies the dedup and
+/// admission policies to every batch. See the module docs for the
 /// policy walk-through and a usage example.
 pub struct QueryScheduler {
     engine: Engine,
-    config: SchedulerConfig,
     cache: AggregateCache,
     entries: Mutex<HashMap<DatasetId, Arc<SchedEntry>>>,
     next_id: AtomicU64,
 }
 
 impl QueryScheduler {
-    /// A scheduler with the default policy configuration.
+    /// A scheduler whose aggregate cache retains up to 256 finished
+    /// aggregates.
     pub fn new(engine: Engine) -> Self {
-        QueryScheduler::with_config(engine, SchedulerConfig::default())
+        QueryScheduler::with_cache_capacity(engine, DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A scheduler with explicit policy knobs.
-    pub fn with_config(engine: Engine, config: SchedulerConfig) -> Self {
-        let cache = AggregateCache::new(if config.cache {
-            config.cache_capacity
-        } else {
-            0
-        });
+    /// A scheduler whose aggregate cache retains at most `capacity`
+    /// finished aggregates; 0 turns cross-batch reuse off, so every
+    /// batch does its own scan work.
+    pub fn with_cache_capacity(engine: Engine, capacity: usize) -> Self {
         QueryScheduler {
             engine,
-            config,
-            cache,
+            cache: AggregateCache::new(capacity),
             entries: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
         }
@@ -503,11 +472,6 @@ impl QueryScheduler {
     /// The scheduler's engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The active policy configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// Aggregate-cache counters (hits, evictions, invalidations).
@@ -558,9 +522,6 @@ impl QueryScheduler {
     /// `generation`. Any load failure silently restores nothing —
     /// queries just recompute.
     fn restore_aggregates(&self, id: DatasetId, generation: u64, session: &QuerySession) {
-        if !self.config.cache {
-            return;
-        }
         let Some(store) = self.engine.persist() else {
             return;
         };
@@ -693,7 +654,6 @@ impl QueryScheduler {
     /// return in submission order.
     pub fn run_multi(&self, batch: &[ScheduledQuery], opts: &ExecOptions) -> Result<RunOutcome> {
         let token = opts.effective_token();
-        let shards = opts.shards.resolve(self.engine.threads());
         let started = Instant::now();
         let mut stats = SchedulerStats::new(batch.len());
         // Group by dataset, preserving submission order within each
@@ -730,7 +690,7 @@ impl QueryScheduler {
                 started,
                 &mut group_stats,
                 token.as_ref(),
-                shards,
+                opts.shards,
             )?;
             for (slot, result) in indexes.iter().zip(group_results) {
                 results[*slot] = Some(result);
@@ -762,115 +722,12 @@ impl QueryScheduler {
         exec::finish_run(outcomes, None, Some(stats), None, opts)
     }
 
-    /// Streaming counterpart of [`QueryScheduler::run`]: deduplicates
-    /// `queries`, runs the unique predicates through **one chunk-fed
-    /// pass** ([`Engine::run_streaming`]), and fans the finished
-    /// results out to every submitter. One-shot streams admit no
-    /// cross-batch caching (the bytes are gone afterwards) and no
-    /// sharding ([`ExecOptions::shards`] is ignored — the input has no
-    /// byte length to split until the scan is over), but cancellation,
-    /// deadlines and per-query isolation all apply.
-    pub fn run_streaming(
-        &self,
-        queries: &[Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-        opts: &ExecOptions,
-    ) -> Result<RunOutcome> {
-        let token = opts.effective_token();
-        let started = Instant::now();
-        let mut stats = SchedulerStats::new(queries.len());
-        let keys: Vec<QueryKey> = queries.iter().map(query_key).collect();
-        let key_refs: Vec<&QueryKey> = keys.iter().collect();
-        let (unique, representative) = self.dedup_plan(&key_refs, &mut stats);
-        let unique_queries: Vec<Query> = unique.iter().map(|&i| queries[i].clone()).collect();
-        let (unique_outcomes, batch_stats, stream_stats) = batch::execute(
-            &self.engine,
-            &unique_queries,
-            Source::Stream(source, format),
-            &IndexCache::new(),
-            token.as_ref(),
-        )?;
-        let elapsed = started.elapsed();
-        stats.scan_passes = batch_stats.scan_passes;
-        stats.waves.push(WaveStats {
-            queries: unique.len() as u64,
-            priority: Priority::default(),
-            estimated_cost: 0.0,
-            elapsed,
-            batch: batch_stats,
-        });
-        let mut results: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
-        for (&qi, outcome) in unique.iter().zip(unique_outcomes) {
-            results[qi] = Some(outcome);
-            stats.latencies[qi] = elapsed;
-        }
-        for (i, rep) in representative.iter().enumerate() {
-            if results[i].is_none() {
-                results[i] = Some(
-                    results[*rep]
-                        .clone()
-                        .expect("representative resolved before its duplicates"),
-                );
-                stats.latencies[i] = elapsed;
-            }
-        }
-        let outcomes: Vec<QueryOutcome> = results
-            .into_iter()
-            .map(|r| r.expect("every query produced a result"))
-            .collect();
-        for r in &outcomes {
-            match r {
-                Err(QueryError::Cancelled) => stats.cancelled += 1,
-                Err(QueryError::DeadlineExceeded) => stats.deadline_exceeded += 1,
-                Err(QueryError::Panicked(_)) => stats.task_panics += 1,
-                Ok(_) => {}
-            }
-        }
-        exec::finish_run(outcomes, None, Some(stats), stream_stats, opts)
-    }
-
-    /// Deduplicates a list of predicate keys: returns the indexes of
-    /// the unique representatives (submission order) and, for every
-    /// entry, the index of its representative (itself when unique).
-    /// With dedup disabled every query represents itself.
-    fn dedup_plan(
-        &self,
-        keys: &[&QueryKey],
-        stats: &mut SchedulerStats,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let mut unique: Vec<usize> = Vec::with_capacity(keys.len());
-        let mut representative: Vec<usize> = Vec::with_capacity(keys.len());
-        if !self.config.dedup {
-            unique.extend(0..keys.len());
-            representative.extend(0..keys.len());
-            stats.unique_queries = keys.len() as u64;
-            return (unique, representative);
-        }
-        let mut seen: HashMap<&QueryKey, usize> = HashMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            match seen.entry(key) {
-                std::collections::hash_map::Entry::Occupied(rep) => {
-                    representative.push(*rep.get());
-                    stats.dedup_hits += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                    representative.push(i);
-                    unique.push(i);
-                }
-            }
-        }
-        stats.unique_queries = unique.len() as u64;
-        (unique, representative)
-    }
-
     /// Estimated cost of one query against a registered dataset, in
     /// scan-equivalents — exactly what the admission controller would
     /// charge it. Single-pass queries cost a fraction of the scan
     /// proportional to their selectivity against the partition-grid
     /// extent; join-class queries cost the measured join/scan ratio
-    /// of this dataset when one has run, or the configured prior. A
+    /// of this dataset when one has run, or a fixed prior. A
     /// serving front end reuses this as its backpressure currency:
     /// queued cost summed in the same units the wave former reasons
     /// in, compared against a load-shedding budget.
@@ -896,9 +753,7 @@ impl QueryScheduler {
                 };
                 0.15 + 0.85 * sel
             }
-            ScanClass::Join => {
-                recover(entry.observed_join_cost.lock()).unwrap_or(self.config.join_cost_weight)
-            }
+            ScanClass::Join => recover(entry.observed_join_cost.lock()).unwrap_or(JOIN_COST_PRIOR),
         }
     }
 
@@ -936,7 +791,7 @@ impl QueryScheduler {
         // when the finished result is inserted after its wave.
         let mut pending_cache_keys: Vec<Option<AggCacheKey>> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
-            let cacheable = self.config.cache && q.scan_class() == ScanClass::SinglePass;
+            let cacheable = self.cache.capacity > 0 && q.scan_class() == ScanClass::SinglePass;
             if cacheable {
                 let key = AggCacheKey {
                     dataset: id,
@@ -960,7 +815,7 @@ impl QueryScheduler {
         // ---- predicate dedup over the cache misses ----
         let pending_keys: Vec<&QueryKey> = pending.iter().map(|&i| &keys[i]).collect();
         let mut sub = SchedulerStats::new(pending.len());
-        let (unique, representative) = self.dedup_plan(&pending_keys, &mut sub);
+        let (unique, representative) = dedup_plan(&pending_keys, &mut sub);
         stats.unique_queries += sub.unique_queries;
         stats.dedup_hits += sub.dedup_hits;
 
@@ -983,7 +838,7 @@ impl QueryScheduler {
                 .expect("representatives are unique entries");
             unique_classes[u] = unique_classes[u].min(classes[pending[p]]);
         }
-        let waves = form_waves(&costs, &unique_classes, &self.config);
+        let waves = form_waves(&costs, &unique_classes);
 
         // ---- execute the waves, fanning results out as each
         // completes ----
@@ -1086,6 +941,30 @@ impl QueryScheduler {
     }
 }
 
+/// Deduplicates a list of predicate keys: returns the indexes of the
+/// unique representatives (submission order) and, for every entry, the
+/// index of its representative (itself when unique).
+fn dedup_plan(keys: &[&QueryKey], stats: &mut SchedulerStats) -> (Vec<usize>, Vec<usize>) {
+    let mut unique: Vec<usize> = Vec::with_capacity(keys.len());
+    let mut representative: Vec<usize> = Vec::with_capacity(keys.len());
+    let mut seen: HashMap<&QueryKey, usize> = HashMap::new();
+    for (i, key) in keys.iter().enumerate() {
+        match seen.entry(key) {
+            std::collections::hash_map::Entry::Occupied(rep) => {
+                representative.push(*rep.get());
+                stats.dedup_hits += 1;
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(i);
+                representative.push(i);
+                unique.push(i);
+            }
+        }
+    }
+    stats.unique_queries = unique.len() as u64;
+    (unique, representative)
+}
+
 /// Admission control's wave former, over the estimated costs and SLO
 /// classes of the unique queries of one batch. Waves are ordered **by
 /// class before cost**: every [`Priority::Interactive`] wave runs
@@ -1096,36 +975,29 @@ impl QueryScheduler {
 /// Within each class the invariant is unchanged from cost-only
 /// admission: queries are admitted into the class's shared wave in
 /// ascending cost order while each one costs at most
-/// [`SchedulerConfig::outlier_ratio`] × the wave built so far — **no
-/// wave member out-costs the rest of its wave by more than the
-/// configured ratio**, so a scan-heavy outlier can never stall the
-/// cheap majority. Rejected queries each run in their own wave; the
-/// shared (cheap) wave runs first and outlier waves follow in
-/// ascending cost order, so completion latency is monotone in cost
-/// within a class. With a single class the output is identical to the
-/// pre-class wave former. Classes never share a wave (even with
-/// admission disabled): sharing would couple an interactive query's
-/// completion to batch work. Returns waves as index lists into
-/// `costs`.
-fn form_waves(costs: &[f64], classes: &[Priority], config: &SchedulerConfig) -> Vec<Vec<usize>> {
+/// [`OUTLIER_RATIO`] × the wave built so far — **no wave member
+/// out-costs the rest of its wave by more than that ratio**, so a
+/// scan-heavy outlier can never stall the cheap majority. Rejected
+/// queries each run in their own wave; the shared (cheap) wave runs
+/// first and outlier waves follow in ascending cost order, so
+/// completion latency is monotone in cost within a class. With a single class the output is identical to the
+/// pre-class wave former. Classes never share a wave: sharing would
+/// couple an interactive query's completion to batch work. Returns
+/// waves as index lists into `costs`.
+fn form_waves(costs: &[f64], classes: &[Priority]) -> Vec<Vec<usize>> {
     debug_assert_eq!(costs.len(), classes.len());
     let mut waves: Vec<Vec<usize>> = Vec::new();
     for class in [Priority::Interactive, Priority::Batch] {
-        let members: Vec<usize> = (0..costs.len()).filter(|&i| classes[i] == class).collect();
-        if members.is_empty() {
+        let mut order: Vec<usize> = (0..costs.len()).filter(|&i| classes[i] == class).collect();
+        if order.is_empty() {
             continue;
         }
-        if !config.admission || members.len() == 1 {
-            waves.push(members);
-            continue;
-        }
-        let mut order = members;
         order.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
         let mut shared: Vec<usize> = Vec::new();
         let mut shared_cost = 0.0;
         let mut outliers: Vec<usize> = Vec::new();
         for &i in &order {
-            if shared.is_empty() || costs[i] <= config.outlier_ratio * shared_cost {
+            if shared.is_empty() || costs[i] <= OUTLIER_RATIO * shared_cost {
                 shared.push(i);
                 shared_cost += costs[i];
             } else {
@@ -1150,6 +1022,7 @@ mod tests {
     use super::*;
     use crate::testutil::{RunExt, SchedRunExt};
     use atgis_datagen::{write_geojson, OsmGenerator};
+    use atgis_formats::Format;
     use atgis_geometry::Mbr;
 
     fn dataset(seed: u64, n: usize) -> Dataset {
@@ -1214,49 +1087,37 @@ mod tests {
     /// Single-class wave forming (every caller before SLO classes
     /// existed): the classed wave former must reproduce the cost-only
     /// behavior exactly.
-    fn uniform(costs: &[f64], cfg: &SchedulerConfig) -> Vec<Vec<usize>> {
-        form_waves(costs, &vec![Priority::Interactive; costs.len()], cfg)
+    fn uniform(costs: &[f64]) -> Vec<Vec<usize>> {
+        form_waves(costs, &vec![Priority::Interactive; costs.len()])
     }
 
     #[test]
     fn wave_former_isolates_outliers() {
-        let cfg = SchedulerConfig::default(); // outlier_ratio 4.0
-                                              // Uniform costs: one wave.
-        assert_eq!(uniform(&[1.0, 1.0, 1.0], &cfg), vec![vec![0, 1, 2]]);
+        // Uniform costs: one wave.
+        assert_eq!(uniform(&[1.0, 1.0, 1.0]), vec![vec![0, 1, 2]]);
         // A giant (10 > 4 × 2.0): isolated, cheap wave first.
-        assert_eq!(uniform(&[1.0, 10.0, 1.0], &cfg), vec![vec![0, 2], vec![1]]);
+        assert_eq!(uniform(&[1.0, 10.0, 1.0]), vec![vec![0, 2], vec![1]]);
         // Two giants over one cheap query: both isolated (20 > 4 × 1,
         // 30 > 4 × 1), ascending cost order.
-        assert_eq!(
-            uniform(&[30.0, 1.0, 20.0], &cfg),
-            vec![vec![1], vec![2], vec![0]]
-        );
+        assert_eq!(uniform(&[30.0, 1.0, 20.0]), vec![vec![1], vec![2], vec![0]]);
         // A balanced pair of heavies amortises fine with company:
         // 4 ≤ 4 × 2 once the cheap pair is admitted.
-        assert_eq!(uniform(&[1.0, 4.0, 1.0, 4.0], &cfg), vec![vec![0, 1, 2, 3]]);
-        // Admission off: always one wave.
-        let off = SchedulerConfig {
-            admission: false,
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(uniform(&[1.0, 100.0], &off), vec![vec![0, 1]]);
+        assert_eq!(uniform(&[1.0, 4.0, 1.0, 4.0]), vec![vec![0, 1, 2, 3]]);
         // Singleton and empty edge cases.
-        assert_eq!(uniform(&[5.0], &cfg), vec![vec![0]]);
-        assert!(uniform(&[], &cfg).is_empty());
+        assert_eq!(uniform(&[5.0]), vec![vec![0]]);
+        assert!(uniform(&[]).is_empty());
     }
 
     #[test]
     fn wave_former_orders_classes_before_cost() {
         use Priority::{Batch, Interactive};
-        let cfg = SchedulerConfig::default();
         // A batch outlier (100) never precedes interactive work, even
         // though cost-only admission would run the cheap shared wave
         // first and the interactive outlier (50) after the batch one.
         assert_eq!(
             form_waves(
                 &[1.0, 100.0, 50.0, 1.0],
-                &[Interactive, Batch, Interactive, Batch],
-                &cfg
+                &[Interactive, Batch, Interactive, Batch]
             ),
             vec![vec![0], vec![2], vec![3], vec![1]],
             "interactive waves (shared, then outlier) strictly precede batch waves"
@@ -1265,23 +1126,18 @@ mod tests {
         assert_eq!(
             form_waves(
                 &[1.0, 1.0, 10.0, 2.0, 2.0, 30.0],
-                &[Interactive, Interactive, Interactive, Batch, Batch, Batch],
-                &cfg
+                &[Interactive, Interactive, Interactive, Batch, Batch, Batch]
             ),
             vec![vec![0, 1], vec![2], vec![3, 4], vec![5]]
         );
-        // Classes never share a wave, even with admission disabled.
-        let off = SchedulerConfig {
-            admission: false,
-            ..SchedulerConfig::default()
-        };
+        // Classes never share a wave, even at equal cost.
         assert_eq!(
-            form_waves(&[1.0, 1.0], &[Batch, Interactive], &off),
+            form_waves(&[1.0, 1.0], &[Batch, Interactive]),
             vec![vec![1], vec![0]]
         );
         // All-batch input degrades to the cost-only shape.
         assert_eq!(
-            form_waves(&[1.0, 10.0, 1.0], &[Batch, Batch, Batch], &cfg),
+            form_waves(&[1.0, 10.0, 1.0], &[Batch, Batch, Batch]),
             vec![vec![0, 2], vec![1]]
         );
     }
@@ -1302,14 +1158,9 @@ mod tests {
             .iter()
             .map(|q| engine.exec1(q, &ds).unwrap())
             .collect();
-        let scheduler = QueryScheduler::with_config(
-            engine,
-            SchedulerConfig {
-                cache: false,
-                join_cost_weight: 40.0,
-                ..SchedulerConfig::default()
-            },
-        );
+        // The join prior (4.0) out-costs the batch containment
+        // (≈ 0.15) by more than the outlier ratio: it runs alone, last.
+        let scheduler = QueryScheduler::with_cache_capacity(engine, 0);
         let id = scheduler.register(ds);
         let out = scheduler
             .run_multi(
@@ -1354,13 +1205,7 @@ mod tests {
         let engine = engine();
         let tile = Query::containment(Mbr::new(-10.0, 40.0, 10.0, 60.0));
         let want = engine.exec1(&tile, &ds).unwrap();
-        let scheduler = QueryScheduler::with_config(
-            engine,
-            SchedulerConfig {
-                cache: false,
-                ..SchedulerConfig::default()
-            },
-        );
+        let scheduler = QueryScheduler::with_cache_capacity(engine, 0);
         let id = scheduler.register(ds);
         // The same predicate submitted at batch AND interactive
         // class: one execution, scheduled as interactive (a shared
@@ -1580,16 +1425,9 @@ mod tests {
             .iter()
             .map(|q| engine.exec1(q, &ds).unwrap())
             .collect();
-        // A prior that makes the join an outlier against two cheap
-        // containments (cost ≈ 0.15 each): 40 > 2 × 0.3.
-        let scheduler = QueryScheduler::with_config(
-            engine,
-            SchedulerConfig {
-                cache: false,
-                join_cost_weight: 40.0,
-                ..SchedulerConfig::default()
-            },
-        );
+        // The join prior makes the join an outlier against two cheap
+        // containments (cost ≈ 0.15 each): 4.0 > 4 × 0.3.
+        let scheduler = QueryScheduler::with_cache_capacity(engine, 0);
         let id = scheduler.register(ds);
         let (got, stats) = scheduler
             .execb_timed(id, &[cheap.clone(), cheap2.clone(), join.clone()])
@@ -1603,8 +1441,7 @@ mod tests {
         assert!(stats.latencies[1] <= stats.latencies[2]);
         assert!(stats.waves[0].elapsed <= stats.waves[1].elapsed);
         // The measured join cost replaced the prior: it was recorded
-        // (the solo wave ran a real scan) and is the sane measured
-        // ratio, not the inflated 40.0 prior.
+        // (the solo wave ran a real scan) and is a modest ratio.
         let observed = scheduler
             .entry(id)
             .unwrap()
@@ -1713,37 +1550,5 @@ mod tests {
         );
         let pinned = QuerySession::new(engine, dataset(919, 10));
         assert!(scheduler.adopt(pinned).is_ok());
-    }
-
-    #[test]
-    fn streaming_scheduled_batch_dedups_over_one_pass() {
-        let gen = OsmGenerator::new(920).generate(70);
-        let bytes = write_geojson(&gen);
-        let ds = Dataset::from_bytes(bytes.clone(), Format::GeoJson);
-        let engine = engine();
-        let q = Query::aggregation(Mbr::new(-10.0, 40.0, 10.0, 60.0));
-        let j = Query::join(35);
-        let queries = vec![q.clone(), j.clone(), q.clone(), j.clone()];
-        let want: Vec<QueryResult> = queries
-            .iter()
-            .map(|x| engine.exec1(x, &ds).unwrap())
-            .collect();
-        let scheduler = QueryScheduler::new(engine);
-        let mut source = crate::stream::SliceChunkSource::new(&bytes, 1024);
-        let out = scheduler
-            .run_streaming(
-                &queries,
-                &mut source,
-                Format::GeoJson,
-                &ExecOptions::new().timed(),
-            )
-            .unwrap();
-        let stats = out.scheduler.clone().unwrap();
-        let sstats = out.stream.clone().unwrap();
-        assert_eq!(out.collapse().unwrap(), want);
-        assert_eq!(stats.dedup_hits, 2);
-        assert_eq!(stats.unique_queries, 2);
-        assert_eq!(stats.waves.len(), 1, "a stream is one wave by nature");
-        assert!(sstats.chunks > 1);
     }
 }

@@ -62,11 +62,12 @@ pub struct JoinDecisions {
     pub map: PartitionMapStats,
     /// Partitions answered with the sort + sweep.
     pub sweep_partitions: u64,
-    /// Partitions answered with the R-tree bulk-load + probe.
+    /// Partitions answered with the R-tree bulk-load + probe: always
+    /// `rtree_by_asymmetry + rtree_by_density`.
     pub rtree_partitions: u64,
-    /// `Auto` R-tree picks attributed to side asymmetry.
+    /// R-tree picks attributed to side asymmetry.
     pub rtree_by_asymmetry: u64,
-    /// `Auto` R-tree picks attributed to partition density alone
+    /// R-tree picks attributed to partition density alone
     /// (dense, roughly symmetric partitions where the sweep's window
     /// scans degrade).
     pub rtree_by_density: u64,

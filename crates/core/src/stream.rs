@@ -524,7 +524,7 @@ impl Engine {
     /// of stream. Cancellation and deadline are observed per chunk and
     /// per block; fault isolation and timing come from the
     /// [`ExecOptions`]. One-shot streams never shard
-    /// ([`crate::ShardPolicy`] is ignored: the byte length needed to
+    /// ([`ExecOptions::shards`] is ignored: the byte length needed to
     /// split the input only exists once the scan is over); use
     /// [`crate::QuerySession::run`] after sealing a streaming session
     /// for sharded re-execution. Results are bit-identical to

@@ -2,16 +2,16 @@
 //! the `atgis-baselines::sequential` oracle (one thread, one parse
 //! pass, nested-loop join) on synthetic datasets, and the results must
 //! be identical across every engine configuration — thread counts,
-//! uniform vs skew-adaptive partitioning, sweep vs R-tree MBR compare,
-//! FAT vs PAT GeoJSON parsing — plus the `ByteDfa` bulk scanner against its
+//! uniform vs skew-adaptive partitioning, FAT vs PAT GeoJSON parsing,
+//! on inputs that reach both MBR COMPARE arms — plus the `ByteDfa` bulk scanner against its
 //! byte-at-a-time reference. Set `ATGIS_MMAP=1` to run the same suite
 //! over memory-mapped datasets instead of heap buffers, covering both
 //! `Dataset` storage paths.
 
 use atgis::stream::SliceChunkSource;
 use atgis::{
-    Dataset, Engine, ExecOptions, FilterStrategy, Metric, ProbeStrategy, Query, QueryResult,
-    QueryScheduler, QuerySession, ScheduledQuery, SchedulerConfig,
+    Dataset, Engine, ExecOptions, FilterStrategy, Metric, Query, QueryResult, QueryScheduler,
+    QuerySession, ScheduledQuery,
 };
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
@@ -71,27 +71,20 @@ fn dataset_with(gen: OsmGenerator, n: usize, format: Format) -> Dataset {
 }
 
 /// Every engine configuration the suite sweeps: thread counts ×
-/// partitioning schemes × probe strategies (joins only vary by the
-/// latter two; single-pass queries only by threads/mode).
+/// partitioning schemes (joins vary by both; single-pass queries only
+/// by threads/mode).
 fn engines() -> Vec<(String, Engine)> {
     let mut out = Vec::new();
     for threads in THREADS {
         for target in PARTITION_TARGETS {
-            for (pname, probe) in [
-                ("auto", ProbeStrategy::Auto),
-                ("sweep", ProbeStrategy::Sweep),
-                ("rtree", ProbeStrategy::RTree),
-            ] {
-                out.push((
-                    format!("threads={threads} target={target} probe={pname}"),
-                    Engine::builder()
-                        .threads(threads)
-                        .cell_size(2.0)
-                        .partition_target(target)
-                        .probe_strategy(probe)
-                        .build(),
-                ));
-            }
+            out.push((
+                format!("threads={threads} target={target}"),
+                Engine::builder()
+                    .threads(threads)
+                    .cell_size(2.0)
+                    .partition_target(target)
+                    .build(),
+            ));
         }
     }
     out
@@ -174,6 +167,47 @@ fn join_matches_oracle_everywhere() {
             got.sort_unstable();
             got.dedup();
             assert_eq!(got, want, "join {format:?} [{config}]");
+        }
+    }
+}
+
+/// The per-partition cost rule's R-tree arm, end to end: a dense
+/// hotspot at a fine grid makes some partitions dense enough that the
+/// rule picks the R-tree, and the pairs still equal the oracle's.
+#[test]
+fn auto_rtree_arm_matches_oracle() {
+    for seed in [311, 9, 42] {
+        let ds = dataset_with(
+            OsmGenerator::new(seed).with_hotspot(0.7, 0.05),
+            600,
+            Format::GeoJson,
+        );
+        let want = match oracle(&ds, Format::GeoJson, &BaselineQuery::Join(300)) {
+            BaselineAnswer::Pairs(pairs) => pairs,
+            other => panic!("{other:?}"),
+        };
+        assert!(!want.is_empty(), "seed {seed}: join must produce pairs");
+        for threads in [1, 2] {
+            let engine = Engine::builder().threads(threads).cell_size(0.25).build();
+            let out = engine
+                .run(&[Query::join(300)], &ds, &ExecOptions::new().timed())
+                .unwrap();
+            let d = out.batch.as_ref().unwrap().per_query[0]
+                .decisions
+                .expect("join decisions");
+            let label = format!("seed={seed} threads={threads} {d:?}");
+            assert!(d.rtree_partitions > 0, "the R-tree arm must run [{label}]");
+            assert_eq!(
+                d.rtree_partitions,
+                d.rtree_by_asymmetry + d.rtree_by_density,
+                "every R-tree pick has one reason [{label}]"
+            );
+            let r = out.into_single().unwrap();
+            let mut got: Vec<(u64, u64)> =
+                r.joined().iter().map(|p| (p.left_id, p.right_id)).collect();
+            got.sort_unstable();
+            got.dedup();
+            assert_eq!(got, want, "[{label}]");
         }
     }
 }
@@ -360,6 +394,80 @@ fn non_finite_region_matches_nothing_in_engine_and_oracle() {
                     .unwrap();
                 let label = format!("{format:?} max_x={bad} threads={threads}");
                 assert_agrees_with_oracle(&answers, &got, &label);
+            }
+        }
+    }
+}
+
+/// The paper-comparison baselines agree with the `sequential` oracle
+/// and the engine on a region with a NaN or infinite bound: nothing
+/// matches, for containment and aggregation, under both column-scan
+/// refinements. The all-infinite box is the one a box-only scan would
+/// otherwise answer with every feature.
+#[test]
+fn baselines_agree_with_engine_on_non_finite_regions() {
+    use atgis_baselines::column_scan::{ColumnStore, Refinement};
+    use atgis_baselines::indexed::IndexedStore;
+    let finite = Mbr::new(-6.0, 44.0, 4.0, 56.0);
+    let inf = f64::INFINITY;
+    let regions = [
+        Mbr {
+            max_x: f64::NAN,
+            ..finite
+        },
+        Mbr {
+            min_y: f64::NAN,
+            ..finite
+        },
+        Mbr {
+            max_x: inf,
+            ..finite
+        },
+        Mbr {
+            min_x: -inf,
+            ..finite
+        },
+        Mbr::new(-inf, -inf, inf, inf),
+    ];
+    for format in [Format::GeoJson, Format::Wkt] {
+        let ds = dataset(301, 90, format);
+        let columns = ColumnStore::load(ds.bytes(), format).unwrap();
+        let mut indexed = IndexedStore::load(ds.bytes(), format).unwrap();
+        indexed.build_index();
+        let engine = Engine::builder().threads(2).build();
+        for region in regions {
+            for (query, baseline) in [
+                (
+                    Query::containment(region),
+                    BaselineQuery::containment(region),
+                ),
+                (
+                    Query::aggregation(region),
+                    BaselineQuery::aggregation(region),
+                ),
+            ] {
+                let want = oracle(&ds, format, &baseline);
+                let label = format!("{format:?} {region:?} {want:?}");
+                assert!(
+                    want == BaselineAnswer::Matches(vec![])
+                        || want == BaselineAnswer::Aggregate(0, 0.0, 0.0),
+                    "the oracle matches nothing [{label}]"
+                );
+                assert_eq!(indexed.execute(&baseline), want, "indexed [{label}]");
+                for refinement in [Refinement::BoxOnly, Refinement::FullGeometry] {
+                    for threads in [1, 2] {
+                        assert_eq!(
+                            columns.execute(&baseline, refinement, threads),
+                            want,
+                            "column scan {refinement:?} threads={threads} [{label}]"
+                        );
+                    }
+                }
+                let got = engine
+                    .run(&[query], &ds, &ExecOptions::new())
+                    .and_then(|o| o.collapse())
+                    .unwrap();
+                assert_agrees_with_oracle(&[Some(want)], &got, &label);
             }
         }
     }
@@ -593,52 +701,20 @@ fn duplicate_heavy_mix(n: u64) -> Vec<Query> {
     ]
 }
 
-/// Every scheduling policy combination the suite sweeps: each policy
-/// alone, all together, all off, and an admission configuration that
-/// force-splits joins into their own waves.
-fn scheduler_configs() -> Vec<(String, SchedulerConfig)> {
-    let base = SchedulerConfig::default();
+/// The scheduler configurations the suite sweeps: with the aggregate
+/// cache, and without it (capacity 0). Dedup and admission always run.
+fn schedulers(engine: &Engine) -> Vec<(&'static str, QueryScheduler)> {
     vec![
-        ("all-on".into(), base.clone()),
+        ("cached", QueryScheduler::new(engine.clone())),
         (
-            "dedup-only".into(),
-            SchedulerConfig {
-                cache: false,
-                admission: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "cache-only".into(),
-            SchedulerConfig {
-                dedup: false,
-                admission: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "admission-split".into(),
-            SchedulerConfig {
-                // A huge join prior forces every join-class query into
-                // its own wave — the maximal wave split.
-                join_cost_weight: 1e6,
-                ..base.clone()
-            },
-        ),
-        (
-            "all-off".into(),
-            SchedulerConfig {
-                dedup: false,
-                cache: false,
-                admission: false,
-                ..base
-            },
+            "uncached",
+            QueryScheduler::with_cache_capacity(engine.clone(), 0),
         ),
     ]
 }
 
-/// Scheduled execution — predicate dedup, aggregate caching,
-/// admission waves, in every combination — must stay **bit-identical**
+/// Scheduled execution — predicate dedup, admission waves, with and
+/// without aggregate caching — must stay **bit-identical**
 /// to running each query alone (itself held to the sequential oracle)
 /// across threads × modes × formats, on the first (cold) batch and on
 /// the repeat (cache-served) batch.
@@ -667,8 +743,7 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
                     &want,
                     &format!("{format:?} threads={threads} mode={mode:?}"),
                 );
-                for (cname, config) in scheduler_configs() {
-                    let scheduler = QueryScheduler::with_config(engine.clone(), config);
+                for (cname, scheduler) in schedulers(&engine) {
                     let id = scheduler.register(ds.clone());
                     let label =
                         format!("{format:?} threads={threads} mode={mode:?} config={cname}");
@@ -678,10 +753,8 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
                     assert_eq!(warm, want, "warm scheduled != sequential [{label}]");
                     assert_eq!(s_cold.queries as usize, mix.len());
                     assert_eq!(s_cold.latencies.len(), mix.len());
-                    if scheduler.config().dedup {
-                        assert_eq!(s_cold.dedup_hits, 4, "[{label}]");
-                    }
-                    if scheduler.config().cache {
+                    assert_eq!(s_cold.dedup_hits, 4, "[{label}]");
+                    if scheduler.cache_stats().capacity > 0 {
                         // Six single-pass submissions over three
                         // distinct predicates... plus the fourth
                         // distinct world-containment: all served from
@@ -689,6 +762,48 @@ fn scheduled_batch_execution_matches_sequential_everywhere() {
                         assert_eq!(s_warm.cache_hits, 6, "[{label}]");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Admission splits under its fixed policy: the two small tiles cost
+/// about 0.15 scan-equivalents each, and the join's prior cost (4.0)
+/// exceeds the outlier ratio (4) times their sum, so the cold batch
+/// runs the join in a wave of its own. The split waves stay
+/// bit-identical to unscheduled execution.
+#[test]
+fn admission_split_waves_match_unscheduled_execution() {
+    let n = 90u64;
+    let queries = vec![
+        Query::containment(Mbr::new(-8.0, 42.0, 6.0, 58.0)),
+        Query::join(n / 2),
+        Query::aggregation(Mbr::new(-6.0, 44.0, 4.0, 56.0)),
+    ];
+    for format in [Format::GeoJson, Format::Wkt] {
+        let ds = dataset_with(
+            OsmGenerator::new(311).with_hotspot(0.4, 0.05),
+            n as usize,
+            format,
+        );
+        let answers = oracle_answers(&ds, &queries);
+        for threads in THREADS {
+            let engine = Engine::builder().threads(threads).cell_size(2.0).build();
+            let want = engine
+                .run(&queries, &ds, &ExecOptions::new())
+                .and_then(|o| o.collapse())
+                .unwrap();
+            let label = format!("{format:?} threads={threads}");
+            assert_agrees_with_oracle(&answers, &want, &label);
+            for (cname, scheduler) in schedulers(&engine) {
+                let id = scheduler.register(ds.clone());
+                let (got, stats) = scheduler.execb_timed(id, &queries).unwrap();
+                assert!(
+                    stats.waves.len() >= 2,
+                    "the join must run in its own wave [{label} {cname}]: {:?}",
+                    stats.waves
+                );
+                assert_eq!(got, want, "split waves != unscheduled [{label} {cname}]");
             }
         }
     }

@@ -13,9 +13,7 @@
 //! `atgis_baselines::sequential` oracle, so "sharded ≡ single-node"
 //! never compares the executor with only itself.
 
-use atgis::{
-    Dataset, Engine, ExecOptions, Query, QueryResult, QuerySession, ShardPolicy, ShardSet,
-};
+use atgis::{Dataset, Engine, ExecOptions, Query, QueryResult, QuerySession, ShardSet};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
@@ -97,31 +95,6 @@ fn sharded_is_bit_identical_across_the_matrix() {
                 }
             }
         }
-    }
-}
-
-/// `ShardPolicy::Auto` (one shard per worker, capped at 8) goes
-/// through the same scatter–gather path and stays bit-identical, at
-/// the session layer with its cached `ShardSet`.
-#[test]
-fn auto_policy_matches_single_node() {
-    let dataset = sorted_dataset(11, 500, Format::GeoJson);
-    let queries = mixed_batch(500);
-    let answers = oracle_answers(&dataset, &queries);
-    let engine = engine(3, Mode::Pat);
-    let session = QuerySession::new(engine, dataset);
-    let oracle = session
-        .run(&queries, &ExecOptions::new())
-        .and_then(|o| o.collapse())
-        .expect("single-node oracle");
-    assert_agrees_with_oracle(&answers, &oracle, "auto policy");
-    // Twice: the second run hits the session's cached ShardSet.
-    for _ in 0..2 {
-        let got = session
-            .run(&queries, &ExecOptions::new().with_shards(ShardPolicy::Auto))
-            .and_then(|o| o.collapse())
-            .expect("auto-sharded run");
-        assert_eq!(got, oracle);
     }
 }
 
