@@ -23,12 +23,13 @@
 //!    threshold-resolved sides, refine-stage perimeter bounds);
 //! 2. **scan** — one pass over the raw bytes with the
 //!    [`MultiSink`] prototype (the partition sink rides along when the
-//!    index is not already cached). The source decides the pass:
-//!    the buffered `single_pass` over a materialised [`Dataset`], a
-//!    scatter–gather over its [`ShardSet`], or the **streaming scan**
-//!    (`crate::stream::StreamingScan`) fed chunk by chunk from a
-//!    [`crate::stream::ChunkSource`] — all produce the same finished
-//!    sinks, bit-identically;
+//!    index is not already cached). A materialised [`Dataset`] is
+//!    scanned range by range — the shards of its [`ShardSet`], or the
+//!    whole file as the only range — and the ranges' fan-outs fold
+//!    with [`MultiSink::combine`]; a **streamed** source runs the
+//!    streaming scan (`crate::stream::StreamingScan`) fed chunk by
+//!    chunk from a [`crate::stream::ChunkSource`]. Both produce the
+//!    same finished sinks, bit-identically;
 //! 3. **aggregate** — extract per-query results; join-class queries
 //!    fan out over a flattened (query × partition) job space
 //!    ([`crate::executor::run_grid_on`]) sharing the index and the
@@ -39,6 +40,13 @@
 //! order-canonical (list aggregates concatenate in document
 //! order, numeric aggregates are exact — see [`crate::exact`]), and
 //! join pairs are canonicalised by the final sort + dedup.
+//!
+//! A panic fails exactly the queries whose work it hit: a member
+//! sink's panic its own query, a panic while scanning a byte range the
+//! queries scattered to that range (in an unsharded run, every query),
+//! a panicked partition sink or join task the join-class queries.
+//! Under whole-batch isolation the first such tombstone fails the run
+//! with [`Error::TaskPanicked`].
 //!
 //! [`QuerySession`] is the serving seam, with two lifecycles:
 //!
@@ -348,9 +356,14 @@ impl QuerySession {
             for (key, index) in snap.indexes {
                 self.cache.insert(key, index);
             }
+            // An XML layout of several shards predates XML's one-shard
+            // rule and would cut the document; rebuild it on demand.
+            let xml = self.dataset.format() == Format::OsmXml;
             let mut sets = recover(self.shard_sets.lock());
             for (count, set) in snap.shard_sets {
-                sets.insert(count, set);
+                if !(xml && set.len() > 1) {
+                    sets.insert(count, set);
+                }
             }
         }
     }
@@ -555,10 +568,10 @@ impl QuerySession {
     }
 
     /// Fault-isolated execution core shared by [`QuerySession::run`]
-    /// and the scheduler: sharded scatter–gather when `shards > 1` on
-    /// a sealed dataset, the ordinary shared scan otherwise. Streaming
-    /// sessions mid-ingest never shard — the queryable prefix moves
-    /// under the layout.
+    /// and the scheduler: the shared scan runs over the `shards`-way
+    /// layout when `shards > 1` on a sealed dataset, over the whole
+    /// file otherwise. Streaming sessions mid-ingest never shard — the
+    /// queryable prefix moves under the layout.
     pub(crate) fn run_isolated_core(
         &self,
         queries: &[Query],
@@ -571,7 +584,7 @@ impl QuerySession {
         } else {
             None
         };
-        let source = Source::dataset(&self.dataset, set.as_deref());
+        let source = Source::Dataset(&self.dataset, set.as_deref());
         let (outcomes, stats, _) = execute(&self.engine, queries, source, &self.cache, token)?;
         Ok((outcomes, stats))
     }
@@ -703,26 +716,15 @@ fn prepare_scan(engine: &Engine, queries: &[Query], cache: &IndexCache) -> ScanP
 /// and streamed execution differ in. Only the scan step of [`execute`]
 /// looks at it; planning and the aggregate step are shared.
 pub(crate) enum Source<'a> {
-    /// A materialised dataset, scanned in one pass.
-    Whole(&'a Dataset),
-    /// A materialised dataset scattered over byte-range shards.
-    Sharded(&'a Dataset, &'a ShardSet),
+    /// A materialised dataset, scanned range by range: the shards of
+    /// the layout when it holds more than one, else the whole file as
+    /// the only range.
+    Dataset(&'a Dataset, Option<&'a ShardSet>),
     /// A one-shot chunk stream in the given format: the dataset
     /// materialises **inside** the scan (sealed zero-copy stream
     /// buffer), and fragments for later chunks spawn while earlier
     /// ones merge.
     Stream(&'a mut dyn ChunkSource, Format),
-}
-
-impl<'a> Source<'a> {
-    /// A materialised dataset, scattered over `set` when the layout
-    /// holds more than one shard (one shard is the whole dataset).
-    pub(crate) fn dataset(dataset: &'a Dataset, set: Option<&'a ShardSet>) -> Self {
-        match set {
-            Some(set) if set.len() > 1 => Source::Sharded(dataset, set),
-            _ => Source::Whole(dataset),
-        }
-    }
 }
 
 /// The batch executor behind every `run` entry point: plan, one shared
@@ -736,17 +738,19 @@ pub(crate) fn execute(
     cache: &IndexCache,
     token: Option<&CancelToken>,
 ) -> Result<(Vec<QueryOutcome>, BatchStats, Option<StreamStats>)> {
+    // A one-shard layout is the whole file: nothing to scatter.
+    let layout = match &source {
+        Source::Dataset(_, Some(set)) if set.len() > 1 => Some(*set),
+        _ => None,
+    };
     let mut stats = BatchStats {
         queries: queries.len() as u64,
         per_query: vec![BatchQueryStats::default(); queries.len()],
-        shards: match &source {
-            Source::Sharded(_, set) => Some(ShardStats {
-                shards: set.len() as u64,
-                per_shard: vec![ShardTiming::default(); set.len()],
-                ..ShardStats::default()
-            }),
-            _ => None,
-        },
+        shards: layout.map(|set| ShardStats {
+            shards: set.len() as u64,
+            per_shard: vec![ShardTiming::default(); set.len()],
+            ..ShardStats::default()
+        }),
         ..BatchStats::default()
     };
     if queries.is_empty() {
@@ -760,24 +764,19 @@ pub(crate) fn execute(
     let sinks = std::mem::take(&mut prep.plan.sinks);
     let sealed: Dataset;
     let mut stream = None;
-    let (finished, dataset, shard_set) = match source {
-        Source::Whole(dataset) => {
-            let mut finished = Vec::new();
-            if !sinks.is_empty() {
-                let proto = MultiSink::new(sinks);
-                let (merged, t) =
-                    engine.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
-                finished = merged.into_sinks().into_iter().map(Some).collect();
-                stats.scan_passes += 1;
-                stats.shared_scan = t;
-            }
-            (finished, dataset, None)
-        }
-        Source::Sharded(dataset, set) => {
-            let finished = scan_shards(
-                engine, queries, &prep, sinks, dataset, set, &mut stats, token,
+    let (finished, dataset) = match source {
+        Source::Dataset(dataset, _) => {
+            let finished = scan_ranges(
+                engine,
+                queries,
+                &prep.plan.tasks,
+                sinks,
+                dataset,
+                layout,
+                &mut stats,
+                token,
             )?;
-            (finished, dataset, Some(set))
+            (finished, dataset)
         }
         Source::Stream(chunks, format) => {
             let proto = MultiSink::new(sinks);
@@ -788,207 +787,151 @@ pub(crate) fn execute(
             stats.shared_scan = t;
             stream = Some(stream_stats);
             sealed = dataset;
-            let finished = merged.into_sinks().into_iter().map(Some).collect();
-            (finished, &sealed, None)
+            (merged.into_sinks(), &sealed)
         }
     };
 
+    let finished = finished.into_iter().map(Some).collect();
     let results = finish_batch(
-        engine, queries, prep, finished, dataset, cache, &mut stats, token, shard_set,
+        engine, queries, prep, finished, dataset, cache, &mut stats, token,
     )?;
     Ok((results, stats, stream))
 }
 
-/// Tombstone-aware gather of one shard's sink into the accumulated
-/// base — the same per-member contract as [`MultiSink::combine`]:
-/// sticky failure (earliest shard wins), and a panic inside the
-/// combine itself becomes a tombstone instead of poisoning the batch.
-fn gather_sink(
-    base: Box<dyn AggregateSink>,
-    shard: Box<dyn AggregateSink>,
-) -> Box<dyn AggregateSink> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if base.panic_message().is_some() {
-        return base;
-    }
-    if shard.panic_message().is_some() {
-        return shard;
-    }
-    match catch_unwind(AssertUnwindSafe(|| base.combine_sink(shard))) {
-        Ok(s) => s,
-        Err(p) => Box::new(FailedSink::new(crate::pool::panic_message(&*p))),
-    }
-}
-
-/// The sharded scan step: every shard of `set` scans only its own
-/// byte range into **fresh** per-query sinks (the aggregate identity),
-/// pruned queries never scatter, and the gathered per-query sinks —
-/// seeded with `bases`, the plan's fresh sinks — are bit-identical to
-/// one shared scan because the underlying transducers are associative
-/// (see [`crate::shard`]). Fault isolation is per shard: a panic while
-/// scanning one shard tombstones only the queries scattered there.
+/// The scan step over a materialised dataset: every range of the
+/// layout (or the whole file, the only range) that some member
+/// scatters to runs [`Engine::scan_range_cancellable`] with the plan's
+/// one fan-out, and the finished fan-outs fold with
+/// [`MultiSink::combine`] — bit-identical to one pass, because the
+/// underlying transducers are associative (see [`crate::shard`]).
+///
+/// A member pruned from a range still rides it, but its region misses
+/// the MBR of every feature there, so it absorbs nothing; a range no
+/// member scatters to is never read. A panic while scanning a range
+/// tombstones exactly the members scattered to it.
 #[allow(clippy::too_many_arguments)]
-fn scan_shards(
+fn scan_ranges(
     engine: &Engine,
     queries: &[Query],
-    prep: &ScanPrep,
-    bases: Vec<Box<dyn AggregateSink>>,
+    tasks: &[Task],
+    sinks: Vec<Box<dyn AggregateSink>>,
     dataset: &Dataset,
-    set: &ShardSet,
+    layout: Option<&ShardSet>,
     stats: &mut BatchStats,
     token: Option<&CancelToken>,
-) -> Result<Vec<Option<Box<dyn AggregateSink>>>> {
-    let nshards = set.len();
-    let build_index = bases.len() > prep.single_pass_sinks;
+) -> Result<Vec<Box<dyn AggregateSink>>> {
+    let ranges: Vec<(usize, usize)> = match layout {
+        Some(set) => set.shards().iter().map(|s| (s.start, s.end)).collect(),
+        None => vec![(0, dataset.len())],
+    };
 
-    // ---- prune: which shards each query scatters to ----
-    let masks: Vec<Vec<bool>> = queries.iter().map(|q| set.scatter_mask(q)).collect();
-    {
-        let ss = stats.shards.as_mut().expect("initialised above");
+    // ---- prune: the ranges each query scatters to, and each member
+    // rides (the partition sink, past the query sinks, rides all) ----
+    let masks: Vec<Vec<bool>> = queries
+        .iter()
+        .map(|q| layout.map_or_else(|| vec![true], |set| set.scatter_mask(q)))
+        .collect();
+    let mut rides = vec![vec![true; ranges.len()]; sinks.len()];
+    for (qi, task) in tasks.iter().enumerate() {
+        if let Task::Containment { sink } | Task::Aggregation { sink } = task {
+            rides[*sink].clone_from(&masks[qi]);
+        }
+    }
+    if let Some(ss) = stats.shards.as_mut() {
         for (s, timing) in ss.per_shard.iter_mut().enumerate() {
             timing.queries = masks.iter().filter(|m| m[s]).count() as u64;
         }
         for m in &masks {
             let hits = m.iter().filter(|&&b| b).count() as u64;
             ss.scattered += hits;
-            ss.pruned += nshards as u64 - hits;
+            ss.pruned += m.len() as u64 - hits;
             ss.gathered += hits.saturating_sub(1);
         }
     }
-    let mut sink_owner = vec![usize::MAX; prep.single_pass_sinks];
-    for (qi, task) in prep.plan.tasks.iter().enumerate() {
-        if let Task::Containment { sink } | Task::Aggregation { sink } = task {
-            sink_owner[*sink] = qi;
-        }
-    }
 
-    // The global plan's fresh sinks are the gather bases (a fresh sink
-    // is the aggregate's identity element).
-    let mut finished: Vec<Option<Box<dyn AggregateSink>>> = bases.into_iter().map(Some).collect();
-
-    // ---- scatter ----
-    // XML needs the whole node table for relations, so the parse runs
-    // once globally; shards then absorb their own features by offset.
-    let any_member = build_index || sink_owner.iter().any(|&qi| masks[qi].iter().any(|&b| b));
-    let xml_features = if dataset.format() == Format::OsmXml && any_member {
-        let (features, t) = engine.parse_xml(dataset, &MetadataFilter::All, token)?;
-        stats.shared_scan.split += t.split;
-        stats.shared_scan.process += t.process;
-        stats.shared_scan.merge += t.merge;
-        Some(features)
-    } else {
-        None
-    };
-    let mut scanned = xml_features.is_some();
-    let cfg = engine.config();
-    for (s, shard) in set.shards().iter().enumerate() {
-        // Members scattered to this shard, as positions in `finished`.
-        let mut members: Vec<usize> = (0..prep.single_pass_sinks)
-            .filter(|&g| masks[sink_owner[g]][s])
-            .collect();
-        if build_index {
-            members.push(prep.single_pass_sinks);
-        }
-        if members.is_empty() {
-            continue;
-        }
-        // Fresh identity sinks for this shard's scan.
-        let mut fresh = plan_queries(engine, queries);
-        let mut shard_sinks: Vec<Box<dyn AggregateSink>> = Vec::with_capacity(members.len());
-        for &g in &members {
-            if g < prep.single_pass_sinks {
-                shard_sinks.push(std::mem::replace(
-                    &mut fresh.sinks[g],
-                    Box::new(FailedSink::new("taken")),
-                ));
-            } else {
-                shard_sinks.push(partition_sink(cfg));
-            }
-        }
-        let proto = MultiSink::new(shard_sinks);
-        let shard_token = token.map(CancelToken::child);
-        // Shard-targeted failpoint: arming `shard.scan.N` fails shard
-        // N alone, so per-shard fault isolation is testable
-        // deterministically (the `executor.block` point fires inside
-        // every shard's scan and would tombstone the whole batch).
-        #[cfg(feature = "fault-injection")]
-        if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::fault::fire(&format!("shard.scan.{s}"))
-        })) {
-            let msg = crate::pool::panic_message(&*p);
-            for &g in &members {
-                finished[g] = Some(Box::new(FailedSink::new(msg.clone())));
-            }
-            continue;
-        }
-        let scan = match &xml_features {
-            Some(features) => {
-                let started = Instant::now();
-                let mut sink = proto;
-                for f in features {
-                    if (shard.start as u64) <= f.offset && f.offset < (shard.end as u64) {
-                        QueryAggregate::absorb(&mut sink, f);
-                    }
-                }
-                if let Some(t) = shard_token.as_ref() {
-                    t.check()?;
-                }
-                Ok((
-                    sink,
-                    Timings {
-                        split: Duration::ZERO,
-                        process: started.elapsed(),
-                        merge: Duration::ZERO,
-                    },
-                ))
-            }
-            None => engine.scan_range_cancellable(
-                dataset,
-                shard.start,
-                shard.end,
-                &MetadataFilter::All,
-                proto,
-                shard_token.as_ref(),
-            ),
-        };
+    // ---- scatter, and gather by folding each range's fan-out ----
+    let needed: Vec<usize> = (0..ranges.len())
+        .filter(|&s| rides.iter().any(|r| r[s]))
+        .collect();
+    let width = sinks.len();
+    let mut plan = Some(MultiSink::new(sinks));
+    let mut fold: Option<MultiSink> = None;
+    let mut failed: Vec<Option<String>> = vec![None; width];
+    for (i, &s) in needed.iter().enumerate() {
+        // The last range takes the plan's fan-out by move (a join
+        // plan's partition sink carries the whole grid skeleton),
+        // unless a panic there could leave a member it does not carry
+        // without any sink.
+        let by_move = i + 1 == needed.len() && (fold.is_some() || rides.iter().all(|r| r[s]));
+        let proto = if by_move { plan.take() } else { plan.clone() };
+        let proto = proto.expect("only the last range takes the plan");
+        let (start, end) = ranges[s];
+        let scan = range_failpoint(s).and_then(|()| {
+            engine.scan_range_cancellable(dataset, start, end, &MetadataFilter::All, proto, token)
+        });
         match scan {
             Ok((merged, t)) => {
-                scanned = true;
-                if xml_features.is_none() {
-                    stats.shared_scan.split += t.split;
-                    stats.shared_scan.process += t.process;
-                    stats.shared_scan.merge += t.merge;
+                stats.shared_scan.split += t.split;
+                stats.shared_scan.process += t.process;
+                stats.shared_scan.merge += t.merge;
+                if let Some(ss) = stats.shards.as_mut() {
+                    ss.per_shard[s].scan = t;
                 }
-                let ss = stats.shards.as_mut().expect("initialised above");
-                ss.per_shard[s].scan = t;
-                // ---- gather: member-wise associative combine ----
-                for (&g, sink) in members.iter().zip(merged.into_sinks()) {
-                    let base = finished[g].take().expect("gather base exists");
-                    finished[g] = Some(gather_sink(base, sink));
-                }
+                fold = Some(match fold.take() {
+                    Some(acc) => acc.combine(merged),
+                    None => merged,
+                });
             }
-            // Per-shard fault isolation: a panic on this shard
-            // tombstones exactly the queries scattered here.
             Err(Error::TaskPanicked(msg)) => {
-                for &g in &members {
-                    finished[g] = Some(Box::new(FailedSink::new(msg.clone())));
+                for (g, r) in rides.iter().enumerate() {
+                    if r[s] {
+                        failed[g].get_or_insert_with(|| msg.clone());
+                    }
                 }
             }
-            // Interrupts and parse errors keep whole-batch semantics.
+            // Interrupts and parse errors fail the batch.
             Err(e) => return Err(e),
         }
     }
-    if scanned {
+    if fold.is_some() {
         stats.scan_passes += 1;
     }
-    Ok(finished)
+    let live = fold.or(plan).map_or_else(Vec::new, MultiSink::into_sinks);
+    let live = live
+        .into_iter()
+        .map(Some)
+        .chain(std::iter::repeat_with(|| None));
+    Ok(failed
+        .into_iter()
+        .zip(live)
+        .map(|(failed, live)| match failed {
+            Some(msg) => Box::new(FailedSink::new(msg)) as Box<dyn AggregateSink>,
+            None => live.expect("a member no panic hit keeps its sink"),
+        })
+        .collect())
+}
+
+/// The `shard.scan.N` failpoint (fault-injection builds): arming it
+/// fails range N alone — shard N, or with `N = 0` an unsharded
+/// scan — so range fault isolation is testable deterministically
+/// (the `executor.block` point fires inside every range).
+fn range_failpoint(range: usize) -> Result<()> {
+    #[cfg(feature = "fault-injection")]
+    if let Err(p) = std::panic::catch_unwind(|| crate::fault::fire(&format!("shard.scan.{range}")))
+    {
+        return Err(Error::TaskPanicked(crate::pool::panic_message(&*p)));
+    }
+    let _ = range;
+    Ok(())
 }
 
 /// The aggregate step after any scan: build/fetch the partition index,
 /// extract single-pass results, run the flattened join fan-out.
-/// Per-query fault isolation happens here: a member sink that panicked mid-scan (now a
-/// [`AggregateSink::panic_message`] tombstone) turns into that
-/// query's `Err(`[`QueryError::Panicked`]`)` — its batch mates'
+/// Per-query fault isolation happens here: a member sink that
+/// panicked mid-scan (now a [`AggregateSink::panic_message`]
+/// tombstone) turns into that query's
+/// `Err(`[`QueryError::Panicked`]`)`, and a panicked partition sink or
+/// join task into every join-class query's — their batch mates'
 /// results are extracted normally.
 #[allow(clippy::too_many_arguments)]
 fn finish_batch(
@@ -1000,7 +943,6 @@ fn finish_batch(
     cache: &IndexCache,
     stats: &mut BatchStats,
     token: Option<&CancelToken>,
-    shard_set: Option<&ShardSet>,
 ) -> Result<Vec<QueryOutcome>> {
     let ScanPrep {
         plan,
@@ -1008,50 +950,40 @@ fn finish_batch(
         key,
         single_pass_sinks,
     } = prep;
-    let needs_index = !plan.join_specs.is_empty();
     let scan_total = stats.shared_scan.total();
-    let mut results: Vec<Option<std::result::Result<QueryResult, QueryError>>> =
-        (0..queries.len()).map(|_| None).collect();
+    let mut results: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
+    let fail_joins = |results: &mut [Option<QueryOutcome>], msg: &str| {
+        for &qi in &plan.join_query_index {
+            results[qi] = Some(Err(QueryError::Panicked(msg.to_string())));
+        }
+    };
 
     // ---- aggregate: partition index ----
-    let index: Option<Arc<PartitionIndex>> = if needs_index {
-        let index = match cached {
-            Some(i) => Some(i),
-            None => 'build: {
-                let sink = finished
-                    .get_mut(single_pass_sinks)
-                    .and_then(Option::take)
-                    .expect("the partition sink rode the scan");
-                // The shared partition sink serves every join-class
-                // query; if it panicked there is nothing per-query to
-                // salvage. Single-node, the whole batch fails
-                // (structured, no poisoned state left behind); under
-                // shard isolation the panic happened on one shard, so
-                // only the join-class queries — which all depend on
-                // the index — are tombstoned.
-                if let Some(m) = sink.panic_message() {
-                    if shard_set.is_some() {
-                        for &qi in &plan.join_query_index {
-                            results[qi] = Some(Err(QueryError::Panicked(m.to_string())));
-                        }
-                        break 'build None;
-                    }
-                    return Err(Error::TaskPanicked(m.to_string()));
-                }
-                let built = Arc::new(seal_index(engine, dataset, sink, token)?);
-                if built.xml_table.is_some() {
-                    stats.scan_passes += 1;
-                }
-                cache.insert(
-                    key.expect("key exists when an index is needed"),
-                    built.clone(),
-                );
-                Some(built)
-            }
-        };
-        index
-    } else {
+    let index: Option<Arc<PartitionIndex>> = if plan.join_specs.is_empty() {
         None
+    } else if let Some(cached) = cached {
+        Some(cached)
+    } else {
+        let sink = finished
+            .get_mut(single_pass_sinks)
+            .and_then(Option::take)
+            .expect("the partition sink rode the scan");
+        // Every join-class query reads the shared partition sink, so
+        // its panic fails exactly those queries.
+        if let Some(m) = sink.panic_message() {
+            fail_joins(&mut results, m);
+            None
+        } else {
+            let built = Arc::new(seal_index(engine, dataset, sink, token)?);
+            if built.xml_table.is_some() {
+                stats.scan_passes += 1;
+            }
+            cache.insert(
+                key.expect("key exists when an index is needed"),
+                built.clone(),
+            );
+            Some(built)
+        }
     };
 
     // ---- aggregate: single-pass query results ----
@@ -1107,67 +1039,28 @@ fn finish_batch(
         // parse once.
         let shared_cache = ReparseCache::new(options.sort_batch);
         let occupied = index.map.occupied_slots(&index.store);
-        // Single-node: one fan-out over every occupied slot. Sharded:
-        // the occupied slots are distributed round-robin across
-        // shards; each shard joins its own slots and the per-slot
-        // results concatenate before the (order-canonical) per-query
-        // fold — bit-identical to the single fan-out. A panicking
-        // shard tombstones the join-class queries (they all depend on
-        // every shard's slots) instead of failing the batch.
-        let slot_groups: Vec<Vec<usize>> = match shard_set {
-            Some(set) => (0..set.len())
-                .map(|s| set.own_slots(s, &occupied))
-                .collect(),
-            None => vec![occupied],
+        let grid = run_join_grid(
+            engine,
+            &index.store,
+            &index.map,
+            &plan.join_specs,
+            reparse.as_ref(),
+            &shared_cache,
+            &options,
+            token,
+            &occupied,
+        );
+        let grid = match grid {
+            Ok(per_query) => per_query,
+            // A panicked join task fails the join-class queries, which
+            // share the fan-out.
+            Err(JobFault::Panicked(msg)) => {
+                fail_joins(&mut results, &msg);
+                Vec::new()
+            }
+            Err(e) => return Err(Error::from(e)),
         };
-        let mut grid_results: Vec<Vec<(Duration, SlotResult)>> =
-            (0..plan.join_specs.len()).map(|_| Vec::new()).collect();
-        let mut join_panic: Option<String> = None;
-        for (shard_idx, slots) in slot_groups.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let shard_results = run_join_grid(
-                engine,
-                &index.store,
-                &index.map,
-                &plan.join_specs,
-                reparse.as_ref(),
-                &shared_cache,
-                &options,
-                token,
-                slots,
-            );
-            match shard_results {
-                Ok(per_query) => {
-                    if shard_set.is_some() {
-                        if let Some(ss) = stats.shards.as_mut() {
-                            ss.per_shard[shard_idx].join +=
-                                per_query.iter().flatten().map(|(d, _)| *d).sum();
-                        }
-                    }
-                    for (jq, v) in per_query.into_iter().enumerate() {
-                        grid_results[jq].extend(v);
-                    }
-                }
-                Err(JobFault::Panicked(msg)) if shard_set.is_some() => {
-                    join_panic = Some(msg);
-                    break;
-                }
-                Err(e) => return Err(Error::from(e)),
-            }
-        }
-        if let Some(msg) = join_panic {
-            for &qi in &plan.join_query_index {
-                results[qi] = Some(Err(QueryError::Panicked(msg.clone())));
-            }
-            let results = results
-                .into_iter()
-                .map(|r| r.expect("every query produced a result"))
-                .collect();
-            return Ok(results);
-        }
-        for (jq, per_slot) in grid_results.into_iter().enumerate() {
+        for (jq, per_slot) in grid.into_iter().enumerate() {
             let qi = plan.join_query_index[jq];
             let own_process: Duration = per_slot.iter().map(|(d, _)| *d).sum();
             let outcome = fold_slot_results(&index.map, per_slot.into_iter().map(|(_, r)| r))?;
@@ -1414,7 +1307,7 @@ mod tests {
         let mut prep = prepare_scan(&engine, &queries, &cache);
         let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
         let (merged, t) = engine
-            .single_pass_cancellable(&ds, &MetadataFilter::All, proto, None)
+            .single_pass(&ds, &MetadataFilter::All, proto)
             .unwrap();
         let mut finished: Vec<Option<Box<dyn AggregateSink>>> =
             merged.into_sinks().into_iter().map(Some).collect();
@@ -1427,7 +1320,7 @@ mod tests {
             shards: None,
         };
         let results = finish_batch(
-            &engine, &queries, prep, finished, &ds, &cache, &mut stats, None, None,
+            &engine, &queries, prep, finished, &ds, &cache, &mut stats, None,
         )
         .unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &solo[0]);
@@ -1579,6 +1472,71 @@ mod tests {
         let warm = session.run(&joins, &opts).unwrap();
         assert_eq!(warm.batch.as_ref().unwrap().scan_passes, 0);
         assert_eq!(warm.collapse().unwrap(), first);
+    }
+
+    #[test]
+    fn restored_multi_shard_xml_layout_is_rebuilt_as_one_shard() {
+        // A v2 snapshot may hold an XML layout of several shards; a
+        // byte range of XML cannot be scanned alone, so the session
+        // must skip that layout and rebuild the one-shard layout on
+        // demand.
+        let _gate = crate::testutil::serialised();
+        let root = std::env::temp_dir().join(format!(
+            "atgis-batch-unit-{}-xml-layout",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let bytes = atgis_datagen::write_osm_xml(&OsmGenerator::new(943).generate(120));
+        let ds = Dataset::from_bytes(bytes, Format::OsmXml);
+        let engine = Engine::builder()
+            .threads(2)
+            .cell_size(2.0)
+            .persist_path(&root)
+            .build();
+        let queries = mixed_queries(120);
+        let single = engine.execb(&queries, &ds).unwrap();
+
+        let marker = Format::OsmXml.record_marker().bytes;
+        let stale: Vec<crate::shard::Shard> = atgis_formats::marker_blocks(ds.bytes(), marker, 4)
+            .into_iter()
+            .map(|b| crate::shard::Shard {
+                start: b.start,
+                end: b.end,
+                mbr: Some(Mbr::new(-180.0, -90.0, 180.0, 90.0)),
+                features: 0,
+            })
+            .collect();
+        assert_eq!(stale.len(), 4, "the document must cut into 4 ranges");
+        let snap = Snapshot {
+            generation: 1,
+            dataset_len: ds.len() as u64,
+            fingerprint: persist::dataset_fingerprint(ds.bytes(), Format::OsmXml),
+            indexes: Vec::new(),
+            shard_sets: vec![(4, Arc::new(ShardSet::from_shards(stale)))],
+            aggregates: Vec::new(),
+        };
+        engine
+            .persist()
+            .expect("persisting engine")
+            .save(&snap)
+            .unwrap();
+
+        let session = QuerySession::new(engine, ds);
+        assert!(
+            recover(session.shard_sets.lock()).get(&4).is_none(),
+            "the stale layout is not restored"
+        );
+        let out = session
+            .run(&queries, &ExecOptions::new().timed().sharded(4))
+            .unwrap();
+        assert!(out.shard_stats().is_none(), "XML scatters nothing");
+        assert_eq!(out.collapse().unwrap(), single);
+        assert_eq!(
+            recover(session.shard_sets.lock()).get(&4).map(|s| s.len()),
+            Some(1),
+            "the rebuilt layout is one shard"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

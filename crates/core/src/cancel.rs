@@ -16,7 +16,9 @@
 //! The fast path is a single relaxed atomic load; the deadline (when
 //! set) costs one monotonic clock read per check. A token is never
 //! required: an [`crate::ExecOptions`] without one passes no token and
-//! pays nothing.
+//! pays nothing. A caller's token and a time budget compose into a
+//! child token ([`CancelToken::child_with_deadline`]); every range of
+//! a sharded scan polls the one batch token.
 //!
 //! ```
 //! use atgis::cancel::{CancelToken, Interrupt};
@@ -58,9 +60,10 @@ impl std::fmt::Display for Interrupt {
 struct TokenState {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
-    /// Parent state for tokens created with [`CancelToken::child`]:
-    /// the child trips whenever any ancestor trips, but cancelling the
-    /// child never propagates upward.
+    /// Parent state for tokens created with
+    /// [`CancelToken::child_with_deadline`]: the child trips whenever
+    /// any ancestor trips, but cancelling the child never propagates
+    /// upward.
     parent: Option<Arc<TokenState>>,
 }
 
@@ -139,25 +142,12 @@ impl CancelToken {
     }
 
     /// A child token that trips whenever `self` trips (cancellation or
-    /// deadline), but whose own [`CancelToken::cancel`] never
-    /// propagates back to `self`. Shard workers each poll a child so
-    /// the coordinator's signal fans out while a shard-local trip
-    /// stays local.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            state: Arc::new(TokenState {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: Some(self.state.clone()),
-            }),
-        }
-    }
-
-    /// A child token (see [`CancelToken::child`]) that additionally
-    /// trips once `budget` has elapsed from now. The effective
-    /// deadline is the earlier of the child's and any ancestor's; an
-    /// unrepresentable budget means the child adds no deadline of its
-    /// own.
+    /// deadline) and additionally once `budget` has elapsed from now;
+    /// its own [`CancelToken::cancel`] never propagates back to
+    /// `self`. [`crate::ExecOptions`] derives one when a caller's
+    /// token and a time budget compose. The effective deadline is the
+    /// earlier of the child's and any ancestor's; an unrepresentable
+    /// budget means the child adds no deadline of its own.
     pub fn child_with_deadline(&self, budget: Duration) -> CancelToken {
         CancelToken {
             state: Arc::new(TokenState {
@@ -262,12 +252,12 @@ mod tests {
     #[test]
     fn child_trips_with_parent_but_not_vice_versa() {
         let parent = CancelToken::new();
-        let child = parent.child();
+        let child = parent.child_with_deadline(Duration::from_secs(3600));
         assert!(child.check().is_ok());
         child.cancel();
         assert!(child.is_cancelled());
         assert!(!parent.is_cancelled(), "child cancel stays local");
-        let other = parent.child();
+        let other = parent.child_with_deadline(Duration::from_secs(3600));
         parent.cancel();
         assert_eq!(other.interrupted(), Some(Interrupt::Cancelled));
         assert!(other.is_cancelled());

@@ -202,9 +202,10 @@ impl Engine {
     /// not method-name permutations (see [`crate::exec`]).
     ///
     /// Every call is one shared-scan batch ([`crate::batch`]): a single
-    /// query is a batch of one, and [`ExecOptions::shards`] only swaps
-    /// the scan step for a scatter–gather over a [`ShardSet`]. Results
-    /// are bit-identical across batch mates and every shard count.
+    /// query is a batch of one, and [`ExecOptions::shards`] only cuts
+    /// the scan into the byte ranges of a [`ShardSet`], pruning the
+    /// ranges a query's region cannot touch. Results are bit-identical
+    /// across batch mates and every shard count.
     ///
     /// ```
     /// use atgis::{Dataset, Engine, ExecOptions, Query};
@@ -246,7 +247,7 @@ impl Engine {
         let (outcomes, stats, _) = batch::execute(
             self,
             queries,
-            Source::dataset(dataset, set.as_ref()),
+            Source::Dataset(dataset, set.as_ref()),
             &IndexCache::new(),
             token.as_ref(),
         )?;
@@ -282,30 +283,15 @@ impl Engine {
 
     /// Runs a single-pass pipeline with the given aggregate prototype
     /// — the low-level API for custom aggregates and metadata filters
-    /// pushed into the parse stage.
+    /// pushed into the parse stage. A panicking aggregate fails only
+    /// this pass ([`Error::TaskPanicked`]) — the pool survives.
     pub fn single_pass<A: QueryAggregate>(
         &self,
         dataset: &Dataset,
         filter: &MetadataFilter,
         proto: A,
     ) -> Result<(A, Timings)> {
-        self.single_pass_cancellable(dataset, filter, proto, None)
-    }
-
-    /// [`Engine::single_pass`] under an optional [`CancelToken`]: the
-    /// token is observed between blocks (a tripped token skips every
-    /// not-yet-started block and the pass returns
-    /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`]), and a
-    /// panicking aggregate fails only this pass
-    /// ([`Error::TaskPanicked`]) — the pool survives.
-    pub fn single_pass_cancellable<A: QueryAggregate>(
-        &self,
-        dataset: &Dataset,
-        filter: &MetadataFilter,
-        proto: A,
-        token: Option<&CancelToken>,
-    ) -> Result<(A, Timings)> {
-        self.scan_range_cancellable(dataset, 0, dataset.bytes().len(), filter, proto, token)
+        self.scan_range_cancellable(dataset, 0, dataset.len(), filter, proto, None)
     }
 
     /// How scans of `format` cut it into blocks.
@@ -317,15 +303,19 @@ impl Engine {
         }
     }
 
-    /// [`Engine::single_pass_cancellable`] restricted to the byte
-    /// range `[start, end)` — the shard scan primitive: one complete
-    /// region through the region kernel ([`RegionScan::region`]) in
-    /// [`Engine::block_count`] blocks. Blocks carry **absolute**
-    /// offsets, so features keep their global identity (offset/len)
-    /// and results over marker-aligned ranges compose bit-identically
-    /// with single-node execution. OSM XML relations need the global
-    /// node table, so an XML range must be the whole document; sharded
-    /// execution parses XML once and buckets instead.
+    /// [`Engine::single_pass`] restricted to the byte range
+    /// `[start, end)` and observing an optional [`CancelToken`] — the
+    /// batch scan primitive: one complete region through the region
+    /// kernel ([`RegionScan::region`]) in [`Engine::block_count`]
+    /// blocks. The token is observed between blocks (a tripped token
+    /// skips every not-yet-started block and the scan returns
+    /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`]). Blocks
+    /// carry **absolute** offsets, so features keep their global
+    /// identity (offset/len) and results over marker-aligned ranges
+    /// compose bit-identically with one pass over the whole file. OSM
+    /// XML relations need the global node table, so an XML range must
+    /// be the whole document ([`ShardSet::build`] cuts XML into one
+    /// shard).
     pub(crate) fn scan_range_cancellable<A: QueryAggregate>(
         &self,
         dataset: &Dataset,
@@ -339,29 +329,6 @@ impl Engine {
         let mut scan = RegionScan::new(self, dataset.format(), filter.clone(), proto, start);
         scan.region(self, input, start..end, self.block_count(), true, token)?;
         scan.finish(input)
-    }
-
-    /// The XML parse (§4.4): one block-parallel collection pass that
-    /// builds the temporary table of points, ways and relations
-    /// (blocks merge by concatenation), then sequential assembly
-    /// against it.
-    pub(crate) fn parse_xml(
-        &self,
-        dataset: &Dataset,
-        filter: &MetadataFilter,
-        token: Option<&CancelToken>,
-    ) -> Result<(Vec<RawFeature>, Timings)> {
-        let input = dataset.bytes();
-        let started = Instant::now();
-        let blocks = marker_blocks(
-            input,
-            Format::OsmXml.record_marker().bytes,
-            self.block_count(),
-        );
-        let split = started.elapsed();
-        let (features, mut t, _) = self.collect_xml(input, &blocks, filter, token)?;
-        t.split = split;
-        Ok((features, t))
     }
 
     /// Collects the node, way and relation tables of the XML `blocks`
@@ -393,13 +360,17 @@ impl Engine {
 
     /// Parses the dataset once into an offset→geometry table: XML
     /// joins re-parse through it, since a relation's geometry needs
-    /// the node table.
+    /// the node table. The parse is the scan's (§4.4): one
+    /// block-parallel collection pass, then assembly.
     pub(crate) fn xml_geometry_table(
         &self,
         dataset: &Dataset,
         token: Option<&CancelToken>,
     ) -> Result<HashMap<u64, Geometry>> {
-        let (features, _) = self.parse_xml(dataset, &MetadataFilter::All, token)?;
+        let input = dataset.bytes();
+        let marker = Format::OsmXml.record_marker().bytes;
+        let blocks = marker_blocks(input, marker, self.block_count());
+        let (features, _, _) = self.collect_xml(input, &blocks, &MetadataFilter::All, token)?;
         Ok(features
             .into_iter()
             .map(|f| (f.offset, f.geometry))

@@ -383,6 +383,7 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use crate::stream::SliceChunkSource;
+    use crate::testutil::serialised;
 
     #[test]
     fn xorshift_is_deterministic_and_nonzero_safe() {
@@ -429,6 +430,7 @@ mod tests {
 
     #[test]
     fn failpoints_fire_only_while_armed() {
+        let _gate = serialised();
         // Unarmed: a no-op.
         fire("fault.test.unarmed");
         arm("fault.test.sleepy", FaultAction::Sleep(Duration::ZERO));
@@ -449,6 +451,7 @@ mod tests {
 
     #[test]
     fn probabilistic_failpoints_are_seeded() {
+        let _gate = serialised();
         let count_hits = |seed: u64| {
             arm(
                 "fault.test.random",

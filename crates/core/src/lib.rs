@@ -87,11 +87,12 @@
 //!   to per-query execution in both lifecycles.
 //! * [`shard`] — **intra-process sharded scatter–gather**: a
 //!   [`ShardSet`] splits a dataset into marker-aligned byte-range
-//!   shards bounded by per-shard MBRs; [`ExecOptions::sharded`]
-//!   scatters a batch across them (pruning shards a region query
-//!   cannot touch), gathers per-query sinks with the associative
-//!   member-wise combine, and stays bit-identical to single-node
-//!   execution at every shard count.
+//!   shards bounded by per-shard MBRs (OSM XML is one shard);
+//!   [`ExecOptions::sharded`] runs a batch's one scan shard by shard
+//!   (skipping shards a region query cannot touch), folds the
+//!   shards' fan-outs with the associative member-wise combine, and
+//!   stays bit-identical to single-node execution at every shard
+//!   count.
 //! * [`stream`] — **chunk-fed streaming execution**: a
 //!   [`stream::ChunkSource`] (file, reader, bounded in-memory channel)
 //!   feeds an append-only stable-address [`StreamBuffer`], and

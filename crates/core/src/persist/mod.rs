@@ -479,6 +479,7 @@ mod tests {
     use crate::result::{AggregateValues, QueryResult};
     use crate::scheduler::{QueryKey, RegionKey};
     use crate::shard::{Shard, ShardSet};
+    use crate::testutil::serialised;
     use atgis_geometry::Mbr;
     use proptest::prelude::*;
 
@@ -530,6 +531,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_and_identity_check() {
+        let _gate = serialised();
         let store = PersistStore::open(tmp_root("round-trip")).unwrap();
         let data = b"dataset bytes".to_vec();
         let fp = dataset_fingerprint(&data, Format::Wkt);
@@ -551,6 +553,7 @@ mod tests {
 
     #[test]
     fn renamed_snapshot_fails_the_identity_check() {
+        let _gate = serialised();
         let store = PersistStore::open(tmp_root("rename")).unwrap();
         let a = b"dataset a".to_vec();
         let b = b"dataset b!".to_vec();
@@ -585,6 +588,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_a_structured_error_and_resident_entry_is_dropped() {
+        let _gate = serialised();
         let store = PersistStore::open(tmp_root("corrupt")).unwrap();
         let data = b"dataset bytes".to_vec();
         let fp = dataset_fingerprint(&data, Format::Wkt);
@@ -711,6 +715,7 @@ mod tests {
 
         #[test]
         fn injected_write_fault_aborts_cleanly() {
+            let _gate = serialised();
             let store = PersistStore::open(tmp_root("fault-write")).unwrap();
             let data = b"dataset bytes".to_vec();
             let fp = dataset_fingerprint(&data, Format::Wkt);

@@ -97,7 +97,8 @@ pub(crate) struct FailedSink {
 impl FailedSink {
     /// A tombstone carrying the panic payload of the member it
     /// replaced (minted in `MultiSink` when a member sink panics, and
-    /// in the sharded gather when one shard's scan panics).
+    /// by the batch range scan for the members a panicked range
+    /// carried).
     pub(crate) fn new(message: impl Into<String>) -> Self {
         FailedSink {
             message: message.into(),

@@ -855,11 +855,13 @@ impl QueryScheduler {
                     .run_isolated_core(&wave_queries, token, shards)
                 {
                     Ok(outcome) => outcome,
-                    // A batch-wide query failure (cancellation, deadline,
-                    // partition-sink panic) fails every member of this
-                    // wave; later waves observe the same tripped token
-                    // and fail fast the same way, so results already
-                    // resolved are never discarded.
+                    // A batch-wide query failure (cancellation,
+                    // deadline, a panic outside the range scans and
+                    // the join stage, which tombstone per query) fails
+                    // every member of this wave; later waves observe
+                    // the same tripped token and fail fast the same
+                    // way, so results already resolved are never
+                    // discarded.
                     Err(e) => match e.as_query_error() {
                         Some(qe) => {
                             let elapsed = started.elapsed();
@@ -882,13 +884,14 @@ impl QueryScheduler {
                 let p = unique[w];
                 let qi = pending[p];
                 if q.scan_class() == ScanClass::Join {
-                    // Feed the admission model with the measured cost.
-                    // `per_query` is indexed by position within this
-                    // wave; a warm-index wave ran no scan (`scan` is
-                    // zero) and is skipped by the observer — a ratio
-                    // against a zero denominator would poison the
-                    // model.
-                    if let Some(per_query) = batch_stats.per_query.get(pos) {
+                    // Feed the admission model with the measured cost
+                    // of a join that ran: a tombstoned join did no
+                    // join work (its `wall` is zero). `per_query` is
+                    // indexed by position within this wave; a
+                    // warm-index wave ran no scan (`scan` is zero) and
+                    // is skipped by the observer — a ratio against a
+                    // zero denominator would poison the model.
+                    if let (Ok(_), Some(per_query)) = (&result, batch_stats.per_query.get(pos)) {
                         entry.observe_join_cost(scan, per_query.wall, self.engine.threads());
                     }
                 } else if let Ok(ref finished) = result {

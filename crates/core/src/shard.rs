@@ -2,28 +2,37 @@
 //!
 //! A [`ShardSet`] partitions a dataset into N marker-aligned byte
 //! ranges ("shards"), each annotated with the MBR of the features it
-//! contains. A sharded batch then runs as scatter–gather:
+//! contains. A batch over a shard set is the ordinary shared scan run
+//! range by range (see [`crate::batch`]); an unsharded batch is the
+//! same loop over one range, the whole file:
 //!
 //! 1. **Prune** — a single-pass query whose region's MBR is disjoint
 //!    from a shard's MBR cannot match anything there, so it never
 //!    scatters to that shard (join queries touch every shard: their
-//!    pairs may span shards via the partition grid).
-//! 2. **Scatter** — every shard scans only its own byte range, feeding
-//!    fresh per-query sinks (a fresh sink is the aggregate's identity
-//!    element, so shards are independent).
-//! 3. **Gather** — per-query sinks merge across shards with the same
-//!    member-wise associative combine the parallel scan already uses
-//!    ([`crate::pipeline::AggregateSink::combine_sink`]).
+//!    pairs may span shards via the partition grid). A shard no query
+//!    scatters to is never read.
+//! 2. **Scatter** — every needed shard scans only its own byte range
+//!    with the batch's one fan-out of per-query sinks. A query pruned
+//!    from a shard still rides its scan, but absorbs nothing there.
+//! 3. **Gather** — the shards' fan-outs fold with the same member-wise
+//!    associative combine the parallel scan already uses
+//!    ([`crate::pipeline::MultiSink`]).
 //!
 //! Because the underlying transducers are associative and aggregation
 //! uses correctly-rounded [`crate::ExactSum`], the gathered result is
 //! **bit-identical** to a single-node pass for every shard count — the
-//! differential suite pins this across {1, 2, 4, 8}.
+//! differential suite pins this across {1, 2, 4, 8}. A panic while
+//! scanning one shard fails exactly the queries scattered to it; the
+//! join stage runs once over the shared partition index, whatever the
+//! shard count.
 //!
 //! Shard boundaries come from the same marker-aligned split the PAT
 //! scan uses ([`marker_blocks`] at [`Format::record_marker`]), so no
 //! feature ever straddles a shard and per-shard scans of either PAT or
-//! FAT mode compose exactly.
+//! FAT mode compose exactly. OSM XML is the exception: a way or
+//! relation needs the node table of the whole document, so a byte
+//! range of XML cannot be parsed alone and an XML dataset is one
+//! shard.
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
@@ -102,59 +111,36 @@ impl ShardSet {
     /// Splits `dataset` into at most `count` marker-aligned shards and
     /// bounds each with one scan pass. The dataset may yield fewer
     /// shards than requested (markers are sparse near the end of small
-    /// inputs); [`ShardSet::len`] reports the actual count.
+    /// inputs, and OSM XML is always one shard); [`ShardSet::len`]
+    /// reports the actual count.
     pub fn build(
         engine: &Engine,
         dataset: &Dataset,
         count: usize,
         token: Option<&CancelToken>,
     ) -> Result<ShardSet> {
-        let input = dataset.bytes();
+        let count = if dataset.format() == Format::OsmXml {
+            1
+        } else {
+            count
+        };
         let marker = dataset.format().record_marker().bytes;
-        let ranges: Vec<(usize, usize)> = marker_blocks(input, marker, count.max(1))
-            .into_iter()
-            .map(|b| (b.start, b.end))
-            .collect();
-
-        let mut shards = Vec::with_capacity(ranges.len());
-        match dataset.format() {
-            Format::OsmXml => {
-                // One global parse (relations need the whole node
-                // table), then bucket features into ranges by offset.
-                let (features, _t) = engine.parse_xml(dataset, &MetadataFilter::All, token)?;
-                for &(start, end) in &ranges {
-                    let mut probe = MbrProbe::default();
-                    for f in &features {
-                        if (start as u64) <= f.offset && f.offset < end as u64 {
-                            probe.absorb(f);
-                        }
-                    }
-                    shards.push(Shard {
-                        start,
-                        end,
-                        mbr: probe.mbr,
-                        features: probe.count,
-                    });
-                }
-            }
-            _ => {
-                for &(start, end) in &ranges {
-                    let (probe, _t) = engine.scan_range_cancellable(
-                        dataset,
-                        start,
-                        end,
-                        &MetadataFilter::All,
-                        MbrProbe::default(),
-                        token,
-                    )?;
-                    shards.push(Shard {
-                        start,
-                        end,
-                        mbr: probe.mbr,
-                        features: probe.count,
-                    });
-                }
-            }
+        let mut shards = Vec::with_capacity(count);
+        for b in marker_blocks(dataset.bytes(), marker, count) {
+            let (probe, _t) = engine.scan_range_cancellable(
+                dataset,
+                b.start,
+                b.end,
+                &MetadataFilter::All,
+                MbrProbe::default(),
+                token,
+            )?;
+            shards.push(Shard {
+                start: b.start,
+                end: b.end,
+                mbr: probe.mbr,
+                features: probe.count,
+            });
         }
         Ok(ShardSet { shards })
     }
@@ -196,18 +182,6 @@ impl ShardSet {
                 vec![true; self.shards.len()]
             }
         }
-    }
-
-    /// The slots of a partition grid owned by shard `shard` under the
-    /// round-robin slot distribution used for the sharded join phase:
-    /// occupied slot `i` belongs to shard `i % len`.
-    pub(crate) fn own_slots(&self, shard: usize, occupied: &[usize]) -> Vec<usize> {
-        occupied
-            .iter()
-            .copied()
-            .enumerate()
-            .filter_map(|(i, slot)| (i % self.shards.len() == shard).then_some(slot))
-            .collect()
     }
 }
 
@@ -265,19 +239,5 @@ mod tests {
         // Joins always scatter everywhere.
         let join = Query::join(u64::MAX);
         assert!(set.scatter_mask(&join).iter().all(|&m| m));
-    }
-
-    #[test]
-    fn round_robin_slot_ownership_partitions_occupied_slots() {
-        let engine = Engine::builder().build();
-        let dataset = wkt_dataset();
-        let set = ShardSet::build(&engine, &dataset, 2, None).unwrap();
-        let occupied = vec![3, 7, 11, 12, 20];
-        let mut seen = Vec::new();
-        for s in 0..set.len() {
-            seen.extend(set.own_slots(s, &occupied));
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, occupied, "slots partition exactly across shards");
     }
 }

@@ -156,7 +156,8 @@ pub struct BatchStats {
     /// Per-query breakdowns, in submission order.
     pub per_query: Vec<BatchQueryStats>,
     /// Scatter–gather accounting when the batch ran sharded (`None`
-    /// for single-node execution).
+    /// for single-node execution and for a one-shard layout, which
+    /// every OSM-XML layout is).
     pub shards: Option<ShardStats>,
 }
 
@@ -187,8 +188,6 @@ pub struct ShardTiming {
     /// The shard's scan-pipeline timings (zero when every query was
     /// pruned and no index build touched the shard).
     pub scan: Timings,
-    /// Worker time spent on this shard's slice of the join grid.
-    pub join: Duration,
 }
 
 impl BatchStats {
@@ -260,9 +259,11 @@ pub struct SchedulerStats {
     /// [`crate::QueryError::DeadlineExceeded`] because the token's
     /// deadline elapsed mid-execution.
     pub deadline_exceeded: u64,
-    /// Queries that ended with [`crate::QueryError::Panicked`]: their
-    /// aggregate sink panicked, and the failure was confined to the
-    /// query (batch mates and the worker pool were unaffected).
+    /// Queries that ended with [`crate::QueryError::Panicked`]: a
+    /// panic hit their work (their aggregate sink, a byte range they
+    /// were scattered to, or the join stage they share), and the
+    /// failure was confined to those queries (batch mates and the
+    /// worker pool were unaffected).
     pub task_panics: u64,
 }
 

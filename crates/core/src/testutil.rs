@@ -13,6 +13,15 @@ use crate::result::QueryResult;
 use crate::scheduler::{DatasetId, QueryScheduler};
 use crate::stats::{BatchStats, SchedulerStats};
 use crate::Result;
+use std::sync::{Mutex, MutexGuard};
+
+/// Failpoints are process-wide: a unit test that arms one, or runs
+/// code that fires one (snapshot saves and loads), holds this gate so
+/// an armed fault only ever fires inside the test that armed it.
+pub(crate) fn serialised() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// One-query / collapsed-batch helpers for [`Engine`].
 pub(crate) trait RunExt {

@@ -441,9 +441,16 @@ impl<'a> Scanner<'a> {
                 }
                 Some(b'?' | b'!') => self.skip_past(b">", "unterminated tag")?,
                 Some(b'/') => {
+                    // `</name`, optional whitespace, `>`: anything else
+                    // would let the skip to the next `>` swallow the
+                    // following record's opening tag.
                     let name_end = self.name_end(self.pos + 1);
                     let name = &self.input[self.pos + 1..name_end];
-                    self.skip_past(b">", "unterminated tag")?;
+                    let gt = skip_until(self.input, name_end, |b| !b.is_ascii_whitespace());
+                    if self.input.get(gt) != Some(&b'>') {
+                        return Err(ParseError::syntax(gt as u64, "expected '>' in end tag"));
+                    }
+                    self.pos = gt + 1;
                     return Ok(Some(Tag::Close(name)));
                 }
                 Some(_) => return self.read_element(lt).map(|e| Some(Tag::Open(e))),
@@ -503,7 +510,9 @@ impl<'a> Scanner<'a> {
 
     /// Hands every opening tag inside `parent` to `visit` and returns
     /// the position just past `parent`'s closing tag. Children may lie
-    /// beyond the block the parent started in.
+    /// beyond the block the parent started in. A record (`node`, `way`
+    /// or `relation`) is never a child: an unclosed parent is an error
+    /// at the record, whichever block the record falls in.
     fn children(
         &mut self,
         parent: &Element<'a>,
@@ -514,6 +523,13 @@ impl<'a> Scanner<'a> {
         }
         loop {
             match self.next_tag(self.input.len())? {
+                Some(Tag::Open(child)) if matches!(child.name, b"node" | b"way" | b"relation") => {
+                    let at = child.offset as u64;
+                    return Err(ParseError::syntax(
+                        at,
+                        "unclosed element before this record",
+                    ));
+                }
                 Some(Tag::Open(child)) => visit(child),
                 Some(Tag::Close(name)) if name == parent.name => return Ok(self.pos),
                 Some(Tag::Close(_)) => {}

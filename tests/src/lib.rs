@@ -11,6 +11,16 @@ use atgis::{
     Dataset, Engine, ExecOptions, Query, QueryResult, QueryScheduler, QuerySession, Result,
 };
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
+use std::sync::{Mutex, MutexGuard};
+
+/// Failpoints are process-wide: while one test has a point armed, a
+/// concurrent test's scan, snapshot save or load would fire it. Every
+/// test of a binary that arms a failpoint holds this gate, so an armed
+/// fault only ever fires inside the test that armed it.
+pub fn serialised() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Test sugar over the unified [`ExecOptions`] API: "execute this,
 /// default options, collapsed result". Every method delegates to

@@ -11,7 +11,6 @@
 
 #![cfg(feature = "fault-injection")]
 
-use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use atgis::fault::{self, CancelAfterChunks, FaultAction, FaultInjector};
@@ -22,15 +21,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, OsmGenerator};
 use atgis_formats::Format;
 use atgis_geometry::Mbr;
-use atgis_tests::{RunExt, SchedRunExt, StreamRunExt};
-
-/// Failpoints are process-global: serialise every test in this binary
-/// so one test's armed panic cannot fire inside another's clean scan.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn serialised() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+use atgis_tests::{serialised, RunExt, SchedRunExt, StreamRunExt};
 
 /// Per-run randomized seed, printed for reproducibility and
 /// overridable with `ATGIS_FAULT_SEED`.

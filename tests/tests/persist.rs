@@ -17,7 +17,6 @@
 //! seed is printed by every seeded run.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 
 use atgis::persist::{snapshot, SNAPSHOT_VERSION};
 use atgis::{
@@ -26,7 +25,7 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{modes, XorShift64};
+use atgis_tests::{modes, serialised, XorShift64};
 
 /// Spatially coherent dataset (sorted by centroid longitude, like a
 /// real regional export) so shard MBR pruning is in play and the
@@ -58,14 +57,6 @@ fn engine(threads: usize, mode: Mode, store: Option<&Path>) -> Engine {
     b.build()
 }
 
-/// Failpoints are process-wide: while the failpoint test has
-/// `persist.read.0` armed, a concurrent test's snapshot load would hit
-/// it. Every test holds this lock so they never overlap.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// A fresh store root under the harness tmpdir, cleared of any debris
 /// from a previous run of the same test.
 fn store_root(name: &str) -> PathBuf {
@@ -93,7 +84,7 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 /// × shards {1, 4} × containment/aggregation/join.
 #[test]
 fn warm_restart_is_bit_identical_across_the_matrix() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: usize = 300;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let dataset = sorted_dataset(7, OBJECTS, format);
@@ -155,7 +146,7 @@ fn warm_restart_is_bit_identical_across_the_matrix() {
 /// **zero** parse passes — the restore really did replace the scan.
 #[test]
 fn warm_join_answers_with_zero_parse_passes() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: u64 = 240;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let root = store_root(&format!("zeroparse-{format:?}"));
@@ -196,7 +187,7 @@ fn warm_join_answers_with_zero_parse_passes() {
 /// restored index, and the whole warm batch runs without one scan.
 #[test]
 fn scheduler_restore_serves_the_aggregate_cache() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: u64 = 300;
     let root = store_root("scheduler");
     let dataset = sorted_dataset(17, OBJECTS as usize, Format::GeoJson);
@@ -232,7 +223,7 @@ fn scheduler_restore_serves_the_aggregate_cache() {
 /// not in the next one.
 #[test]
 fn restore_then_update_never_serves_stale_state() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: u64 = 260;
     let root = store_root("update");
     let old = sorted_dataset(19, OBJECTS as usize, Format::GeoJson);
@@ -310,7 +301,7 @@ fn assert_falls_back_to_cold(
 /// never a panic, never a wrong answer.
 #[test]
 fn corrupt_snapshots_degrade_to_cold_never_panic() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: u64 = 160;
     let root = store_root("torture");
     let dataset = sorted_dataset(29, OBJECTS as usize, Format::GeoJson);
@@ -452,7 +443,7 @@ fn corrupt_snapshots_degrade_to_cold_never_panic() {
 /// correct results — content addressing alone is not trusted.
 #[test]
 fn renamed_snapshot_cannot_cross_datasets() {
-    let _serial = serial();
+    let _gate = serialised();
     const OBJECTS: u64 = 180;
     let root = store_root("rename");
     let a = sorted_dataset(31, OBJECTS as usize, Format::GeoJson);
@@ -504,7 +495,7 @@ mod failpoints {
 
     #[test]
     fn spill_and_restore_survive_injected_faults() {
-        let _serial = serial();
+        let _gate = serialised();
         fault::disarm_all();
         const OBJECTS: u64 = 200;
         let root = store_root("failpoints");

@@ -436,11 +436,24 @@ fn hostile_xml_seed_document() -> Vec<u8> {
     doc
 }
 
+/// Engines cutting an XML document into 16 (2 threads × 8), 2 and 1
+/// blocks.
+fn xml_engines() -> [Engine; 3] {
+    let build = |threads, blocks| {
+        Engine::builder()
+            .threads(threads)
+            .block_multiplier(blocks)
+            .build()
+    };
+    [build(2, 8), build(2, 1), build(1, 1)]
+}
+
 /// Every way into the XML layer a caller has: the whole-document
 /// parse (with and without a tag filter, which reads the borrowed tag
 /// spans), the collector started at an arbitrary offset as a block
-/// would be, and the block-parallel engine path.
-fn parse_xml_everywhere(engine: &Engine, bytes: &[u8], what: &str) {
+/// would be, and the block-parallel engine path at 16, 2 and 1
+/// blocks, which must give the same answer or all a parse error.
+fn parse_xml_everywhere(engines: &[Engine; 3], bytes: &[u8], what: &str) {
     let building = MetadataFilter::KeyEquals {
         key: "building".into(),
         value: "yes".into(),
@@ -452,12 +465,21 @@ fn parse_xml_everywhere(engine: &Engine, bytes: &[u8], what: &str) {
     let _ = osmxml::collect_block(bytes, bytes.len() / 3, bytes.len() * 2 / 3);
     // A panic on a pool worker would come back as `TaskPanicked`.
     let dataset = Dataset::from_bytes(bytes.to_vec(), Format::OsmXml);
-    let buffered = engine.exec1(&world_query(), &dataset);
+    let buffered = engines[0].exec1(&world_query(), &dataset);
     match &buffered {
         Ok(_) | Err(Error::Parse(_)) => {}
         Err(other) => panic!("{what}: neither an answer nor a parse error: {other}"),
     }
-    assert_streams_like(engine, bytes, Format::OsmXml, &buffered, what);
+    for (engine, blocks) in engines[1..].iter().zip([2, 1]) {
+        match (engine.exec1(&world_query(), &dataset), &buffered) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(&got, want, "{what}: {blocks} blocks answered unlike 16")
+            }
+            (Err(Error::Parse(_)), Err(Error::Parse(_))) => {}
+            (got, want) => panic!("{what}: {blocks} blocks gave {got:?}, 16 gave {want:?}"),
+        }
+    }
+    assert_streams_like(&engines[0], bytes, Format::OsmXml, &buffered, what);
 }
 
 fn world_query() -> Query {
@@ -501,9 +523,9 @@ fn xml_truncated_at_every_offset_is_ok_or_a_parse_error() {
             .is_empty(),
         "the untruncated document parses"
     );
-    let engine = Engine::builder().threads(2).block_multiplier(8).build();
+    let engines = xml_engines();
     for cut in 0..doc.len() {
-        parse_xml_everywhere(&engine, &doc[..cut], &format!("truncated at {cut}"));
+        parse_xml_everywhere(&engines, &doc[..cut], &format!("truncated at {cut}"));
     }
 }
 
@@ -511,7 +533,7 @@ fn xml_truncated_at_every_offset_is_ok_or_a_parse_error() {
 fn xml_with_seeded_bit_flips_is_ok_or_a_parse_error() {
     let doc = hostile_xml_seed_document();
     let mut rng = XorShift64::from_env();
-    let engine = Engine::builder().threads(2).block_multiplier(8).build();
+    let engines = xml_engines();
     for _ in 0..64 {
         let mut bytes = doc.clone();
         // One to three flips, so that some land in the same element.
@@ -522,10 +544,44 @@ fn xml_with_seeded_bit_flips_is_ok_or_a_parse_error() {
             flipped.push((at, bit));
         }
         parse_xml_everywhere(
-            &engine,
+            &engines,
             &bytes,
             &format!("flipped (offset, bit) {flipped:?}"),
         );
+    }
+}
+
+/// Two flips that once made the answer depend on the block count: at
+/// offset 4802 `</way>` becomes `</vay>`, leaving the way unclosed, and
+/// at 4805 its `>` becomes `?`. Either way the next `<way` was read as
+/// the broken way's child when both fell in one block, and as its own
+/// record otherwise. Both are parse errors now, at every block count
+/// and streamed.
+#[test]
+fn xml_unclosed_way_is_a_parse_error_at_every_block_count() {
+    let doc = hostile_xml_seed_document();
+    let engines = xml_engines();
+    for at in [4802, 4805] {
+        let mut bytes = doc.clone();
+        bytes[at] ^= 1;
+        let what = format!("bit 0 flipped at {at}");
+        assert!(
+            osmxml::parse(&bytes, &MetadataFilter::All).is_err(),
+            "{what}: the document parse must fail"
+        );
+        let dataset = Dataset::from_bytes(bytes.clone(), Format::OsmXml);
+        for engine in &engines {
+            let got = engine.exec1(&world_query(), &dataset);
+            assert!(matches!(got, Err(Error::Parse(_))), "{what}: {got:?}");
+        }
+        for chunk_len in [7, 61] {
+            let mut source = SliceChunkSource::new(&bytes, chunk_len);
+            let got = engines[0].stream1(&world_query(), &mut source, Format::OsmXml);
+            assert!(
+                matches!(got, Err(Error::Parse(_))),
+                "{what}: streamed in {chunk_len}-byte chunks gave {got:?}"
+            );
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 //! queries × shards` invariant), MBR-based shard pruning on spatially
 //! coherent storage, and (under `--features fault-injection`) the
 //! per-shard fault-isolation contract: one shard's panic tombstones
-//! exactly the queries scattered to it.
+//! exactly the queries scattered to it. Failpoints are process-wide,
+//! so every test here holds the `serialised()` gate.
 //!
 //! Every unsharded reference is itself held to the
 //! `atgis_baselines::sequential` oracle, so "sharded ≡ single-node"
@@ -17,7 +18,7 @@ use atgis::{Dataset, Engine, ExecOptions, Query, QueryResult, QuerySession, Shar
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
-use atgis_tests::{assert_agrees_with_oracle, modes, oracle_answers};
+use atgis_tests::{assert_agrees_with_oracle, modes, oracle_answers, serialised};
 
 /// Spatially coherent dataset: generated objects sorted by centroid
 /// longitude before serialisation — the storage order of a real
@@ -66,6 +67,7 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 /// which in turn must agree with the sequential oracle.
 #[test]
 fn sharded_is_bit_identical_across_the_matrix() {
+    let _gate = serialised();
     const OBJECTS: usize = 400;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let dataset = sorted_dataset(7, OBJECTS, format);
@@ -105,6 +107,7 @@ fn sharded_is_bit_identical_across_the_matrix() {
 /// (empty, identical to single-node).
 #[test]
 fn pruning_is_observable_and_exactly_accounted() {
+    let _gate = serialised();
     let dataset = sorted_dataset(23, 800, Format::GeoJson);
     let engine = engine(2, Mode::Pat);
     let queries = vec![
@@ -172,6 +175,34 @@ fn pruning_is_observable_and_exactly_accounted() {
     );
 }
 
+/// A byte range of OSM XML cannot be parsed alone (ways and relations
+/// need the whole node table), so an XML layout is one shard whatever
+/// the requested count: a `sharded(4)` run is the single-node run, and
+/// reports no scatter accounting.
+#[test]
+fn xml_layout_is_one_shard_and_matches_single_node() {
+    let _gate = serialised();
+    const OBJECTS: usize = 300;
+    let dataset = sorted_dataset(11, OBJECTS, Format::OsmXml);
+    let engine = engine(2, Mode::Pat);
+    let set = ShardSet::build(&engine, &dataset, 4, None).expect("shard layout");
+    assert_eq!(set.len(), 1, "an XML layout is one shard");
+    assert_eq!(set.shards()[0].start, 0);
+    assert_eq!(set.shards()[0].end, dataset.len());
+
+    let queries = mixed_batch(OBJECTS as u64);
+    let single = engine
+        .run(&queries, &dataset, &ExecOptions::new())
+        .and_then(|o| o.collapse())
+        .expect("single-node run");
+    assert_agrees_with_oracle(&oracle_answers(&dataset, &queries), &single, "xml");
+    let out = engine
+        .run(&queries, &dataset, &ExecOptions::new().sharded(4).timed())
+        .expect("sharded run");
+    assert!(out.shard_stats().is_none(), "one shard scatters nothing");
+    assert_eq!(out.collapse().expect("sharded results"), single);
+}
+
 /// Per-shard fault isolation, driven by the shard-targeted failpoint
 /// `shard.scan.N`: panicking exactly one shard must tombstone exactly
 /// the queries scattered to it (per `ShardSet::scatter_mask`), while
@@ -181,10 +212,11 @@ fn pruning_is_observable_and_exactly_accounted() {
 mod fault_isolation {
     use super::*;
     use atgis::fault::{self, FaultAction};
-    use atgis::{Error, QueryError};
+    use atgis::{Error, QueryError, QueryScheduler};
 
     #[test]
     fn one_shard_panic_tombstones_only_its_queries() {
+        let _gate = serialised();
         fault::disarm_all();
         let dataset = sorted_dataset(43, 600, Format::GeoJson);
         let engine = engine(2, Mode::Pat);
@@ -238,5 +270,86 @@ mod fault_isolation {
                 );
             }
         }
+    }
+
+    /// An unsharded scan is one range, so `shard.scan.0` fails all of
+    /// it: every query's work was hit, so an isolated run tombstones
+    /// every query, and a whole-batch run fails with `TaskPanicked`.
+    #[test]
+    fn unsharded_range_panic_tombstones_every_query() {
+        let _gate = serialised();
+        fault::disarm_all();
+        let dataset = sorted_dataset(44, 300, Format::GeoJson);
+        let engine = engine(2, Mode::Pat);
+        let queries = mixed_batch(300);
+
+        fault::arm("shard.scan.0", FaultAction::Panic("range 0 down".into()));
+        let isolated = engine
+            .run(&queries, &dataset, &ExecOptions::new().isolated())
+            .expect("isolated run survives the range panic");
+        let whole = engine
+            .run(&queries, &dataset, &ExecOptions::new())
+            .expect_err("whole-batch semantics promote the tombstone");
+        let hits = fault::disarm("shard.scan.0");
+        fault::disarm_all();
+
+        assert_eq!(hits, 2, "the failpoint fires once per unsharded run");
+        assert!(
+            matches!(&whole, Error::TaskPanicked(m) if m.contains("range 0 down")),
+            "unexpected whole-batch error: {whole:?}"
+        );
+        assert_eq!(isolated.outcomes.len(), queries.len());
+        for (i, outcome) in isolated.outcomes.iter().enumerate() {
+            assert!(
+                matches!(outcome, Err(QueryError::Panicked(m)) if m.contains("range 0 down")),
+                "query {i} rode the failing range and must tombstone: {outcome:?}"
+            );
+        }
+        // The engine stays serviceable once the point is disarmed.
+        let clean = engine
+            .run(&queries, &dataset, &ExecOptions::new())
+            .and_then(|o| o.collapse())
+            .expect("clean run");
+        assert_agrees_with_oracle(&oracle_answers(&dataset, &queries), &clean, "after");
+    }
+
+    /// A join tombstoned by a shard panic did no join work, so it must
+    /// not teach the scheduler's admission model that joins are cheap:
+    /// the estimate stays at its prior until a join succeeds.
+    #[test]
+    fn failed_sharded_join_leaves_the_join_estimate_alone() {
+        let _gate = serialised();
+        fault::disarm_all();
+        let dataset = sorted_dataset(45, 600, Format::GeoJson);
+        let scheduler = QueryScheduler::with_cache_capacity(engine(2, Mode::Pat), 0);
+        let id = scheduler.register(dataset);
+        let join = Query::join(300);
+        let prior = scheduler.estimate_query_cost(id, &join).expect("estimate");
+
+        fault::arm("shard.scan.1", FaultAction::Panic("shard 1 down".into()));
+        let out = scheduler
+            .run(
+                id,
+                &[
+                    Query::containment(Mbr::new(-2.0, 48.0, 2.0, 52.0)),
+                    join.clone(),
+                ],
+                &ExecOptions::new().sharded(4).isolated(),
+            )
+            .expect("isolated scheduled run");
+        let hits = fault::disarm("shard.scan.1");
+        fault::disarm_all();
+
+        assert!(hits >= 1, "the sharded wave reached shard 1");
+        assert!(
+            matches!(&out.outcomes[1], Err(QueryError::Panicked(m)) if m.contains("shard 1 down")),
+            "the join rides every shard and must tombstone: {:?}",
+            out.outcomes[1]
+        );
+        assert_eq!(
+            scheduler.estimate_query_cost(id, &join).expect("estimate"),
+            prior,
+            "a failed join must not feed the admission model"
+        );
     }
 }
