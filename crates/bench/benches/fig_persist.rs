@@ -112,9 +112,9 @@ fn bench_persist(c: &mut Criterion) {
     });
     group.finish();
 
-    // The snapshot decode alone: checksum validation + defensive
-    // decode + handle rebuild, over the resident bytes (the steady
-    // state of a store that has already read the file once).
+    // One store load: the file read (from the OS page cache after
+    // the first iteration) + checksum validation + defensive decode +
+    // handle rebuild.
     let store = PersistStore::open(&root).expect("open store");
     let snap_len = std::fs::metadata(store.snapshot_path(dataset.bytes(), Format::GeoJson))
         .expect("snapshot on disk")

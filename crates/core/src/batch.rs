@@ -332,6 +332,21 @@ impl QuerySession {
     /// missing/corrupt/version-skewed snapshot silently leaves the
     /// session cold.
     pub fn new(engine: Engine, dataset: Dataset) -> Self {
+        QuerySession::restore(engine, dataset).0
+    }
+
+    /// [`QuerySession::new`], also returning the snapshot's finished
+    /// aggregates for a scheduler to re-key. This is the one place a
+    /// snapshot is loaded: every failure mode (no store, no file,
+    /// corruption, version skew, injected read fault) leaves the
+    /// session cold and returns no aggregates.
+    pub(crate) fn restore(
+        engine: Engine,
+        dataset: Dataset,
+    ) -> (Self, Vec<(crate::scheduler::QueryKey, QueryResult)>) {
+        let snap = engine
+            .persist()
+            .and_then(|store| store.load(dataset.bytes(), dataset.format()).ok().flatten());
         let session = QuerySession {
             engine,
             dataset,
@@ -340,32 +355,21 @@ impl QuerySession {
             seal_failed: false,
             shard_sets: Mutex::new(HashMap::new()),
         };
-        session.restore_from_store();
-        session
-    }
-
-    /// Installs a snapshot's derived state, if the engine persists and
-    /// a trustworthy snapshot of this dataset exists. Every failure
-    /// mode (no store, no file, corruption, version skew, injected
-    /// read fault) leaves the session exactly as cold as it started.
-    fn restore_from_store(&self) {
-        let Some(store) = self.engine.persist() else {
-            return;
+        let Some(snap) = snap else {
+            return (session, Vec::new());
         };
-        if let Ok(Some(snap)) = store.load_dataset(&self.dataset) {
-            for (key, index) in snap.indexes {
-                self.cache.insert(key, index);
-            }
-            // An XML layout of several shards predates XML's one-shard
-            // rule and would cut the document; rebuild it on demand.
-            let xml = self.dataset.format() == Format::OsmXml;
-            let mut sets = recover(self.shard_sets.lock());
-            for (count, set) in snap.shard_sets {
-                if !(xml && set.len() > 1) {
-                    sets.insert(count, set);
-                }
-            }
+        for (key, index) in snap.indexes {
+            session.cache.insert(key, index);
         }
+        // An XML layout of several shards predates XML's one-shard
+        // rule and would cut the document; rebuild it on demand.
+        let xml = session.dataset.format() == Format::OsmXml;
+        recover(session.shard_sets.lock()).extend(
+            snap.shard_sets
+                .into_iter()
+                .filter(|(_, set)| !(xml && set.len() > 1)),
+        );
+        (session, snap.aggregates)
     }
 
     /// How much restorable state the session holds — grows when a

@@ -311,11 +311,11 @@ impl Engine {
     /// skips every not-yet-started block and the scan returns
     /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`]). Blocks
     /// carry **absolute** offsets, so features keep their global
-    /// identity (offset/len) and results over marker-aligned ranges
-    /// compose bit-identically with one pass over the whole file. OSM
-    /// XML relations need the global node table, so an XML range must
-    /// be the whole document ([`ShardSet::build`] cuts XML into one
-    /// shard).
+    /// identity (offset/len) and results over ranges cut at feature
+    /// starts compose bit-identically with one pass over the whole
+    /// file. OSM XML relations need the global node table, so an XML
+    /// range must be the whole document ([`ShardSet::build`] cuts XML
+    /// into one shard).
     pub(crate) fn scan_range_cancellable<A: QueryAggregate>(
         &self,
         dataset: &Dataset,
@@ -693,10 +693,6 @@ pub(crate) struct PartitionAgg {
 }
 
 impl QueryAggregate for PartitionAgg {
-    fn identity() -> Self {
-        unreachable!("constructed by the engine with grid parameters")
-    }
-
     fn absorb(&mut self, f: &RawFeature) {
         let entry = PartEntry::from_feature(f);
         for cell in self.grid.cells_for(&entry.mbr) {

@@ -86,8 +86,9 @@
 //!   cache exactly as in a pinned session. Results are bit-identical
 //!   to per-query execution in both lifecycles.
 //! * [`shard`] — **intra-process sharded scatter–gather**: a
-//!   [`ShardSet`] splits a dataset into marker-aligned byte-range
-//!   shards bounded by per-shard MBRs (OSM XML is one shard);
+//!   [`ShardSet`] splits a dataset into byte-range shards cut at
+//!   parser-reported feature starts and bounded by per-shard MBRs
+//!   (OSM XML is one shard);
 //!   [`ExecOptions::sharded`] runs a batch's one scan shard by shard
 //!   (skipping shards a region query cannot touch), folds the
 //!   shards' fan-outs with the associative member-wise combine, and

@@ -10,6 +10,13 @@
 //! so a restarted server answers its first join query with **zero
 //! parse passes** over the raw bytes.
 //!
+//! [`PersistStore`] only reads and writes files; it keeps no copy of
+//! a snapshot in memory (a hot file is served by the OS page cache).
+//! A session opening over a persisting engine is the one reader: it
+//! loads its dataset's snapshot once, installs the indexes and shard
+//! layouts, and hands the finished aggregates to a scheduler that
+//! registers it.
+//!
 //! # Keying and invalidation
 //!
 //! [`crate::scheduler::DatasetId`]s are process-local, so they cannot
@@ -42,17 +49,13 @@ pub mod snapshot;
 
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 
-use crate::dataset::Dataset;
-use crate::pool::recover;
 use atgis_formats::Format;
 use codec::fnv1a;
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Why a snapshot could not be written or read back. Load-side errors
 /// all mean the same thing to callers — "treat as no snapshot, parse
@@ -159,96 +162,7 @@ pub struct PersistStats {
     /// Loads that found a file but rejected it (corruption, version
     /// skew, identity mismatch) — each one fell back to a cold parse.
     pub load_failures: u64,
-    /// Loads served from the resident cache without touching disk.
-    pub resident_hits: u64,
-    /// Resident entries evicted to respect the byte budget.
-    pub resident_evictions: u64,
-    /// Snapshot bytes currently resident in memory.
-    pub resident_bytes: usize,
-    /// Snapshots currently resident in memory.
-    pub resident_entries: usize,
 }
-
-/// Resident-page accounting: recently written/read snapshot bytes
-/// kept in memory under a byte budget, LRU-evicted. Holding the bytes
-/// (not the decoded state) keeps the invariant simple: `bytes` is the
-/// sum of entry lengths and never exceeds `max(budget, largest single
-/// entry)` — one oversized snapshot may be resident alone, because
-/// evicting it for nothing would make the cache useless for exactly
-/// the datasets that benefit most.
-#[derive(Debug)]
-pub(crate) struct ResidentCache {
-    entries: HashMap<u64, (Arc<Vec<u8>>, u64)>,
-    bytes: usize,
-    budget: usize,
-    tick: u64,
-    evictions: u64,
-}
-
-impl ResidentCache {
-    pub(crate) fn new(budget: usize) -> Self {
-        ResidentCache {
-            entries: HashMap::new(),
-            bytes: 0,
-            budget,
-            tick: 0,
-            evictions: 0,
-        }
-    }
-
-    pub(crate) fn get(&mut self, fp: u64) -> Option<Arc<Vec<u8>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&fp).map(|(bytes, at)| {
-            *at = tick;
-            Arc::clone(bytes)
-        })
-    }
-
-    pub(crate) fn insert(&mut self, fp: u64, bytes: Arc<Vec<u8>>) {
-        self.tick += 1;
-        if let Some((old, _)) = self.entries.insert(fp, (Arc::clone(&bytes), self.tick)) {
-            self.bytes -= old.len();
-        }
-        self.bytes += bytes.len();
-        // Evict least-recently-used entries down to the budget, always
-        // keeping the newest insert even when it alone exceeds it.
-        while self.bytes > self.budget && self.entries.len() > 1 {
-            let lru = self
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != fp)
-                .min_by_key(|(_, (_, at))| *at)
-                .map(|(k, _)| *k);
-            let Some(victim) = lru else { break };
-            if let Some((old, _)) = self.entries.remove(&victim) {
-                self.bytes -= old.len();
-                self.evictions += 1;
-            }
-        }
-    }
-
-    pub(crate) fn remove(&mut self, fp: u64) {
-        if let Some((old, _)) = self.entries.remove(&fp) {
-            self.bytes -= old.len();
-        }
-    }
-
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions
-    }
-}
-
-/// Default resident budget: a handful of medium snapshots.
-const DEFAULT_RESIDENT_BUDGET: usize = 64 << 20;
 
 /// An injected-crash hook: under `fault-injection`, an armed
 /// `persist.*` failpoint's panic is caught here and surfaced as the
@@ -268,19 +182,18 @@ fn persist_fault(name: &str) -> Result<(), PersistError> {
 }
 
 /// The on-disk snapshot store: one directory, one `<fingerprint>.snap`
-/// file per dataset, plus a resident cache of recently touched
-/// snapshot bytes. Shared by every session of an [`crate::Engine`]
-/// built with [`crate::EngineBuilder::persist_path`].
+/// file per dataset. It only reads and writes files — repeated reads
+/// of a hot snapshot come from the OS page cache. Shared by every
+/// session of an [`crate::Engine`] built with
+/// [`crate::EngineBuilder::persist_path`].
 #[derive(Debug)]
 pub struct PersistStore {
     root: PathBuf,
-    resident: Mutex<ResidentCache>,
     saves: AtomicU64,
     save_failures: AtomicU64,
     loads: AtomicU64,
     misses: AtomicU64,
     load_failures: AtomicU64,
-    resident_hits: AtomicU64,
     tmp_seq: AtomicU64,
 }
 
@@ -288,15 +201,6 @@ impl PersistStore {
     /// Opens (creating if needed) the store rooted at `root` and
     /// sweeps orphan `*.tmp*` files a killed writer may have left.
     pub fn open(root: impl Into<PathBuf>) -> Result<PersistStore, PersistError> {
-        PersistStore::open_with_budget(root, DEFAULT_RESIDENT_BUDGET)
-    }
-
-    /// [`PersistStore::open`] with an explicit resident-cache byte
-    /// budget.
-    pub fn open_with_budget(
-        root: impl Into<PathBuf>,
-        budget: usize,
-    ) -> Result<PersistStore, PersistError> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         // Orphan tmp files are dead by construction (the rename never
@@ -313,13 +217,11 @@ impl PersistStore {
         }
         Ok(PersistStore {
             root,
-            resident: Mutex::new(ResidentCache::new(budget)),
             saves: AtomicU64::new(0),
             save_failures: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             load_failures: AtomicU64::new(0),
-            resident_hits: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
     }
@@ -332,23 +234,21 @@ impl PersistStore {
     /// Where the snapshot for a dataset lives (whether or not one
     /// exists yet) — torture tests corrupt the file at this path.
     pub fn snapshot_path(&self, bytes: &[u8], format: Format) -> PathBuf {
-        self.root
-            .join(format!("{:016x}.snap", dataset_fingerprint(bytes, format)))
+        self.file(dataset_fingerprint(bytes, format))
+    }
+
+    fn file(&self, fp: u64) -> PathBuf {
+        self.root.join(format!("{fp:016x}.snap"))
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PersistStats {
-        let resident = recover(self.resident.lock());
         PersistStats {
             saves: self.saves.load(Ordering::Relaxed),
             save_failures: self.save_failures.load(Ordering::Relaxed),
             loads: self.loads.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             load_failures: self.load_failures.load(Ordering::Relaxed),
-            resident_hits: self.resident_hits.load(Ordering::Relaxed),
-            resident_evictions: resident.evictions(),
-            resident_bytes: resident.resident_bytes(),
-            resident_entries: resident.len(),
         }
     }
 
@@ -366,9 +266,9 @@ impl PersistStore {
     }
 
     fn save_inner(&self, snap: &Snapshot) -> Result<(), PersistError> {
-        let encoded = Arc::new(snapshot::encode(snap));
+        let encoded = snapshot::encode(snap);
         persist_fault("persist.write.0")?;
-        let final_path = self.root.join(format!("{:016x}.snap", snap.fingerprint));
+        let final_path = self.file(snap.fingerprint);
         // Unique per process *and* per attempt, so concurrent spills
         // (or a sweep racing a live writer) never collide.
         let tmp_path = self.root.join(format!(
@@ -390,10 +290,8 @@ impl PersistStore {
             // observable state, remove it eagerly (open() would sweep
             // it anyway).
             let _ = fs::remove_file(&tmp_path);
-            return write;
         }
-        recover(self.resident.lock()).insert(snap.fingerprint, encoded);
-        Ok(())
+        write
     }
 
     /// Loads and validates the snapshot for a dataset. `Ok(None)`
@@ -413,34 +311,16 @@ impl PersistStore {
     fn load_inner(&self, bytes: &[u8], format: Format) -> Result<Option<Snapshot>, PersistError> {
         persist_fault("persist.read.0")?;
         let fp = dataset_fingerprint(bytes, format);
-        let resident = recover(self.resident.lock()).get(fp);
-        let encoded = match resident {
-            Some(encoded) => {
-                self.resident_hits.fetch_add(1, Ordering::Relaxed);
-                encoded
-            }
-            None => {
-                let path = self.root.join(format!("{fp:016x}.snap"));
-                match fs::read(&path) {
-                    Ok(encoded) => Arc::new(encoded),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-                    Err(e) => return Err(e.into()),
-                }
-            }
+        let encoded = match fs::read(self.file(fp)) {
+            Ok(encoded) => encoded,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
         };
-        let snap = match snapshot::decode(&encoded) {
-            Ok(snap) => snap,
-            Err(e) => {
-                // Never serve rejected bytes again from memory.
-                recover(self.resident.lock()).remove(fp);
-                return Err(e);
-            }
-        };
+        let snap = snapshot::decode(&encoded)?;
         // Identity check: the embedded fingerprint and length must
         // match the dataset in hand — a snapshot renamed over another
         // dataset's address can never serve.
         if snap.fingerprint != fp || snap.dataset_len != bytes.len() as u64 {
-            recover(self.resident.lock()).remove(fp);
             return Err(PersistError::Malformed {
                 what: "snapshot identity",
                 detail: format!(
@@ -452,7 +332,6 @@ impl PersistStore {
                 ),
             });
         }
-        recover(self.resident.lock()).insert(fp, encoded);
         Ok(Some(snap))
     }
 
@@ -460,14 +339,7 @@ impl PersistStore {
     /// bytes' derived state must never serve again). Best-effort — a
     /// missing file is already the goal state.
     pub fn remove(&self, bytes: &[u8], format: Format) {
-        let fp = dataset_fingerprint(bytes, format);
-        recover(self.resident.lock()).remove(fp);
-        let _ = fs::remove_file(self.root.join(format!("{fp:016x}.snap")));
-    }
-
-    /// Convenience: [`PersistStore::load`] against a [`Dataset`].
-    pub(crate) fn load_dataset(&self, dataset: &Dataset) -> Result<Option<Snapshot>, PersistError> {
-        self.load(dataset.bytes(), dataset.format())
+        let _ = fs::remove_file(self.snapshot_path(bytes, format));
     }
 }
 
@@ -482,6 +354,7 @@ mod tests {
     use crate::testutil::serialised;
     use atgis_geometry::Mbr;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn tmp_root(name: &str) -> PathBuf {
         // CARGO_TARGET_TMPDIR exists only for integration tests, so
@@ -587,28 +460,24 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_file_is_a_structured_error_and_resident_entry_is_dropped() {
+    fn corrupt_file_is_a_structured_error_at_every_load() {
         let _gate = serialised();
         let store = PersistStore::open(tmp_root("corrupt")).unwrap();
         let data = b"dataset bytes".to_vec();
         let fp = dataset_fingerprint(&data, Format::Wkt);
         store.save(&shard_snapshot(fp, data.len() as u64)).unwrap();
-        // Flip one payload byte on disk; the resident copy is still
-        // clean, so loads keep succeeding until it is dropped.
+        // Flip one payload byte on disk: the store holds no copy of
+        // its own, so the very next load reads the flipped file.
         let path = store.snapshot_path(&data, Format::Wkt);
         let mut bytes = fs::read(&path).unwrap();
         let at = bytes.len() - 3;
         bytes[at] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.load(&data, Format::Wkt).unwrap().is_some());
-
-        // A fresh store (cold resident cache) must reject the file.
-        let cold = PersistStore::open(store.root()).unwrap();
-        assert!(cold.load(&data, Format::Wkt).is_err());
-        // And having rejected it, it must not have cached the bad
-        // bytes: the next load re-reads and re-rejects.
-        assert!(cold.load(&data, Format::Wkt).is_err());
-        assert_eq!(cold.stats().resident_hits, 0);
+        assert!(store.load(&data, Format::Wkt).is_err());
+        // Every later load re-reads and re-rejects the file.
+        assert!(store.load(&data, Format::Wkt).is_err());
+        assert_eq!(store.stats().load_failures, 2);
+        assert_eq!(store.stats().loads, 0);
     }
 
     proptest! {
@@ -681,31 +550,6 @@ mod tests {
             prop_assert_eq!(decoded.index_count(), 1);
         }
 
-        /// Resident accounting never exceeds max(budget, largest
-        /// entry), stays exact under inserts/updates/removes, and
-        /// keeps at least the newest entry.
-        #[test]
-        fn resident_budget_invariants(
-            ops in prop::collection::vec((0u64..8, 1usize..600, prop::bool::ANY), 1..80),
-            budget in 64usize..1500,
-        ) {
-            let mut cache = ResidentCache::new(budget);
-            let mut largest = 0usize;
-            for (key, size, is_insert) in ops {
-                if is_insert {
-                    largest = largest.max(size);
-                    cache.insert(key, Arc::new(vec![0u8; size]));
-                    prop_assert!(cache.len() >= 1, "newest insert always resident");
-                } else {
-                    cache.remove(key);
-                }
-                prop_assert!(
-                    cache.resident_bytes() <= budget.max(largest),
-                    "{} bytes resident exceeds max(budget {budget}, largest {largest})",
-                    cache.resident_bytes(),
-                );
-            }
-        }
     }
 
     #[cfg(feature = "fault-injection")]

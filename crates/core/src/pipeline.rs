@@ -23,8 +23,6 @@ use std::sync::Arc;
 /// The downstream (transform + aggregation) stages of a single-pass
 /// pipeline, as an associative aggregate over completed features.
 pub trait QueryAggregate: Send + Sync + Clone {
-    /// The empty aggregate.
-    fn identity() -> Self;
     /// Folds one completed feature in.
     fn absorb(&mut self, feature: &RawFeature);
     /// Associative combination (self covers earlier input).
@@ -176,13 +174,6 @@ impl Clone for MultiSink {
 }
 
 impl QueryAggregate for MultiSink {
-    fn identity() -> Self {
-        // A width-0 sink would silently zip-truncate real members in
-        // `combine`; the fan-out width is batch state, like the other
-        // parameterized aggregates here.
-        unreachable!("use MultiSink::new — the member sinks are query state")
-    }
-
     fn absorb(&mut self, feature: &RawFeature) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for sink in &mut self.sinks {
@@ -260,10 +251,6 @@ impl ContainmentAgg {
 }
 
 impl QueryAggregate for ContainmentAgg {
-    fn identity() -> Self {
-        unreachable!("use ContainmentAgg::new — the region is a query parameter")
-    }
-
     fn absorb(&mut self, f: &RawFeature) {
         let mbr = f.geometry.mbr();
         if self.region.intersects(&f.geometry, &mbr) {
@@ -342,10 +329,6 @@ impl MetricsAgg {
 }
 
 impl QueryAggregate for MetricsAgg {
-    fn identity() -> Self {
-        unreachable!("use MetricsAgg::new — parameters are query state")
-    }
-
     fn absorb(&mut self, f: &RawFeature) {
         match self.strategy {
             FilterStrategy::Streaming => {
@@ -582,13 +565,6 @@ mod tests {
     }
 
     impl QueryAggregate for BombAgg {
-        fn identity() -> Self {
-            BombAgg {
-                bomb_id: u64::MAX,
-                seen: 0,
-            }
-        }
-
         fn absorb(&mut self, f: &RawFeature) {
             assert!(f.id != self.bomb_id, "sink bomb");
             self.seen += 1;

@@ -418,6 +418,14 @@ struct SchedEntry {
 }
 
 impl SchedEntry {
+    fn new(session: QuerySession, generation: u64) -> Arc<SchedEntry> {
+        Arc::new(SchedEntry {
+            session,
+            generation,
+            observed_join_cost: Mutex::new(None),
+        })
+    }
+
     fn observe_join_cost(&self, scan: Duration, join_wall: Duration, threads: usize) {
         let scan_s = scan.as_secs_f64();
         if scan_s <= 0.0 {
@@ -480,62 +488,55 @@ impl QueryScheduler {
     }
 
     /// Registers a dataset for scheduled serving, pinning it in a
-    /// fresh [`QuerySession`] (generation 1).
+    /// fresh [`QuerySession`] (generation 1). On a persisting engine a
+    /// snapshot of these bytes warms both the session (indexes, shard
+    /// layouts) and the aggregate cache.
     pub fn register(&self, dataset: Dataset) -> DatasetId {
-        self.install(QuerySession::new(self.engine.clone(), dataset), 1)
+        let (session, aggregates) = QuerySession::restore(self.engine.clone(), dataset);
+        self.install(session, aggregates)
     }
 
     /// Adopts an existing session — typically a **streaming** session
     /// that has been sealed (`ingest_chunk`* → `finish`), so its warm
     /// partition index carries over into scheduled serving. Errors if
     /// the session is still ingesting or failed to seal: the
-    /// scheduler never serves partial data.
+    /// scheduler never serves partial data. The aggregate cache starts
+    /// cold: a sealed stream's snapshot carries no aggregates (`finish`
+    /// writes it without any), and an adopted session never reloads
+    /// it.
     pub fn adopt(&self, session: QuerySession) -> Result<DatasetId> {
         if !session.is_sealed() {
             return Err(Error::Unsupported(
                 "only sealed sessions can be scheduled; finish() the stream first".into(),
             ));
         }
-        Ok(self.install(session, 1))
+        Ok(self.install(session, Vec::new()))
     }
 
-    fn install(&self, session: QuerySession, generation: u64) -> DatasetId {
+    fn install(
+        &self,
+        session: QuerySession,
+        aggregates: Vec<(QueryKey, QueryResult)>,
+    ) -> DatasetId {
         let id = DatasetId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        // Warm-start the aggregate cache: a snapshot's aggregates were
-        // computed from exactly these bytes (the store's fingerprint
-        // check says so), so re-keying them under the fresh process-
-        // local id and generation is sound. The session itself already
-        // restored its indexes/shard layouts in QuerySession::new.
-        self.restore_aggregates(id, generation, &session);
-        recover(self.entries.lock()).insert(
-            id,
-            Arc::new(SchedEntry {
-                session,
-                generation,
-                observed_join_cost: Mutex::new(None),
-            }),
-        );
+        recover(self.entries.lock()).insert(id, SchedEntry::new(session, 1));
+        self.warm_cache(id, 1, aggregates);
         id
     }
 
     /// Re-inserts a snapshot's finished aggregates under `id` ×
-    /// `generation`. Any load failure silently restores nothing —
-    /// queries just recompute.
-    fn restore_aggregates(&self, id: DatasetId, generation: u64, session: &QuerySession) {
-        let Some(store) = self.engine.persist() else {
-            return;
-        };
-        if let Ok(Some(snap)) = store.load_dataset(session.dataset()) {
-            for (query, result) in snap.aggregates {
-                self.cache.insert(
-                    AggCacheKey {
-                        dataset: id,
-                        generation,
-                        query,
-                    },
-                    result,
-                );
-            }
+    /// `generation`. Sound because the store's fingerprint check
+    /// proved they were computed from exactly these bytes.
+    fn warm_cache(&self, id: DatasetId, generation: u64, aggregates: Vec<(QueryKey, QueryResult)>) {
+        for (query, result) in aggregates {
+            self.cache.insert(
+                AggCacheKey {
+                    dataset: id,
+                    generation,
+                    query,
+                },
+                result,
+            );
         }
     }
 
@@ -566,22 +567,14 @@ impl QueryScheduler {
             let old = entry.session.dataset();
             store.remove(old.bytes(), old.format());
         }
-        entries.insert(
-            id,
-            Arc::new(SchedEntry {
-                session: QuerySession::new(self.engine.clone(), dataset),
-                generation,
-                observed_join_cost: Mutex::new(None),
-            }),
-        );
-        drop(entries);
-        self.cache.invalidate_dataset(id);
         // The replacement bytes may themselves have a snapshot (e.g. a
         // rollback to previously served content whose file still
-        // exists); adopt its aggregates under the new generation.
-        if let Ok(e) = self.entry(id) {
-            self.restore_aggregates(id, generation, &e.session);
-        }
+        // exists); its aggregates serve under the new generation.
+        let (session, aggregates) = QuerySession::restore(self.engine.clone(), dataset);
+        entries.insert(id, SchedEntry::new(session, generation));
+        drop(entries);
+        self.cache.invalidate_dataset(id);
+        self.warm_cache(id, generation, aggregates);
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Intra-process sharded scatter–gather execution.
 //!
-//! A [`ShardSet`] partitions a dataset into N marker-aligned byte
-//! ranges ("shards"), each annotated with the MBR of the features it
+//! A [`ShardSet`] partitions a dataset into N byte ranges ("shards")
+//! cut at feature starts, each annotated with the MBR of the features it
 //! contains. A batch over a shard set is the ordinary shared scan run
 //! range by range (see [`crate::batch`]); an unsharded batch is the
 //! same loop over one range, the whole file:
@@ -26,13 +26,18 @@
 //! join stage runs once over the shared partition index, whatever the
 //! shard count.
 //!
-//! Shard boundaries come from the same marker-aligned split the PAT
-//! scan uses ([`marker_blocks`] at [`Format::record_marker`]), so no
-//! feature ever straddles a shard and per-shard scans of either PAT or
-//! FAT mode compose exactly. OSM XML is the exception: a way or
-//! relation needs the node table of the whole document, so a byte
-//! range of XML cannot be parsed alone and an XML dataset is one
-//! shard.
+//! Shard boundaries come from one bounding scan of the whole file with
+//! the engine's own parser: the file is cut into N equal byte
+//! buckets, and each shard starts at the first feature the parser
+//! reported in its bucket ([`ShardSet::build`]). Every cut is thus a
+//! real feature start — never a `{"type":"Feature"` byte pattern
+//! inside some feature's `properties` — so no feature straddles a
+//! shard and per-shard scans compose exactly in FAT mode, whose
+//! parse of a range starts in the lexer's start state. PAT trusts
+//! marker bytes by design, inside a shard as in a whole-file scan.
+//! OSM XML is the exception: a way or relation needs the node table
+//! of the whole document, so a byte range of XML cannot be parsed
+//! alone and an XML dataset is one shard.
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
@@ -41,11 +46,11 @@ use crate::pipeline::QueryAggregate;
 use crate::query::{Query, ScanClass};
 use crate::Result;
 use atgis_formats::feature::{MetadataFilter, RawFeature};
-use atgis_formats::{marker_blocks, Format};
+use atgis_formats::Format;
 use atgis_geometry::Mbr;
 
-/// One shard: a half-open, marker-aligned byte range of the dataset
-/// plus the bounding box of the features inside it.
+/// One shard: a half-open byte range of the dataset, cut at feature
+/// starts, plus the bounding box of the features inside it.
 #[derive(Debug, Clone)]
 pub struct Shard {
     /// First byte of the shard's range.
@@ -67,52 +72,77 @@ impl Shard {
     }
 }
 
-/// A dataset's shard layout: marker-aligned byte ranges with per-shard
-/// MBRs, built once (one extra bounding pass) and reused across
-/// batches. [`crate::batch::QuerySession`] caches one per shard count.
+/// A dataset's shard layout: byte ranges cut at feature starts, with
+/// per-shard MBRs, built once (one extra bounding pass) and reused
+/// across batches. [`crate::batch::QuerySession`] caches one per shard count.
 #[derive(Debug, Clone)]
 pub struct ShardSet {
     shards: Vec<Shard>,
 }
 
-/// The bounding pass: unions feature MBRs and counts features — an
-/// associative aggregate, so it rides the ordinary parallel scan.
-#[derive(Debug, Clone, Default)]
-struct MbrProbe {
-    mbr: Option<Mbr>,
-    count: u64,
+/// One equal byte bucket of the bounding pass: the first feature
+/// start in it, the union of its features' MBRs and their count.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    first: usize,
+    mbr: Mbr,
+    features: u64,
 }
 
-impl QueryAggregate for MbrProbe {
-    fn identity() -> Self {
-        MbrProbe::default()
+impl Bucket {
+    fn merge(self, other: Bucket) -> Bucket {
+        Bucket {
+            first: self.first.min(other.first),
+            mbr: self.mbr.union(&other.mbr),
+            features: self.features + other.features,
+        }
     }
+}
 
+/// The bounding pass: files every feature the parser reports under
+/// the equal byte bucket its start falls in — an associative
+/// aggregate (min, union, sum per bucket), so it rides the ordinary
+/// parallel scan.
+#[derive(Debug, Clone)]
+struct LayoutProbe {
+    len: u64,
+    buckets: Vec<Option<Bucket>>,
+}
+
+impl QueryAggregate for LayoutProbe {
     fn absorb(&mut self, feature: &RawFeature) {
-        let fm = feature.mbr();
-        self.mbr = Some(match &self.mbr {
-            Some(m) => m.union(&fm),
-            None => fm,
-        });
-        self.count += 1;
+        let n = self.buckets.len();
+        // Widened, so no offset × bucket count can overflow.
+        let k = (u128::from(feature.offset) * n as u128 / u128::from(self.len)) as usize;
+        let one = Bucket {
+            first: feature.offset as usize,
+            mbr: feature.mbr(),
+            features: 1,
+        };
+        let slot = &mut self.buckets[k];
+        *slot = Some(slot.map_or(one, |b| b.merge(one)));
     }
 
     fn combine(mut self, other: Self) -> Self {
-        self.mbr = match (self.mbr.take(), other.mbr) {
-            (Some(a), Some(b)) => Some(a.union(&b)),
-            (a, b) => a.or(b),
-        };
-        self.count += other.count;
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
+            *a = match (*a, b) {
+                (Some(x), Some(y)) => Some(x.merge(y)),
+                (x, y) => x.or(y),
+            };
+        }
         self
     }
 }
 
 impl ShardSet {
-    /// Splits `dataset` into at most `count` marker-aligned shards and
-    /// bounds each with one scan pass. The dataset may yield fewer
-    /// shards than requested (markers are sparse near the end of small
-    /// inputs, and OSM XML is always one shard); [`ShardSet::len`]
-    /// reports the actual count.
+    /// Splits `dataset` into at most `count` shards, bounded by one
+    /// whole-file scan with the engine's own parser. The file is cut
+    /// into `count` equal byte buckets; shard k runs from the first
+    /// feature start of the k-th non-empty bucket to that of the next
+    /// one (the first shard from byte 0, the last to the end), so
+    /// every cut is a feature start the parser reported. Empty buckets
+    /// yield no shard, and OSM XML is always one shard;
+    /// [`ShardSet::len`] reports the actual count.
     pub fn build(
         engine: &Engine,
         dataset: &Dataset,
@@ -122,26 +152,36 @@ impl ShardSet {
         let count = if dataset.format() == Format::OsmXml {
             1
         } else {
-            count
+            count.max(1)
         };
-        let marker = dataset.format().record_marker().bytes;
-        let mut shards = Vec::with_capacity(count);
-        for b in marker_blocks(dataset.bytes(), marker, count) {
-            let (probe, _t) = engine.scan_range_cancellable(
-                dataset,
-                b.start,
-                b.end,
-                &MetadataFilter::All,
-                MbrProbe::default(),
-                token,
-            )?;
-            shards.push(Shard {
-                start: b.start,
-                end: b.end,
-                mbr: probe.mbr,
-                features: probe.count,
+        let len = dataset.len();
+        let proto = LayoutProbe {
+            len: len as u64,
+            buckets: vec![None; count],
+        };
+        let (probe, _t) =
+            engine.scan_range_cancellable(dataset, 0, len, &MetadataFilter::All, proto, token)?;
+        let filled: Vec<Bucket> = probe.buckets.into_iter().flatten().collect();
+        if filled.is_empty() {
+            return Ok(ShardSet {
+                shards: vec![Shard {
+                    start: 0,
+                    end: len,
+                    mbr: None,
+                    features: 0,
+                }],
             });
         }
+        let shards = filled
+            .iter()
+            .enumerate()
+            .map(|(k, b)| Shard {
+                start: if k == 0 { 0 } else { b.first },
+                end: filled.get(k + 1).map_or(len, |next| next.first),
+                mbr: Some(b.mbr),
+                features: b.features,
+            })
+            .collect();
         Ok(ShardSet { shards })
     }
 

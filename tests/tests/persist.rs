@@ -272,6 +272,76 @@ fn restore_then_update_never_serves_stale_state() {
     assert!(warm.is_some(), "the new dataset's snapshot survives");
 }
 
+/// A warm registration reads its snapshot once: the session installs
+/// the indexes and shard layouts and hands the finished aggregates to
+/// the scheduler from the same load.
+#[test]
+fn warm_register_loads_the_snapshot_once() {
+    let _gate = serialised();
+    const OBJECTS: u64 = 240;
+    let root = store_root("register-once");
+    let dataset = sorted_dataset(29, OBJECTS as usize, Format::GeoJson);
+    let queries = mixed_batch(OBJECTS);
+    {
+        let scheduler = QueryScheduler::new(engine(2, Mode::Pat, Some(&root)));
+        let id = scheduler.register(dataset.clone());
+        scheduler
+            .run(id, &queries, &ExecOptions::new())
+            .and_then(|o| o.collapse())
+            .expect("cold scheduled run");
+    }
+    let scheduler = QueryScheduler::new(engine(2, Mode::Pat, Some(&root)));
+    let store = scheduler.engine().persist().expect("store").clone();
+    let id = scheduler.register(dataset);
+    assert_eq!(store.stats().loads, 1, "one load per registration");
+    let stats = scheduler
+        .run(id, &queries, &ExecOptions::new().timed())
+        .expect("warm scheduled run")
+        .scheduler
+        .expect("timed run reports stats");
+    assert_eq!(stats.cache_hits, 4, "the one load restored the aggregates");
+    assert_eq!(stats.scan_passes, 0, "and the index");
+    assert_eq!(store.stats().loads, 1, "serving loads nothing more");
+}
+
+/// `update()` to bytes that already have a snapshot — a rollback to
+/// content another process served — serves that snapshot's aggregates
+/// as cache hits under the new generation, from one load.
+#[test]
+fn update_to_snapshotted_bytes_serves_its_aggregates() {
+    let _gate = serialised();
+    const OBJECTS: u64 = 240;
+    let root = store_root("update-rollback");
+    let served = sorted_dataset(31, OBJECTS as usize, Format::GeoJson);
+    let other = sorted_dataset(37, OBJECTS as usize, Format::GeoJson);
+    let queries = mixed_batch(OBJECTS);
+    let cold = {
+        let scheduler = QueryScheduler::new(engine(2, Mode::Pat, Some(&root)));
+        let id = scheduler.register(served.clone());
+        scheduler
+            .run(id, &queries, &ExecOptions::new())
+            .and_then(|o| o.collapse())
+            .expect("cold scheduled run")
+    };
+
+    let scheduler = QueryScheduler::new(engine(2, Mode::Pat, Some(&root)));
+    let store = scheduler.engine().persist().expect("store").clone();
+    let id = scheduler.register(other);
+    assert_eq!(store.stats().loads, 0, "the other bytes have no snapshot");
+    scheduler.update(id, served).expect("update");
+    assert_eq!(scheduler.generation(id), Some(2));
+    assert_eq!(store.stats().loads, 1, "one load per update");
+
+    let out = scheduler
+        .run(id, &queries, &ExecOptions::new().timed())
+        .expect("post-update run");
+    let stats = out.scheduler.clone().expect("timed run reports stats");
+    assert_eq!(stats.cache_hits, 4, "the snapshot's aggregates serve");
+    assert_eq!(stats.scan_passes, 0, "the snapshot's index serves the join");
+    assert_eq!(out.collapse().expect("post-update results"), cold);
+    assert_eq!(store.stats().loads, 1);
+}
+
 /// Runs `queries` through a fresh store-backed session and asserts
 /// the results equal the storeless oracle — the cold-fallback check
 /// every corruption in the torture suite must pass.

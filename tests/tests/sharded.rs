@@ -203,6 +203,67 @@ fn xml_layout_is_one_shard_and_matches_single_node() {
     assert_eq!(out.collapse().expect("sharded results"), single);
 }
 
+/// Every feature's `properties` hold a Feature-shaped object (the §3.5
+/// trap). Shard cuts are feature starts the parser reported, never
+/// the decoy's `{"type":"Feature"` bytes, so FAT at every shard count
+/// is the single-node answer. FAT only: PAT trusts marker bytes by
+/// design.
+#[test]
+fn decoy_markers_never_become_shard_cuts() {
+    let _gate = serialised();
+    const OBJECTS: usize = 400;
+    let features: Vec<String> = (0..OBJECTS)
+        .map(|i| {
+            let t = i as f64 / OBJECTS as f64;
+            format!(
+                r#"{{"type":"Feature","geometry":{{"type":"Point","coordinates":[{},{}]}},"id":{},"properties":{{"trap":{{"type":"Feature","x":1}},"name":"decoy"}}}}"#,
+                -10.0 + 20.0 * t,
+                40.0 + 20.0 * t,
+                i + 1
+            )
+        })
+        .collect();
+    let doc = format!(
+        r#"{{"type":"FeatureCollection","features":[{}]}}"#,
+        features.join(",")
+    );
+    let dataset = Dataset::from_bytes(doc.into_bytes(), Format::GeoJson);
+    let mut queries = mixed_batch(OBJECTS as u64);
+    queries.push(Query::containment(Mbr::new(-11.0, 39.0, 11.0, 61.0)));
+    let answers = oracle_answers(&dataset, &queries);
+    for threads in [1usize, 2, 3] {
+        let engine = engine(threads, Mode::Fat);
+        let single = engine
+            .run(&queries, &dataset, &ExecOptions::new())
+            .and_then(|o| o.collapse())
+            .expect("single-node run");
+        assert_agrees_with_oracle(&answers, &single, &format!("decoy/threads={threads}"));
+        match &single[5] {
+            QueryResult::Matches(m) => assert_eq!(m.len(), OBJECTS, "every feature matches"),
+            other => panic!("containment answered {other:?}"),
+        }
+        for shards in [2usize, 4, 8] {
+            let set = ShardSet::build(&engine, &dataset, shards, None).expect("shard layout");
+            assert_eq!(set.len(), shards, "the decoys split into {shards} shards");
+            for s in &set.shards()[1..] {
+                assert!(
+                    dataset.bytes()[s.start..].starts_with(br#"{"type":"Feature","geometry""#),
+                    "shard cut at byte {} is not a feature start",
+                    s.start
+                );
+            }
+            let got = engine
+                .run(&queries, &dataset, &ExecOptions::new().sharded(shards))
+                .and_then(|o| o.collapse())
+                .expect("sharded run over the decoys");
+            assert_eq!(
+                got, single,
+                "sharded != single-node at threads={threads}/shards={shards}"
+            );
+        }
+    }
+}
+
 /// Per-shard fault isolation, driven by the shard-targeted failpoint
 /// `shard.scan.N`: panicking exactly one shard must tombstone exactly
 /// the queries scattered to it (per `ShardSet::scatter_mask`), while
