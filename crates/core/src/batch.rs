@@ -85,6 +85,7 @@ use crate::stats::{
 use crate::stream::{drive, ChunkSource, StreamingScan};
 use crate::{Error, Result};
 use atgis_formats::feature::MetadataFilter;
+use atgis_formats::geojson::fast::Scratch;
 use atgis_formats::Format;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -1077,17 +1078,15 @@ fn finish_batch(
                     // shared cache.
                     let started = Instant::now();
                     let mut total = 0.0;
+                    let mut scratch = Scratch::default();
+                    let mut get = |offset| {
+                        shared_cache.get_or_parse(offset, u32::MAX, reparse.as_ref(), &mut scratch)
+                    };
                     for p in &outcome.pairs {
                         if let Some(t) = token {
                             t.check()?;
                         }
-                        let a =
-                            shared_cache.get_or_parse(p.left_offset, u32::MAX, reparse.as_ref())?;
-                        let b = shared_cache.get_or_parse(
-                            p.right_offset,
-                            u32::MAX,
-                            reparse.as_ref(),
-                        )?;
+                        let (a, b) = (get(p.left_offset)?, get(p.right_offset)?);
                         total += crate::operators::union_area(&a, &b);
                     }
                     finalize = started.elapsed();

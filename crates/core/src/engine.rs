@@ -386,21 +386,10 @@ pub(crate) fn make_reparser<'a>(
     xml_table: Option<&'a HashMap<u64, Geometry>>,
 ) -> Box<Reparser<'a>> {
     match format {
-        Format::GeoJson => Box::new(move |offset, _len| {
-            let mut out = Vec::new();
-            atgis_formats::geojson::fast::parse_block(
-                input,
-                offset as usize,
-                offset as usize + 1,
-                &MetadataFilter::All,
-                &mut out,
-            )?;
-            out.into_iter()
-                .next()
-                .map(|f| f.geometry)
-                .ok_or_else(|| ParseError::syntax(offset, "no feature at offset"))
+        Format::GeoJson => Box::new(move |offset, _len, scratch| {
+            atgis_formats::geojson::fast::parse_geometry_at(input, offset as usize, scratch)
         }),
-        Format::Wkt => Box::new(move |offset, len| {
+        Format::Wkt => Box::new(move |offset, len, _scratch| {
             let end = if len == u32::MAX {
                 wkt::row_end(input, offset as usize)
             } else {
@@ -412,7 +401,7 @@ pub(crate) fn make_reparser<'a>(
         }),
         Format::OsmXml => {
             let table = xml_table.expect("XML joins require the geometry table");
-            Box::new(move |offset, _len| {
+            Box::new(move |offset, _len, _scratch| {
                 table
                     .get(&offset)
                     .cloned()

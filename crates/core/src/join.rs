@@ -24,12 +24,13 @@ use crate::partition::{ArrayStore, PartEntry, PartitionMap};
 use crate::pool::recover;
 use crate::result::JoinPair;
 use crate::stats::JoinDecisions;
+use atgis_formats::geojson::fast::Scratch;
 use atgis_formats::ParseError;
 use atgis_geometry::relate::intersects;
 use atgis_geometry::{measures, DistanceModel, Geometry};
 use atgis_rtree::RTree;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A sharded offset→geometry memo shared by every partition of one
@@ -37,11 +38,13 @@ use std::time::{Duration, Instant};
 /// batch over the same dataset: an object replicated into many
 /// partitions (the adaptive map's hot-cell sub-slots, or plain cell
 /// straddling) or probed by many queries is re-parsed once instead of
-/// once per partition per query. Shards bound lock contention; each
-/// shard clears itself at a capacity bound, keeping the §4.5
-/// bounded-memory contract of the PARSER/BUFFER stage.
+/// once per partition per query. It holds each geometry behind an
+/// [`Arc`], so a hit costs a reference count, not a copy. Shards bound
+/// lock contention; each shard clears itself at a capacity bound,
+/// keeping the §4.5 bounded-memory contract of the PARSER/BUFFER
+/// stage.
 pub struct ReparseCache {
-    shards: Vec<Mutex<HashMap<u64, Geometry>>>,
+    shards: Vec<Mutex<HashMap<u64, Arc<Geometry>>>>,
     per_shard_cap: usize,
 }
 
@@ -55,31 +58,36 @@ impl ReparseCache {
         }
     }
 
+    /// The object at `offset`, re-parsed through `reparse` (with the
+    /// caller's `scratch`) unless an earlier call holds it.
     pub(crate) fn get_or_parse(
         &self,
         offset: u64,
         len: u32,
         reparse: &Reparser<'_>,
-    ) -> Result<Geometry, ParseError> {
+        scratch: &mut Scratch,
+    ) -> Result<Arc<Geometry>, ParseError> {
         let shard = &self.shards[(offset as usize) & (self.shards.len() - 1)];
         if let Some(g) = recover(shard.lock()).get(&offset) {
-            return Ok(g.clone());
+            return Ok(Arc::clone(g));
         }
-        // Parse outside the lock; a racing duplicate parse is rare and
-        // harmless (both produce the same geometry).
-        let g = reparse(offset, len)?;
+        // Parse outside the lock. A racing duplicate parse is rare and
+        // harmless: the first geometry stored is the one every caller
+        // gets.
+        let g = Arc::new(reparse(offset, len, scratch)?);
         let mut m = recover(shard.lock());
         if m.len() >= self.per_shard_cap {
             m.clear();
         }
-        m.insert(offset, g.clone());
-        Ok(g)
+        Ok(Arc::clone(m.entry(offset).or_insert(g)))
     }
 }
 
 /// Re-parses one object from its offset span (format-specific; the
-/// engine provides it, for OSM XML it captures the node table).
-pub type Reparser<'a> = dyn Fn(u64, u32) -> Result<Geometry, ParseError> + Sync + 'a;
+/// engine provides it, for OSM XML it captures the node table). The
+/// GeoJSON reparser keeps its coordinate buffer in the caller's
+/// [`Scratch`], one per join task; the others leave it alone.
+pub type Reparser<'a> = dyn Fn(u64, u32, &mut Scratch) -> Result<Geometry, ParseError> + Sync + 'a;
 
 /// The per-query semantics of one join over the shared, side-agnostic
 /// partition index: the side rule (`id < threshold` is left, decided at
@@ -298,6 +306,7 @@ pub(crate) fn join_partition(
             .or_insert_with(|| measures::perimeter(g, DistanceModel::Spherical))
     };
 
+    let mut scratch = Scratch::default();
     let mut out = Vec::new();
     let mut start = 0;
     while start < candidates.len() {
@@ -312,20 +321,20 @@ pub(crate) fn join_partition(
         // PARSER/BUFFER + REFINE. Parses go through the join-wide
         // shared cache so replicated objects parse once per join, not
         // once per partition.
-        let mut adj_geom: Option<(u64, Geometry)> = None;
+        let mut adj_geom: Option<(u64, Arc<Geometry>)> = None;
         for (l, r) in batch.iter() {
             let (adj, other) = if adjacent_left { (l, r) } else { (r, l) };
             // The adjacent stream is offset-sorted: reuse the last
             // parse when consecutive candidates share an object.
             let adj_g = match &adj_geom {
-                Some((off, g)) if *off == adj.offset => g.clone(),
+                Some((off, g)) if *off == adj.offset => Arc::clone(g),
                 _ => {
-                    let g = cache.get_or_parse(adj.offset, adj.len, reparse)?;
-                    adj_geom = Some((adj.offset, g.clone()));
+                    let g = cache.get_or_parse(adj.offset, adj.len, reparse, &mut scratch)?;
+                    adj_geom = Some((adj.offset, Arc::clone(&g)));
                     g
                 }
             };
-            let other_g = cache.get_or_parse(other.offset, other.len, reparse)?;
+            let other_g = cache.get_or_parse(other.offset, other.len, reparse, &mut scratch)?;
             let (lg, rg) = if adjacent_left {
                 (&adj_g, &other_g)
             } else {
@@ -487,8 +496,8 @@ mod tests {
     /// encode position in the id for tests).
     fn square_reparser(
         squares: HashMap<u64, Polygon>,
-    ) -> impl Fn(u64, u32) -> Result<Geometry, ParseError> + Sync {
-        move |offset, _len| {
+    ) -> impl Fn(u64, u32, &mut Scratch) -> Result<Geometry, ParseError> + Sync {
+        move |offset, _len, _scratch: &mut Scratch| {
             Ok(Geometry::Polygon(
                 squares.get(&offset).expect("known offset").clone(),
             ))
@@ -783,7 +792,9 @@ mod tests {
             let mut want = Vec::new();
             for &l in ids.iter().filter(|&&id| id < threshold) {
                 for &r in ids.iter().filter(|&&id| id >= threshold) {
-                    if intersects(&reparse(l, 0).unwrap(), &reparse(r, 0).unwrap()) {
+                    let mut scratch = Scratch::default();
+                    let mut parse = |id| reparse(id, 0, &mut scratch).unwrap();
+                    if intersects(&parse(l), &parse(r)) {
                         want.push((l, r));
                     }
                 }
@@ -879,11 +890,9 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn adaptive_map_join_agrees_with_uniform() {
-        use crate::partition::AdaptiveConfig;
-        // A skewed store: one hot cell packed with overlapping squares
-        // on both sides.
+    /// A skewed store: one hot cell packed with overlapping squares on
+    /// both sides, ids below 30 on the left.
+    fn skewed_fixture() -> (GridSpec, ArrayStore, HashMap<u64, Polygon>) {
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
         let mut store = ArrayStore::new(grid.num_cells());
         let mut squares = HashMap::new();
@@ -904,6 +913,13 @@ mod tests {
             }
             squares.insert(id, poly);
         }
+        (grid, store, squares)
+    }
+
+    #[test]
+    fn adaptive_map_join_agrees_with_uniform() {
+        use crate::partition::AdaptiveConfig;
+        let (grid, store, squares) = skewed_fixture();
         let reparse = square_reparser(squares);
         let uniform = PartitionMap::uniform(&store);
         let adaptive = PartitionMap::adaptive(
@@ -929,5 +945,64 @@ mod tests {
             b.decisions.sweep_partitions + b.decisions.rtree_partitions > 0,
             "probe tallies recorded"
         );
+    }
+
+    /// A [`square_reparser`] that counts its parses per offset in
+    /// `counts`.
+    fn counting_reparser(
+        squares: HashMap<u64, Polygon>,
+        counts: &Mutex<HashMap<u64, usize>>,
+    ) -> impl Fn(u64, u32, &mut Scratch) -> Result<Geometry, ParseError> + Sync + '_ {
+        let reparse = square_reparser(squares);
+        move |offset, len, scratch: &mut Scratch| {
+            *counts.lock().unwrap().entry(offset).or_insert(0) += 1;
+            reparse(offset, len, scratch)
+        }
+    }
+
+    #[test]
+    fn a_join_reparses_each_distinct_object_once() {
+        use crate::partition::AdaptiveConfig;
+        // The adaptive map replicates the hot cell's squares into its
+        // sub-slots, so the same objects are candidates in many slots.
+        let (grid, store, squares) = skewed_fixture();
+        let map = PartitionMap::adaptive(
+            &grid,
+            &store,
+            &AdaptiveConfig {
+                target_per_cell: 8,
+                ..AdaptiveConfig::default()
+            },
+        );
+        assert!(map.stats().split_cells > 0);
+        let counts = Mutex::new(HashMap::new());
+        let reparse = counting_reparser(squares, &counts);
+        let options = JoinOptions {
+            threads: 1,
+            ..JoinOptions::default()
+        };
+        let outcome = join_all(&store, &map, &JoinSpec::threshold(30), &reparse, options);
+        assert!(!outcome.pairs.is_empty());
+        let counts = counts.lock().unwrap();
+        for p in &outcome.pairs {
+            assert!(counts.contains_key(&p.left_offset) && counts.contains_key(&p.right_offset));
+        }
+        assert!(
+            counts.values().all(|&n| n == 1),
+            "parses per offset: {counts:?}"
+        );
+    }
+
+    #[test]
+    fn cache_hits_share_one_geometry() {
+        let (_, squares) = join_fixture();
+        let counts = Mutex::new(HashMap::new());
+        let reparse = counting_reparser(squares, &counts);
+        let cache = ReparseCache::new(JoinOptions::default().sort_batch);
+        let mut scratch = Scratch::default();
+        let first = cache.get_or_parse(10, 0, &reparse, &mut scratch).unwrap();
+        let second = cache.get_or_parse(10, 0, &reparse, &mut scratch).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(counts.lock().unwrap()[&10], 1);
     }
 }

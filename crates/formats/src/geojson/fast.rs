@@ -8,7 +8,8 @@
 //! object, i.e. in a known parser state (§3.5). PAT finds those
 //! starts with the `{"type":"Feature"` marker ([`parse_block`]); FAT
 //! finds them from the resolved lexer state ([`super::fat`]) and
-//! walks from feature to feature with `parse_feature_at`.
+//! walks from feature to feature with `parse_feature_at`. A join
+//! re-parses one recorded feature with [`parse_geometry_at`].
 //!
 //! A `coordinates` member is read before the geometry's `type` may be
 //! known, so it is first parsed into a flat pre-order token buffer
@@ -58,10 +59,26 @@ pub fn parse_block(
     Ok(())
 }
 
-/// The coordinate buffer one walk reuses for every feature it parses
-/// with [`parse_feature_at`].
+/// The coordinate buffer one caller reuses for every feature it
+/// parses: a PAT block, a FAT walk, or a join task re-parsing its
+/// candidates with [`parse_geometry_at`].
 #[derive(Default)]
-pub(super) struct Scratch(Vec<Tok>);
+pub struct Scratch(Vec<Tok>);
+
+/// Parses the feature object that starts exactly at `at` and returns
+/// its geometry, with `scratch` as the coordinate buffer. This is the
+/// join's re-parse: `at` is an offset the scan recorded.
+pub fn parse_geometry_at(
+    input: &[u8],
+    at: usize,
+    scratch: &mut Scratch,
+) -> Result<Geometry, ParseError> {
+    scratch.0.clear();
+    match parse_feature_at(input, at, &MetadataFilter::All, scratch).0? {
+        Some(feature) => Ok(feature.geometry),
+        None => Err(ParseError::syntax(at as u64, "no feature at offset")),
+    }
+}
 
 /// Parses the feature object starting at `at`. Returns the feature
 /// (`None` when `filter` rejects it) and where the cursor stopped: the

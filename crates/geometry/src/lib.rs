@@ -8,12 +8,18 @@
 //!   Feature Access hierarchy the paper queries over (§2.1);
 //! * spatial predicates (`intersects`, `contains`, `within`, `touches`,
 //!   `crosses`, `overlaps`, `disjoint`, DE-9IM `relate`) used by the
-//!   Table 1 operator catalogue;
+//!   Table 1 operator catalogue. They treat geometries as closed sets:
+//!   touching boundaries intersect, to the tolerance of
+//!   [`segment::orientation`] and [`Segment::contains_point`].
+//!   [`relate::intersects`] is the one refine kernel: it tests only the
+//!   edge pairs whose MBRs meet the widened overlap of the two
+//!   geometries' MBRs (never skipping a pair the edge test accepts),
+//!   probes one vertex of every vertex run each way, and allocates
+//!   nothing unless collections nest;
 //! * [`PreparedRegion`], a query region set up once per query so the
 //!   scan's region filter decides most features from their MBR and
-//!   runs the exact, allocation-free edge test only for features whose
-//!   MBR straddles the region's edge (`relate::intersects` is the
-//!   reference it agrees with);
+//!   calls `relate::intersects` only for features whose MBR straddles
+//!   the region's edge;
 //! * measures (area, perimeter, distance) in both planar and spherical
 //!   coordinate systems, including Andoyer's more accurate geodesic
 //!   formula used by the Fig. 13b experiment;

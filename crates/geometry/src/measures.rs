@@ -224,7 +224,6 @@ mod tests {
             mp.points(),
             solo.iter().flat_map(Geometry::points).collect::<Vec<_>>()
         );
-        assert_eq!(mp.first_point(), Some(Point::new(0.25, 10.0)));
     }
 
     #[test]

@@ -407,13 +407,6 @@ impl Geometry {
         out
     }
 
-    /// The first vertex of [`Geometry::points`], found without
-    /// collecting them.
-    pub(crate) fn first_point(&self) -> Option<Point> {
-        self.chains()
-            .find_map(|(vertices, _)| vertices.first().copied())
-    }
-
     /// The geometry's vertex runs in document order, each with whether
     /// it closes back on itself: a point is an open run of one, a
     /// linestring an open run, and each polygon yields its exterior and
@@ -422,6 +415,7 @@ impl Geometry {
     pub(crate) fn chains(&self) -> Chains<'_> {
         Chains {
             next: Some(self),
+            outer: [].iter(),
             members: Vec::new(),
             polygons: [].iter(),
             holes: [].iter(),
@@ -447,10 +441,13 @@ impl Geometry {
 
 /// Iterator behind [`Geometry::chains`].
 pub(crate) struct Chains<'a> {
-    /// The geometry to visit next, before anything on `members`.
+    /// The geometry to visit next, before anything on `members`: the
+    /// root, until the walk starts.
     next: Option<&'a Geometry>,
-    /// The unvisited members of every collection being walked,
-    /// innermost last.
+    /// The unvisited members of the root, when it is a collection.
+    outer: std::slice::Iter<'a, Geometry>,
+    /// The unvisited members of every nested collection being walked,
+    /// innermost last; they come before the rest of `outer`.
     members: Vec<std::slice::Iter<'a, Geometry>>,
     /// The unvisited members of the multipolygon being walked.
     polygons: std::slice::Iter<'a, Polygon>,
@@ -476,14 +473,17 @@ impl<'a> Iterator for Chains<'a> {
             if let Some(p) = self.polygons.next() {
                 return Some(self.polygon(p));
             }
-            let g = match self.next.take() {
-                Some(g) => g,
-                None => match self.members.last_mut()?.next() {
-                    Some(g) => g,
-                    None => {
-                        self.members.pop();
-                        continue;
-                    }
+            let (g, root) = match self.next.take() {
+                Some(g) => (g, true),
+                None => match self.members.last_mut() {
+                    Some(inner) => match inner.next() {
+                        Some(g) => (g, false),
+                        None => {
+                            self.members.pop();
+                            continue;
+                        }
+                    },
+                    None => (self.outer.next()?, false),
                 },
             };
             match g {
@@ -491,6 +491,7 @@ impl<'a> Iterator for Chains<'a> {
                 Geometry::LineString(ls) => return Some((&ls.points, false)),
                 Geometry::Polygon(p) => return Some(self.polygon(p)),
                 Geometry::MultiPolygon(mp) => self.polygons = mp.polygons.iter(),
+                Geometry::Collection(gs) if root => self.outer = gs.iter(),
                 Geometry::Collection(gs) => self.members.push(gs.iter()),
             }
         }
@@ -675,7 +676,6 @@ mod tests {
         points.extend(&line.points);
         points.extend(&unit_square().exterior.points);
         assert_eq!(g.points(), points);
-        assert_eq!(g.first_point(), Some(Point::new(5.0, 5.0)));
 
         let closed: Vec<bool> = g.chains().map(|(_, closed)| closed).collect();
         assert_eq!(closed, [false, true, true, true, false, true]);
@@ -684,10 +684,8 @@ mod tests {
     #[test]
     fn chains_of_empty_and_degenerate_geometry() {
         assert_eq!(Geometry::Collection(vec![]).chains().count(), 0);
-        assert_eq!(Geometry::Collection(vec![]).first_point(), None);
         let empty = Geometry::MultiPolygon(MultiPolygon::new(vec![]));
         assert_eq!(empty.segments().count(), 0);
-        assert_eq!(empty.first_point(), None);
         assert_eq!(Geometry::Point(Point::ORIGIN).segments().count(), 0);
         // A one-vertex ring closes on itself, as `Ring::segments` does.
         let dot = Geometry::Polygon(Polygon::from_exterior(vec![Point::ORIGIN]));
@@ -695,12 +693,11 @@ mod tests {
             dot.all_segments(),
             [Segment::new(Point::ORIGIN, Point::ORIGIN)]
         );
-        // A hole-only polygon's first vertex is its hole's.
-        let hole_only = Geometry::Polygon(Polygon::new(
-            Ring::default(),
-            vec![square(3.0, 3.0, 1.0).exterior],
-        ));
-        assert_eq!(hole_only.first_point(), hole_only.points().first().copied());
+        // A hole-only polygon yields its empty exterior, then its hole.
+        let hole = square(3.0, 3.0, 1.0).exterior;
+        let hole_only = Geometry::Polygon(Polygon::new(Ring::default(), vec![hole.clone()]));
+        let runs: Vec<&[Point]> = hole_only.chains().map(|(v, _)| v).collect();
+        assert_eq!(runs, [&[][..], &hole.points[..]]);
     }
 
     #[test]

@@ -6,29 +6,24 @@
 //! as filter-then-refine (§2.3). [`PreparedRegion`] is that filter with
 //! the refine step paid only where the filter cannot decide, in the
 //! manner of JTS/GEOS `PreparedGeometry`: it caches the region's
-//! envelope and edges, answers from the envelope when it can, and runs
-//! the exact edge test — allocation-free — only for features whose MBR
-//! straddles the region's edge. [`crate::relate::intersects`] stays the
-//! reference it must agree with.
+//! envelope, answers from the envelope when it can, and runs
+//! [`crate::relate::intersects`] — allocation-free — only for features
+//! whose MBR straddles the region's edge.
 
 use crate::mbr::Mbr;
-use crate::point::Point;
 use crate::polygon::{Geometry, Polygon};
-use crate::segment::{segments_intersect, Segment};
+use crate::relate;
 
 /// A query region prepared for many [`PreparedRegion::intersects`]
 /// tests.
 #[derive(Debug, Clone)]
 pub struct PreparedRegion {
-    polygon: Polygon,
+    /// The region polygon, as the geometry `relate` takes.
+    region: Geometry,
     /// The polygon's MBR; [`Mbr::EMPTY`] when a vertex is not finite.
     mbr: Mbr,
     /// The polygon is `Polygon::from_mbr(&mbr)`, so it has no holes.
     is_rect: bool,
-    /// Every edge of every ring.
-    edges: Vec<Segment>,
-    /// The first vertex, exterior ring first.
-    first_vertex: Option<Point>,
 }
 
 impl PreparedRegion {
@@ -36,22 +31,18 @@ impl PreparedRegion {
     /// no well-defined edges or interior, and matches nothing; this
     /// covers a region built from [`Mbr::EMPTY`] or from NaN bounds.
     pub fn new(polygon: Polygon) -> Self {
-        let mut vertices = polygon
+        let finite = polygon
             .exterior
             .points
             .iter()
-            .chain(polygon.holes.iter().flat_map(|h| &h.points));
-        let first_vertex = vertices.clone().next().copied();
-        let finite = vertices.all(|p| p.x.is_finite() && p.y.is_finite());
+            .chain(polygon.holes.iter().flat_map(|h| &h.points))
+            .all(|p| p.x.is_finite() && p.y.is_finite());
         let mbr = if finite { polygon.mbr() } else { Mbr::EMPTY };
         let is_rect = finite && polygon == Polygon::from_mbr(&mbr);
-        let edges = polygon.all_segments().collect();
         PreparedRegion {
-            polygon,
+            region: Geometry::Polygon(polygon),
             mbr,
             is_rect,
-            edges,
-            first_vertex,
         }
     }
 
@@ -63,11 +54,11 @@ impl PreparedRegion {
     ///    [`crate::relate::intersects`] checks too.
     /// 2. *Inside*: for a rectangular region, an MBR inside its closed
     ///    box is `true`, since that closed set then holds the geometry.
-    /// 3. *Straddles*: everything else takes `relate::intersects`'s
-    ///    exact test against the cached edges, without allocating.
+    /// 3. *Straddles*: everything else takes `relate::intersects`
+    ///    itself, with both MBRs already in hand; it allocates nothing
+    ///    unless `g`'s collections nest.
     ///
-    /// The answer is `relate::intersects`'s, given finite coordinates
-    /// and polygons whose holes lie inside their exterior.
+    /// The answer is `relate::intersects`'s, given finite coordinates.
     pub fn intersects(&self, g: &Geometry, mbr: &Mbr) -> bool {
         if !mbr.intersects(&self.mbr) {
             return false;
@@ -75,33 +66,14 @@ impl PreparedRegion {
         if self.is_rect && self.mbr.contains(mbr) {
             return true;
         }
-        self.refine(g)
-    }
-
-    /// The edge-testing algorithm of [`crate::relate::intersects`]
-    /// with the region fixed: edge pairs, then a point-in-polygon probe
-    /// each way (§3.4). Its point cases repeat the first probe.
-    fn refine(&self, g: &Geometry) -> bool {
-        if g.segments()
-            .any(|s| self.edges.iter().any(|e| segments_intersect(&s, e)))
-        {
-            return true;
-        }
-        if let Some(p) = g.first_point() {
-            if self.polygon.contains_point(&p) {
-                return true;
-            }
-        }
-        match self.first_vertex {
-            Some(p) => g.contains_point(&p),
-            None => false,
-        }
+        relate::intersects_with_mbrs(g, mbr, &self.region, &self.mbr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
     use crate::polygon::{LineString, MultiPolygon, Ring};
     use crate::relate;
 
@@ -111,8 +83,8 @@ mod tests {
 
     fn check(region: &PreparedRegion, g: &Geometry) -> bool {
         let got = region.intersects(g, &g.mbr());
-        let want = relate::intersects(g, &Geometry::Polygon(region.polygon.clone()));
-        assert_eq!(got, want, "{g:?} against {:?}", region.polygon);
+        let want = relate::intersects(g, &region.region);
+        assert_eq!(got, want, "{g:?} against {:?}", region.region);
         got
     }
 
@@ -202,6 +174,67 @@ mod tests {
                 want,
                 "{poly:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_later_part_inside_the_region_matches() {
+        // The region is a rectangle and an L; each feature's first part
+        // lies far outside it and a later one inside, with no edge
+        // contact, so only a probe of that later part can see it.
+        for region in [
+            PreparedRegion::new(rect(0.0, 0.0, 10.0, 10.0)),
+            PreparedRegion::new(Polygon::from_exterior(vec![
+                Point::new(0.0, 0.0),
+                Point::new(10.0, 0.0),
+                Point::new(10.0, 4.0),
+                Point::new(4.0, 4.0),
+                Point::new(4.0, 10.0),
+                Point::new(0.0, 10.0),
+            ])),
+        ] {
+            let far = rect(20.0, 20.0, 21.0, 21.0);
+            let inside = rect(1.0, 1.0, 2.0, 2.0);
+            let features = [
+                Geometry::MultiPolygon(MultiPolygon::new(vec![far.clone(), inside.clone()])),
+                Geometry::Collection(vec![
+                    Geometry::Point(Point::new(30.0, 30.0)),
+                    Geometry::Collection(vec![
+                        Geometry::Polygon(far.clone()),
+                        Geometry::Polygon(inside.clone()),
+                    ]),
+                ]),
+                Geometry::Collection(vec![
+                    Geometry::Polygon(far.clone()),
+                    Geometry::Point(Point::new(1.5, 1.5)),
+                ]),
+                Geometry::Collection(vec![
+                    Geometry::LineString(LineString::new(vec![
+                        Point::new(30.0, 0.0),
+                        Point::new(31.0, 0.0),
+                    ])),
+                    Geometry::LineString(LineString::new(vec![
+                        Point::new(1.0, 1.0),
+                        Point::new(2.0, 3.0),
+                    ])),
+                ]),
+            ];
+            for g in &features {
+                assert!(check(&region, g), "{g:?}");
+            }
+            // Parts in the L's notch and far away do not match.
+            let notch = rect(6.0, 6.0, 7.0, 7.0);
+            let outside = [
+                Geometry::MultiPolygon(MultiPolygon::new(vec![far.clone(), notch.clone()])),
+                Geometry::Collection(vec![
+                    Geometry::Polygon(far.clone()),
+                    Geometry::Collection(vec![Geometry::Polygon(notch.clone())]),
+                ]),
+            ];
+            let want = region.is_rect;
+            for g in &outside {
+                assert_eq!(check(&region, g), want, "{g:?}");
+            }
         }
     }
 }

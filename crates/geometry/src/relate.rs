@@ -2,12 +2,34 @@
 //!
 //! The paper implements relations between a streamed geometry and a
 //! reference set with an *edge-testing* algorithm: every incoming edge
-//! is tested against the reference edges, plus two point-in-polygon
-//! probes to catch full containment (§3.4, ST_Intersects example). The
-//! same decomposition is used here, with an incremental
-//! [`EdgeRelateState`] that the periodically flushing transducers in
-//! `atgis-core` wrap.
+//! is tested against the reference edges, plus point-in-polygon probes
+//! to catch full containment (§3.4, ST_Intersects example). The same
+//! decomposition is used here, with an incremental [`EdgeRelateState`]
+//! that the periodically flushing transducers in `atgis-core` wrap.
+//!
+//! Geometries are closed sets: a boundary contact, a shared vertex or
+//! a point on an edge intersects. "On" means within the tolerance of
+//! [`crate::segment::orientation`] and the `f64::EPSILON` box slack of
+//! [`Segment::contains_point`].
+//!
+//! [`intersects`] is the refine kernel every caller shares (the join,
+//! the sequential oracle, [`crate::PreparedRegion`]). Two rules make it
+//! cheap and keep it exact:
+//!
+//! * **The window.** An edge pair is tested only when both edges' MBRs
+//!   meet the overlap of the geometries' MBRs, and each other, widened
+//!   by `8·ε·(1 + r)`, `r` the largest coordinate magnitude: after
+//!   rounding, more than the `4·ε` a contact [`segments_intersect`]
+//!   accepts can lie outside them. No pair that test would accept is
+//!   skipped, so the answer is the all-pairs loop's.
+//! * **One probe per vertex run.** Without an edge contact, each vertex
+//!   run (a point, a linestring, a ring) lies wholly inside or wholly
+//!   outside the other geometry, so the first vertex of every run is
+//!   probed, both ways. Probing only a geometry's first vertex misses a
+//!   later part of a multipolygon or collection that lies inside the
+//!   other side.
 
+use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::{Geometry, Polygon};
 use crate::segment::{segments_cross_properly, segments_intersect, Segment};
@@ -165,37 +187,96 @@ fn on_polygon_boundary(p: &Polygon, v: &Point) -> bool {
     p.all_segments().any(|s| s.contains_point(v))
 }
 
-/// True when `a` and `b` share at least one point.
+/// True when `a` and `b` share at least one point, both taken as
+/// closed sets (a boundary contact counts).
+///
+/// The paper's edge-testing algorithm (§3.4), filtered the way a PBSM
+/// refine filters its candidates:
+///
+/// 1. disjoint MBRs are `false`;
+/// 2. an edge pair is tested with [`segments_intersect`] only when both
+///    edges' MBRs meet the overlap of the two geometries' MBRs and
+///    each other, all widened by more than the slack that test allows,
+///    so no pair it would accept is skipped;
+/// 3. otherwise one vertex of every vertex run (each point, linestring
+///    and ring) of either side is probed against the other side with
+///    its point-in-geometry test. A run with no edge contact lies
+///    wholly inside or wholly outside the other side, so one vertex
+///    decides it; probing only the first vertex of a multi-part
+///    geometry would miss a later part inside the other side.
+///
+/// It walks [`Geometry::segments`] without collecting them, so it
+/// allocates nothing unless collections nest.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    if !a.mbr().intersects(&b.mbr()) {
+    intersects_with_mbrs(a, &a.mbr(), b, &b.mbr())
+}
+
+/// [`intersects`] with `ma == a.mbr()` and `mb == b.mbr()` already in
+/// hand.
+pub(crate) fn intersects_with_mbrs(a: &Geometry, ma: &Mbr, b: &Geometry, mb: &Mbr) -> bool {
+    let Some(overlap) = ma.intersection(mb) else {
         return false;
-    }
-    // Edge-vs-edge tests.
-    let ea = a.all_segments();
-    let eb = b.all_segments();
-    for sa in &ea {
-        for sb in &eb {
-            if segments_intersect(sa, sb) {
-                return true;
-            }
+    };
+    edges_meet(a, b, &reach(&overlap)) || probes_hit(a, b) || probes_hit(b, a)
+}
+
+/// True when some edge of `a` meets some edge of `b`, testing only
+/// the pairs whose MBRs meet `window` (the widened overlap of the
+/// geometries' MBRs) and whose second MBR meets the first's [`reach`].
+fn edges_meet(a: &Geometry, b: &Geometry, window: &Mbr) -> bool {
+    a.segments().any(|sa| {
+        let ra = sa.mbr();
+        if !ra.intersects(window) {
+            return false;
         }
-    }
-    // Containment probes (either direction), per §3.4.
-    if let Some(p) = a.first_point() {
-        if b.contains_point(&p) {
-            return true;
-        }
-    }
-    if let Some(p) = b.first_point() {
-        if a.contains_point(&p) {
-            return true;
-        }
-    }
-    // Point/point or point/shape cases with no edges.
-    match (a, b) {
-        (Geometry::Point(p), _) => b.contains_point(p),
-        (_, Geometry::Point(p)) => a.contains_point(p),
-        _ => false,
+        let near = reach(&ra);
+        b.segments().any(|sb| {
+            let rb = sb.mbr();
+            rb.intersects(window) && rb.intersects(&near) && segments_intersect(&sa, &sb)
+        })
+    })
+}
+
+/// True when one vertex of some vertex run of `a` lies in `b`.
+fn probes_hit(a: &Geometry, b: &Geometry) -> bool {
+    a.chains()
+        .any(|(vertices, _)| vertices.first().is_some_and(|p| b.contains_point(p)))
+}
+
+/// `m` widened on every side by `8·ε·(1 + r)`, `r` its largest
+/// coordinate magnitude and `ε = f64::EPSILON`: after rounding, by more
+/// than `4·ε`. An `m` too large to widen finitely becomes the whole
+/// plane.
+///
+/// This is the slack the edge filter needs. [`segments_intersect`]
+/// accepts either a proper crossing or a vertex `p` of one edge that
+/// [`Segment::contains_point`] puts on the other. A proper crossing
+/// needs four turns beyond `orientation`'s tolerance, which exceeds
+/// its rounding error, so the crossing is real: it lies in both
+/// edges, their MBRs and the overlap. The vertex test compares `p`
+/// with the other edge's MBR moved out by `ε`, and that rounded bound
+/// lies at most `2·ε` beyond the MBR. So `p` lies within `2·ε` of the
+/// other edge's MBR and of the overlap, and the other edge within
+/// `4·ε` of the overlap: every accepted pair has both edges meeting
+/// the widened overlap, and each edge meeting the other's widened
+/// MBR.
+fn reach(m: &Mbr) -> Mbr {
+    let r = m
+        .min_x
+        .abs()
+        .max(m.max_x.abs())
+        .max(m.min_y.abs())
+        .max(m.max_y.abs());
+    let d = 8.0 * f64::EPSILON * (1.0 + r);
+    if d.is_finite() {
+        Mbr::new(m.min_x - d, m.min_y - d, m.max_x + d, m.max_y + d)
+    } else {
+        Mbr::new(
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::INFINITY,
+        )
     }
 }
 
@@ -681,5 +762,270 @@ mod tests {
         }
         assert!(!st.any_edge_intersects);
         assert!(st.finish_intersects(&streamed, &reference));
+    }
+
+    /// The all-pairs edge test the window filters: every edge of `a`
+    /// against every edge of `b`.
+    fn all_pairs_meet(a: &Geometry, b: &Geometry) -> bool {
+        a.segments()
+            .any(|sa| b.segments().any(|sb| segments_intersect(&sa, &sb)))
+    }
+
+    /// The reference [`intersects`]: the MBR check, all edge pairs,
+    /// then one probe per vertex run each way.
+    fn intersects_all_pairs(a: &Geometry, b: &Geometry) -> bool {
+        a.mbr().intersects(&b.mbr())
+            && (all_pairs_meet(a, b) || probes_hit(a, b) || probes_hit(b, a))
+    }
+
+    /// The windowed edge test [`intersects`] runs, for MBRs that meet.
+    fn windowed_meet(a: &Geometry, b: &Geometry) -> bool {
+        let overlap = a.mbr().intersection(&b.mbr()).expect("MBRs meet");
+        edges_meet(a, b, &reach(&overlap))
+    }
+
+    /// Asserts that, where the MBRs meet, the windowed edge test equals
+    /// the all-pairs one both ways round, and that `intersects` equals
+    /// its reference. Returns the answer.
+    fn check_window(a: &Geometry, b: &Geometry) -> bool {
+        if a.mbr().intersects(&b.mbr()) {
+            let want = all_pairs_meet(a, b);
+            assert_eq!(windowed_meet(a, b), want, "{a:?}\n{b:?}");
+            assert_eq!(windowed_meet(b, a), want, "{b:?}\n{a:?}");
+        }
+        let got = intersects(a, b);
+        assert_eq!(got, intersects_all_pairs(a, b), "{a:?}\n{b:?}");
+        assert_eq!(got, intersects(b, a), "{a:?}\n{b:?}");
+        got
+    }
+
+    fn line(points: &[(f64, f64)]) -> Geometry {
+        Geometry::LineString(crate::polygon::LineString::new(
+            points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+        ))
+    }
+
+    fn ring(points: &[(f64, f64)]) -> Geometry {
+        Geometry::Polygon(Polygon::from_exterior(
+            points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+        ))
+    }
+
+    /// `x` moved by `k` ulps (towards +∞ for `k > 0`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        let mut x = x;
+        for _ in 0..k.abs() {
+            x = if k > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    #[test]
+    fn window_keeps_contacts_a_few_ulps_off_an_edge() {
+        // A box whose right edge is x = c, and a hook whose tip sits k
+        // ulps from that edge, in and out. The hook's far end reaches
+        // back over the box, above it, so the MBRs overlap in a
+        // window that ends at x = c: for k > 0 the tip's edge lies
+        // wholly outside it, and only the widening keeps the contact
+        // `segments_intersect` sees there. `3.0.next_up()` has an odd
+        // last bit, so its `+ ε` bound rounds up, a full ulp out.
+        for c in [0.5, 1.0, 3.0f64.next_up(), 180.0, -180.0] {
+            let bx = ring(&[(c - 1.0, 0.0), (c, 0.0), (c, 0.5), (c - 1.0, 0.5)]);
+            for k in -4..=4 {
+                let tip = ulps(c, k);
+                let hook = line(&[(c - 0.5, 1.0), (c + 1.0, 1.0), (c + 1.0, 0.25), (tip, 0.25)]);
+                let hit = check_window(&bx, &hook);
+                // Below 4, `ε` is at least half an ulp, so the edge
+                // still holds a tip one ulp out.
+                if k == 1 {
+                    assert_eq!(hit, c.abs() < 4.0, "one ulp out at {c}");
+                }
+                let wedge = ring(&[(tip, 0.25), (c + 1.0, 1.0), (c - 0.5, 1.0)]);
+                check_window(&bx, &wedge);
+            }
+        }
+    }
+
+    #[test]
+    fn window_keeps_endpoints_one_ulp_apart() {
+        for c in [0.5, 180.0] {
+            for k in [-1, 0, 1] {
+                // Two collinear segments meeting end to end, 1 ulp apart
+                // in x and in y, with the second one turning back over
+                // the first so the MBRs overlap.
+                let a = line(&[(c - 1.0, c), (c, c)]);
+                let b = line(&[(ulps(c, k), c), (c - 0.5, c + 1.0)]);
+                check_window(&a, &b);
+                let a = line(&[(c, c - 1.0), (c, c)]);
+                let b = line(&[(c, ulps(c, k)), (c + 1.0, c - 0.5)]);
+                check_window(&a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn window_keeps_collinear_overlaps() {
+        assert!(check_window(
+            &line(&[(0.0, 0.0), (2.0, 0.0)]),
+            &line(&[(1.0, 0.0), (3.0, 0.0)])
+        ));
+        // Two squares sharing part of an edge, and one sharing a whole
+        // edge.
+        assert!(check_window(&square(0.0, 0.0, 2.0), &square(2.0, 1.0, 2.0)));
+        assert!(check_window(&square(0.0, 0.0, 2.0), &square(2.0, 0.0, 2.0)));
+        // Diagonal collinear overlap, at coordinates near 180.
+        assert!(check_window(
+            &line(&[(179.0, 89.0), (179.5, 89.5)]),
+            &line(&[(179.25, 89.25), (180.0, 90.0)])
+        ));
+    }
+
+    #[test]
+    fn window_keeps_zero_width_mbrs() {
+        // A vertical and a horizontal segment: the overlap of the MBRs
+        // is a single point.
+        assert!(check_window(
+            &line(&[(1.0, 0.0), (1.0, 2.0)]),
+            &line(&[(0.0, 1.0), (2.0, 1.0)])
+        ));
+        // Two vertical segments on one line, overlapping or touching.
+        assert!(check_window(
+            &line(&[(1.0, 0.0), (1.0, 2.0)]),
+            &line(&[(1.0, 1.0), (1.0, 3.0)])
+        ));
+        assert!(check_window(
+            &line(&[(1.0, 0.0), (1.0, 2.0)]),
+            &line(&[(1.0, 2.0), (1.0, 3.0)])
+        ));
+        // A vertical segment under a hook's arm, apart from it.
+        assert!(!check_window(
+            &line(&[(1.0, 0.0), (1.0, 2.0), (3.0, 2.0)]),
+            &line(&[(2.0, 0.0), (2.0, 1.5)])
+        ));
+        // A degenerate polygon that is one point, on a square's edge.
+        assert!(check_window(
+            &square(0.0, 0.0, 1.0),
+            &ring(&[(0.5, 1.0), (0.5, 1.0), (0.5, 1.0)])
+        ));
+    }
+
+    #[test]
+    fn window_keeps_t_touches_on_its_edge() {
+        let a = square(0.0, 0.0, 1.0);
+        // A stem standing on the top edge: the window is that edge.
+        assert!(check_window(&a, &line(&[(0.5, 1.0), (0.5, 2.0)])));
+        // A square standing on the top edge along part of it.
+        assert!(check_window(&a, &square(0.25, 1.0, 0.5)));
+        // A bar resting on the top edge whose ends overhang it.
+        assert!(check_window(&a, &line(&[(-1.0, 1.0), (2.0, 1.0)])));
+        // A stem whose foot is k ulps above the top edge, on a hook
+        // that comes down beside the square: the MBRs overlap in a
+        // window ending at y = 1, which the stem's edge misses by k
+        // ulps. `1 + ε` is the last height the edge still holds.
+        let mut hits = 0;
+        for k in 0..4 {
+            let stem = line(&[(0.5, ulps(1.0, k)), (0.5, 2.0), (-0.5, 2.0), (-0.5, 0.5)]);
+            hits += check_window(&a, &stem) as usize;
+        }
+        assert_eq!(hits, 2);
+        // The same near 180, where `ε` is below an ulp.
+        let b = square(179.0, 89.0, 1.0);
+        for k in 0..3 {
+            let stem = line(&[
+                (179.5, ulps(90.0, k)),
+                (179.5, 91.0),
+                (178.5, 91.0),
+                (178.5, 89.5),
+            ]);
+            assert_eq!(check_window(&b, &stem), k == 0);
+        }
+    }
+
+    #[test]
+    fn window_equals_all_pairs_on_seeded_near_contacts() {
+        // Small polygons and linestrings whose vertices sit on a coarse
+        // grid near 0.5 or 180, each moved by up to 2 ulps.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut hits = 0;
+        for round in 0..4000 {
+            let base = if round % 2 == 0 { 0.5 } else { 180.0 };
+            let mut shapes = Vec::with_capacity(2);
+            for _ in 0..2 {
+                let n = 2 + next(4) as usize;
+                let mut pts = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let mut c = || ulps(base + (next(5) as f64 - 2.0) * 0.25, next(5) as i64 - 2);
+                    pts.push((c(), c()));
+                }
+                shapes.push(if next(2) == 0 { line(&pts) } else { ring(&pts) });
+            }
+            hits += check_window(&shapes[0], &shapes[1]) as usize;
+        }
+        assert!(hits > 100, "{hits} contacts");
+    }
+
+    #[test]
+    fn a_later_part_inside_the_other_geometry_intersects() {
+        use crate::polygon::{MultiPolygon, Ring};
+        let square_polygon = |x0: f64, y0: f64, size: f64| match square(x0, y0, size) {
+            Geometry::Polygon(p) => p,
+            _ => unreachable!("square builds a polygon"),
+        };
+        let b = square(0.0, 0.0, 10.0);
+        let (far, inside) = (
+            square_polygon(20.0, 20.0, 1.0),
+            square_polygon(4.0, 4.0, 1.0),
+        );
+        let far_then_inside = MultiPolygon::new(vec![far.clone(), inside.clone()]);
+        let parts = [
+            Geometry::MultiPolygon(far_then_inside.clone()),
+            Geometry::Collection(vec![
+                Geometry::Point(Point::new(30.0, 30.0)),
+                Geometry::Collection(vec![
+                    Geometry::Polygon(far.clone()),
+                    Geometry::Polygon(inside.clone()),
+                ]),
+            ]),
+            Geometry::Collection(vec![
+                Geometry::Point(Point::new(30.0, 30.0)),
+                Geometry::Point(Point::new(5.0, 5.0)),
+            ]),
+            Geometry::Collection(vec![
+                Geometry::Polygon(far.clone()),
+                line(&[(2.0, 2.0), (3.0, 3.0)]),
+            ]),
+        ];
+        for g in &parts {
+            assert!(intersects(g, &b), "{g:?}");
+            assert!(intersects(&b, g), "{g:?}");
+            assert!(intersects_all_pairs(g, &b), "{g:?}");
+        }
+        // B inside the second member, with no edge contact: B's own
+        // probe finds it.
+        let around = Geometry::MultiPolygon(MultiPolygon::new(vec![
+            far.clone(),
+            square_polygon(-5.0, -5.0, 30.0),
+        ]));
+        assert!(intersects(&around, &b) && intersects(&b, &around));
+        // Members far away, or in a hole of B, are disjoint from it.
+        let holed = Geometry::Polygon(Polygon::new(
+            square_polygon(0.0, 0.0, 10.0).exterior,
+            vec![Ring::new(vec![
+                Point::new(3.0, 3.0),
+                Point::new(3.0, 7.0),
+                Point::new(7.0, 7.0),
+                Point::new(7.0, 3.0),
+            ])],
+        ));
+        let in_hole = Geometry::MultiPolygon(far_then_inside);
+        assert!(!intersects(&in_hole, &holed) && !intersects(&holed, &in_hole));
+        let apart = Geometry::Collection(vec![Geometry::Polygon(far), square(12.0, 0.0, 1.0)]);
+        assert!(!intersects(&apart, &b) && !intersects(&b, &apart));
     }
 }

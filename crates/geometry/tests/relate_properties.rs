@@ -4,10 +4,12 @@
 //! point-in-polygon probe for containment. The library implementation
 //! (edge tests + §3.4 two-way interior probes) must agree on random
 //! small polygons, be symmetric, and never report an intersection
-//! without MBR overlap.
+//! without MBR overlap. It must also distribute over the parts of a
+//! collection or multipolygon: the whole meets `b` exactly when some
+//! part does, which holds whatever order the parts come in.
 
 use atgis_geometry::relate::{disjoint, intersects, within};
-use atgis_geometry::{Geometry, Point, Polygon};
+use atgis_geometry::{Geometry, MultiPolygon, Point, Polygon};
 use proptest::prelude::*;
 
 /// A small convex polygon: `n` vertices on a circle of radius `r`
@@ -100,6 +102,30 @@ fn intersects_brute(a: &Polygon, b: &Polygon) -> bool {
         || b.exterior.points.iter().any(|p| point_in_poly_brute(*p, a))
 }
 
+/// A part of a multi-part geometry: mostly a small polygon, now and
+/// then a point, anywhere in a box wider than the other side's.
+fn part() -> impl Strategy<Value = Geometry> {
+    (
+        -6.0..6.0f64,
+        -6.0..6.0f64,
+        0.05..2.0f64,
+        3usize..8,
+        0.0..1.0f64,
+        0usize..4,
+    )
+        .prop_map(|(x, y, r, n, phase, kind)| match kind {
+            0 => Geometry::Point(Point::new(x, y)),
+            _ => Geometry::Polygon(poly(x, y, r, n, phase)),
+        })
+}
+
+fn polygon_of(g: &Geometry) -> Option<Polygon> {
+    match g {
+        Geometry::Polygon(p) => Some(p.clone()),
+        _ => None,
+    }
+}
+
 // ---- properties ---------------------------------------------------
 
 proptest! {
@@ -157,5 +183,35 @@ proptest! {
         let outer = Geometry::Polygon(poly(cx, cy, inner_r + outer_extra, 8, 0.0));
         prop_assert!(within(&inner, &outer));
         prop_assert!(intersects(&inner, &outer));
+    }
+
+    #[test]
+    fn intersects_distributes_over_parts(
+        parts in prop::collection::vec(part(), 1..6),
+        bx in -3.0..3.0f64, by in -3.0..3.0f64, br in 0.5..4.0f64,
+        bn in 3usize..9, bp in 0.0..1.0f64,
+        nest in 0usize..3,
+    ) {
+        let b = Geometry::Polygon(poly(bx, by, br, bn, bp));
+        let any_part = parts.iter().any(|p| intersects(p, &b));
+        // Flat, nested after the first part, and nested at the front.
+        let whole = match nest {
+            0 => Geometry::Collection(parts.clone()),
+            1 => Geometry::Collection(vec![
+                parts[0].clone(),
+                Geometry::Collection(parts[1..].to_vec()),
+            ]),
+            _ => Geometry::Collection(vec![Geometry::Collection(parts.clone())]),
+        };
+        prop_assert_eq!(intersects(&whole, &b), any_part, "{:?} against {:?}", whole, b);
+        prop_assert_eq!(intersects(&b, &whole), any_part, "{:?} against {:?}", b, whole);
+        let polygons: Vec<Polygon> = parts.iter().filter_map(polygon_of).collect();
+        let any_polygon = parts
+            .iter()
+            .filter(|p| polygon_of(p).is_some())
+            .any(|p| intersects(p, &b));
+        let multi = Geometry::MultiPolygon(MultiPolygon::new(polygons));
+        prop_assert_eq!(intersects(&multi, &b), any_polygon, "{:?} against {:?}", multi, b);
+        prop_assert_eq!(intersects(&b, &multi), any_polygon, "{:?} against {:?}", b, multi);
     }
 }

@@ -13,6 +13,8 @@ use atgis::{
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use std::sync::{Mutex, MutexGuard};
 
+pub mod shapes;
+
 /// Failpoints are process-wide: while one test has a point armed, a
 /// concurrent test's scan, snapshot save or load would fire it. Every
 /// test of a binary that arms a failpoint holds this gate, so an armed

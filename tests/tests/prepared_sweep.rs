@@ -3,202 +3,22 @@
 //! drawn from the torture RNG. The seed is printed; replay a failure
 //! with `ATGIS_FAULT_SEED=<seed>`. CI runs it under fresh seeds.
 //!
-//! Regions are rectangles (in and out of `Polygon::from_mbr`'s vertex
-//! order), convex and star-shaped concave polygons, Ls, and boxes with
-//! holes. Features are points, linestrings, polygons with and without
-//! holes, multipolygons and nested collections, a quarter of them
-//! placed on a vertex, an edge midpoint or a ring's centre of the
-//! region. Coordinates sit
-//! mostly on a half-unit grid, so exact contacts and zero-width MBRs
-//! are common.
+//! The shapes come from `atgis_tests::shapes`; a quarter of the
+//! features are placed on a vertex, an edge midpoint or a ring's centre
+//! of the region.
+//!
+//! A second sweep checks the distributive law on the multi-part
+//! features: a collection or multipolygon meets the region exactly
+//! when one of its parts does. The law needs no reference, so it also
+//! catches a defect the predicate and its reference share.
 
 use atgis_geometry::relate::intersects;
-use atgis_geometry::{Geometry, LineString, Mbr, MultiPolygon, Point, Polygon, PreparedRegion};
+use atgis_geometry::{Geometry, PreparedRegion};
+use atgis_tests::shapes::Gen;
 use atgis_tests::XorShift64;
 
 const PAIRS: usize = 24_000;
 const FEATURES_PER_REGION: usize = 8;
-
-struct Gen(XorShift64);
-
-impl Gen {
-    fn below(&mut self, n: usize) -> usize {
-        self.0.below(n)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn float(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.0.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    /// A multiple of 0.5 in [-4, 4], or now and then any float.
-    fn coord(&mut self) -> f64 {
-        if self.below(5) < 4 {
-            (self.below(17) as f64 - 8.0) * 0.5
-        } else {
-            self.float(-4.5, 4.5)
-        }
-    }
-
-    fn point(&mut self) -> Point {
-        Point::new(self.coord(), self.coord())
-    }
-
-    fn rect(&mut self) -> Polygon {
-        let (a, b) = (self.point(), self.point());
-        Polygon::from_mbr(&Mbr::from_point(a).expanded_to(b))
-    }
-
-    /// Vertices around `self.point()`, at one radius (convex) or a
-    /// radius per vertex (star-shaped, usually concave).
-    fn star(&mut self, concave: bool) -> Polygon {
-        let c = self.point();
-        let n = 3 + self.below(6);
-        let r = self.float(0.25, 3.0);
-        let phase = self.float(0.0, 6.3);
-        let points = (0..n)
-            .map(|i| {
-                let theta = phase + std::f64::consts::TAU * i as f64 / n as f64;
-                let r = if concave { r * self.float(0.3, 1.0) } else { r };
-                Point::new(c.x + r * theta.cos(), c.y + r * theta.sin())
-            })
-            .collect();
-        Polygon::from_exterior(points)
-    }
-
-    /// An L: a box at a grid point with its upper-right part cut away.
-    fn l_shape(&mut self) -> Polygon {
-        let o = self.point();
-        let (w, h) = (
-            1.0 + self.below(6) as f64 * 0.5,
-            1.0 + self.below(6) as f64 * 0.5,
-        );
-        let t = 0.5 * (1 + self.below(((w.min(h) - 0.5) * 2.0) as usize)) as f64;
-        Polygon::from_exterior(vec![
-            o,
-            Point::new(o.x + w, o.y),
-            Point::new(o.x + w, o.y + t),
-            Point::new(o.x + t, o.y + t),
-            Point::new(o.x + t, o.y + h),
-            Point::new(o.x, o.y + h),
-        ])
-    }
-
-    /// A box with a half-unit box hole strictly inside it.
-    fn holed(&mut self) -> Polygon {
-        let o = self.point();
-        let (w, h) = (
-            1.5 + self.below(7) as f64 * 0.5,
-            1.5 + self.below(7) as f64 * 0.5,
-        );
-        let hx = o.x + 0.5 + self.float(0.0, w - 1.5);
-        let hy = o.y + 0.5 + self.float(0.0, h - 1.5);
-        let hole = Polygon::from_mbr(&Mbr::new(hx, hy, hx + 0.5, hy + 0.5));
-        Polygon::new(
-            Polygon::from_mbr(&Mbr::new(o.x, o.y, o.x + w, o.y + h)).exterior,
-            vec![hole.exterior.normalised_cw()],
-        )
-    }
-
-    fn region(&mut self) -> Polygon {
-        match self.below(6) {
-            0 | 1 => self.rect(),
-            2 => {
-                let mut p = self.rect();
-                p.exterior.points.rotate_left(1 + self.below(3));
-                p
-            }
-            3 => {
-                let concave = self.below(2) == 0;
-                self.star(concave)
-            }
-            4 => self.l_shape(),
-            _ => self.holed(),
-        }
-    }
-
-    fn linestring(&mut self) -> LineString {
-        if self.below(4) == 0 {
-            // Axis-parallel: a zero-width MBR.
-            let (a, b, c) = (self.coord(), self.coord(), self.coord());
-            let (p, q) = if self.below(2) == 0 {
-                (Point::new(a, b), Point::new(a, c))
-            } else {
-                (Point::new(b, a), Point::new(c, a))
-            };
-            return LineString::new(vec![p, q]);
-        }
-        let n = 1 + self.below(4);
-        LineString::new((0..n).map(|_| self.point()).collect())
-    }
-
-    fn polygon(&mut self) -> Polygon {
-        match self.below(5) {
-            0 | 1 => self.rect(),
-            2 => {
-                let concave = self.below(2) == 0;
-                self.star(concave)
-            }
-            3 => self.holed(),
-            _ => {
-                let n = 3 + self.below(4);
-                Polygon::from_exterior((0..n).map(|_| self.point()).collect())
-            }
-        }
-    }
-
-    fn leaf(&mut self) -> Geometry {
-        match self.below(3) {
-            0 => Geometry::Point(self.point()),
-            1 => Geometry::LineString(self.linestring()),
-            _ => Geometry::Polygon(self.polygon()),
-        }
-    }
-
-    fn feature(&mut self) -> Geometry {
-        match self.below(10) {
-            0..=5 => self.leaf(),
-            6 | 7 => {
-                let n = self.below(4);
-                Geometry::MultiPolygon(MultiPolygon::new((0..n).map(|_| self.polygon()).collect()))
-            }
-            8 => {
-                let n = self.below(4);
-                Geometry::Collection((0..n).map(|_| self.leaf()).collect())
-            }
-            _ => {
-                let n = self.below(3);
-                let inner = Geometry::Collection((0..n).map(|_| self.leaf()).collect());
-                Geometry::Collection(vec![inner, self.leaf()])
-            }
-        }
-    }
-
-    /// A point, a segment or a box from a vertex, an edge midpoint or
-    /// the MBR centre of one of the region's rings (the last, small,
-    /// so that it often lies strictly inside a hole or a notch).
-    fn anchored(&mut self, region: &Polygon) -> Geometry {
-        let ring = if region.holes.is_empty() || self.below(2) == 0 {
-            &region.exterior
-        } else {
-            &region.holes[0]
-        };
-        let n = ring.points.len();
-        let i = self.below(n);
-        let (a, b) = (ring.points[i], ring.points[(i + 1) % n]);
-        let (p, scale) = match self.below(3) {
-            0 => (a, 1.0),
-            1 => (Point::new((a.x + b.x) * 0.5, (a.y + b.y) * 0.5), 1.0),
-            _ => (ring.mbr().center(), 0.1),
-        };
-        let q = Point::new(p.x + self.coord() * scale, p.y + self.coord() * scale);
-        match self.below(3) {
-            0 => Geometry::Point(p),
-            1 => Geometry::LineString(LineString::new(vec![p, q])),
-            _ => Geometry::Polygon(Polygon::from_mbr(&Mbr::from_point(p).expanded_to(q))),
-        }
-    }
-}
 
 #[test]
 fn prepared_region_agrees_with_relate_under_seeded_sweep() {
@@ -229,4 +49,36 @@ fn prepared_region_agrees_with_relate_under_seeded_sweep() {
         hits > PAIRS / 10 && hits < PAIRS * 9 / 10,
         "{hits} of {PAIRS} intersect"
     );
+}
+
+/// The parts `g` is the union of: a collection's members, a
+/// multipolygon's polygons.
+fn parts(g: &Geometry) -> Option<Vec<Geometry>> {
+    match g {
+        Geometry::Collection(members) => Some(members.clone()),
+        Geometry::MultiPolygon(mp) => {
+            Some(mp.polygons.iter().cloned().map(Geometry::Polygon).collect())
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn prepared_region_distributes_over_parts_under_seeded_sweep() {
+    let mut gen = Gen(XorShift64::from_env());
+    let (mut hits, mut wholes) = (0usize, 0usize);
+    while wholes < PAIRS / 4 {
+        let region = gen.region();
+        let prepared = PreparedRegion::new(region.clone());
+        for _ in 0..FEATURES_PER_REGION {
+            let g = gen.feature();
+            let Some(parts) = parts(&g) else { continue };
+            let whole = prepared.intersects(&g, &g.mbr());
+            let any = parts.iter().any(|p| prepared.intersects(p, &p.mbr()));
+            assert_eq!(whole, any, "feature {g:?}\nregion {region:?}");
+            hits += whole as usize;
+            wholes += 1;
+        }
+    }
+    assert!(hits > wholes / 10, "{hits} of {wholes} intersect");
 }
