@@ -9,8 +9,8 @@
 //! fan-out, so a single transducer pass (the dataset format's split,
 //! PAT or FAT for GeoJSON as the engine is configured) parses each
 //! geometry once and dispatches it to every member. Join-class queries additionally share one
-//! side-agnostic [`PartitionIndex`] — the partition store plus its
-//! skew-refined [`PartitionMap`] — and one [`ReparseCache`], so the
+//! side-agnostic [`PartitionIndex`] — its skew-refined
+//! [`PartitionMap`] — and one [`ReparseCache`], so the
 //! partition pass, hot-cell splitting and candidate re-parsing are all
 //! paid once per batch instead of once per query. Per-query cost
 //! drops from `O(dataset)` parse + `O(query)` work to `O(query)` work
@@ -70,7 +70,7 @@ use crate::executor::run_grid_on;
 use crate::join::{
     fold_slot_results, join_partition, JoinOptions, JoinSpec, ReparseCache, Reparser, SlotResult,
 };
-use crate::partition::{ArrayStore, GridSpec, PartitionMap, PartitionMapStats};
+use crate::partition::{GridSpec, PartitionMap};
 use crate::persist::{self, Snapshot};
 use crate::pipeline::{
     downcast_sink, AggregateSink, ContainmentAgg, FailedSink, MetricsAgg, MultiSink, QueryAggregate,
@@ -117,27 +117,19 @@ pub(crate) fn index_key(cfg: &EngineBuilder) -> IndexKey {
 
 /// A dataset-level spatial index shared by every join-class query of
 /// a batch (and, inside a [`QuerySession`], across batches): the
-/// side-agnostic partition store plus its skew-refined map. Sides are
+/// side-agnostic, skew-refined partition map. Sides are
 /// resolved per query at join time (`id < threshold`), so queries
 /// with different thresholds — and the combined query's perimeter
 /// bounds, enforced at the refine stage — all read the same index.
 pub struct PartitionIndex {
-    pub(crate) store: ArrayStore,
     pub(crate) map: PartitionMap,
-    /// Time spent on map refinement (load stats + hot-cell splits).
+    /// Time spent sealing the map (sort by cell + hot-cell splits).
     pub(crate) refine: Duration,
     /// OSM XML only: the offset→geometry table re-parsing needs (a
     /// relation's geometry requires the node table, so single-object
     /// reparse is impossible). Cached with the index so warm-session
     /// XML batches skip this pass too.
     pub(crate) xml_table: Option<Arc<HashMap<u64, atgis_geometry::Geometry>>>,
-}
-
-impl PartitionIndex {
-    /// Shape of the (possibly refined) partition map.
-    pub fn map_stats(&self) -> PartitionMapStats {
-        self.map.stats()
-    }
 }
 
 /// Dataset-level cache of [`PartitionIndex`]es keyed by partitioning
@@ -362,14 +354,11 @@ impl QuerySession {
         for (key, index) in snap.indexes {
             session.cache.insert(key, index);
         }
-        // An XML layout of several shards predates XML's one-shard
-        // rule and would cut the document; rebuild it on demand.
-        let xml = session.dataset.format() == Format::OsmXml;
-        recover(session.shard_sets.lock()).extend(
-            snap.shard_sets
-                .into_iter()
-                .filter(|(_, set)| !(xml && set.len() > 1)),
-        );
+        // No run over XML scans by a layout (`ShardSet::wanted`), and
+        // one of several shards would cut the document: none restores.
+        if session.dataset.format() != Format::OsmXml {
+            recover(session.shard_sets.lock()).extend(snap.shard_sets);
+        }
         (session, snap.aggregates)
     }
 
@@ -419,7 +408,7 @@ impl QuerySession {
     /// ingested so far, and a side-agnostic partition sink rides the
     /// incremental scan. Calling [`QuerySession::finish`] seals the
     /// stream: the partition index is refined from the incrementally
-    /// fed store — no extra parse pass — and join-class queries become
+    /// fed sink — no extra parse pass — and join-class queries become
     /// available, served from the warm cache exactly as in a pinned
     /// session.
     pub fn streaming(engine: Engine, format: Format) -> Result<Self> {
@@ -491,7 +480,7 @@ impl QuerySession {
     }
 
     /// Seals a streaming session: the tail region is scanned, the
-    /// incrementally fed partition store is refined into a
+    /// incrementally fed partition sink is refined into a
     /// [`PartitionIndex`] and installed in the session cache (no
     /// re-scan — the cache is *extended*, not invalidated), and the
     /// session dataset becomes the sealed zero-copy view. Join-class
@@ -574,9 +563,10 @@ impl QuerySession {
 
     /// Fault-isolated execution core shared by [`QuerySession::run`]
     /// and the scheduler: the shared scan runs over the `shards`-way
-    /// layout when `shards > 1` on a sealed dataset, over the whole
-    /// file otherwise. Streaming sessions mid-ingest never shard — the
-    /// queryable prefix moves under the layout.
+    /// layout when one is wanted ([`ShardSet::wanted`]) on a sealed
+    /// dataset, over the whole file otherwise. Streaming sessions
+    /// mid-ingest never shard — the queryable prefix moves under the
+    /// layout.
     pub(crate) fn run_isolated_core(
         &self,
         queries: &[Query],
@@ -584,7 +574,7 @@ impl QuerySession {
         shards: usize,
     ) -> Result<(Vec<QueryOutcome>, BatchStats)> {
         self.guard_lifecycle(queries)?;
-        let set = if shards > 1 && self.ingest.is_none() {
+        let set = if ShardSet::wanted(self.dataset.format(), shards) && self.ingest.is_none() {
             Some(self.shard_set(shards, token)?)
         } else {
             None
@@ -619,10 +609,9 @@ impl QuerySession {
 /// The partition-pass sink: one side-agnostic index that serves every
 /// join spec.
 fn partition_sink(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
-    let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
     Box::new(PartitionAgg {
-        grid,
-        store: ArrayStore::new(grid.num_cells()),
+        grid: GridSpec::new(cfg.grid_extent, cfg.cell_deg),
+        scattered: Vec::new(),
     })
 }
 
@@ -635,9 +624,9 @@ fn seal_index(
     sink: Box<dyn AggregateSink>,
     token: Option<&CancelToken>,
 ) -> Result<PartitionIndex> {
-    let PartitionAgg { grid, store } = downcast_sink(sink);
+    let PartitionAgg { grid, scattered } = downcast_sink(sink);
     let started = Instant::now();
-    let map = PartitionMap::adaptive(&grid, &store, &engine.config().adaptive);
+    let map = PartitionMap::build(&grid, scattered, &engine.config().adaptive);
     let refine = started.elapsed();
     let xml_table = if dataset.format() == Format::OsmXml {
         Some(Arc::new(engine.xml_geometry_table(dataset, token)?))
@@ -645,7 +634,6 @@ fn seal_index(
         None
     };
     Ok(PartitionIndex {
-        store,
         map,
         refine,
         xml_table,
@@ -655,32 +643,26 @@ fn seal_index(
 /// Runs the flattened (query × partition) join fan-out: one shared
 /// job cursor over every pair, so cheap queries never serialise the
 /// pool behind expensive ones. Each task reports its own duration for
-/// per-query attribution. Only **occupied** slots are fanned out —
-/// on the default (sparse) grid the vast majority of slots are empty,
-/// and dispatching + clocking a task per empty slot used to cost more
-/// than the whole join pass; an empty slot can only contribute the
-/// empty `SlotResult`, which the fold ignores.
-#[allow(clippy::too_many_arguments)]
+/// per-query attribution. Every slot of the map holds entries, so
+/// none is dispatched for nothing.
 fn run_join_grid(
     engine: &Engine,
-    store: &ArrayStore,
     map: &PartitionMap,
     specs: &[JoinSpec],
     reparse: &Reparser<'_>,
     cache: &ReparseCache,
     options: &JoinOptions,
     token: Option<&CancelToken>,
-    slots: &[usize],
 ) -> std::result::Result<Vec<Vec<(Duration, SlotResult)>>, JobFault> {
     run_grid_on(
         engine.pool(),
         specs.len(),
-        slots.len(),
+        map.num_slots(),
         options.threads,
         token,
-        |q, i| {
+        |q, slot| {
             let started = Instant::now();
-            let r = join_partition(store, map, slots[i], &specs[q], reparse, cache, options);
+            let r = join_partition(map, slot, &specs[q], reparse, cache, options);
             (started.elapsed(), r)
         },
     )
@@ -863,10 +845,9 @@ fn scan_ranges(
     let mut fold: Option<MultiSink> = None;
     let mut failed: Vec<Option<String>> = vec![None; width];
     for (i, &s) in needed.iter().enumerate() {
-        // The last range takes the plan's fan-out by move (a join
-        // plan's partition sink carries the whole grid skeleton),
-        // unless a panic there could leave a member it does not carry
-        // without any sink.
+        // The last range takes the plan's fan-out by move (saving a
+        // clone of every member sink), unless a panic there could
+        // leave a member it does not carry without any sink.
         let by_move = i + 1 == needed.len() && (fold.is_some() || rides.iter().all(|r| r[s]));
         let proto = if by_move { plan.take() } else { plan.clone() };
         let proto = proto.expect("only the last range takes the plan");
@@ -1043,17 +1024,14 @@ fn finish_batch(
         // several queries (or replicated into several partitions)
         // parse once.
         let shared_cache = ReparseCache::new(options.sort_batch);
-        let occupied = index.map.occupied_slots(&index.store);
         let grid = run_join_grid(
             engine,
-            &index.store,
             &index.map,
             &plan.join_specs,
             reparse.as_ref(),
             &shared_cache,
             &options,
             token,
-            &occupied,
         );
         let grid = match grid {
             Ok(per_query) => per_query,
@@ -1478,11 +1456,10 @@ mod tests {
     }
 
     #[test]
-    fn restored_multi_shard_xml_layout_is_rebuilt_as_one_shard() {
-        // A v2 snapshot may hold an XML layout of several shards; a
-        // byte range of XML cannot be scanned alone, so the session
-        // must skip that layout and rebuild the one-shard layout on
-        // demand.
+    fn restored_multi_shard_xml_layout_is_neither_used_nor_rebuilt() {
+        // A snapshot may hold an XML layout of several shards; a byte
+        // range of XML cannot be scanned alone, so the session must
+        // skip that layout, and a sharded run over XML builds none.
         let _gate = crate::testutil::serialised();
         let root = std::env::temp_dir().join(format!(
             "atgis-batch-unit-{}-xml-layout",
@@ -1534,10 +1511,9 @@ mod tests {
             .unwrap();
         assert!(out.shard_stats().is_none(), "XML scatters nothing");
         assert_eq!(out.collapse().unwrap(), single);
-        assert_eq!(
-            recover(session.shard_sets.lock()).get(&4).map(|s| s.len()),
-            Some(1),
-            "the rebuilt layout is one shard"
+        assert!(
+            recover(session.shard_sets.lock()).is_empty(),
+            "no XML layout is built"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

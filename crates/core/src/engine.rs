@@ -7,7 +7,7 @@ use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on, run_indexed_on, FoldStats};
 use crate::join::Reparser;
-use crate::partition::{AdaptiveConfig, ArrayStore, GridSpec, PartEntry};
+use crate::partition::{AdaptiveConfig, GridSpec, PartEntry};
 use crate::pipeline::{FatGeoJsonFrag, QueryAggregate};
 use crate::pool::WorkerPool;
 use crate::query::{FilterStrategy, Query};
@@ -239,7 +239,7 @@ impl Engine {
         opts: &ExecOptions,
     ) -> Result<RunOutcome> {
         let token = opts.effective_token();
-        let set = if opts.shards > 1 {
+        let set = if ShardSet::wanted(dataset.format(), opts.shards) {
             Some(ShardSet::build(self, dataset, opts.shards, token.as_ref())?)
         } else {
             None
@@ -672,25 +672,26 @@ fn parse_marker_block(
 }
 
 /// The join partition pass: bounds geometries and scatters them into
-/// grid cells inside the associative scan, building one side-agnostic
-/// index that every join-class query of a batch reads; sides resolve
-/// per query at join time.
+/// grid cells inside the associative scan — one `(cell, entry)` pair
+/// per cell an entry touches, in document order — for the one
+/// side-agnostic index ([`crate::partition::PartitionMap::build`])
+/// that every join-class query of a batch reads; sides resolve per
+/// query at join time.
 #[derive(Clone)]
 pub(crate) struct PartitionAgg {
     pub(crate) grid: GridSpec,
-    pub(crate) store: ArrayStore,
+    pub(crate) scattered: Vec<(usize, PartEntry)>,
 }
 
 impl QueryAggregate for PartitionAgg {
     fn absorb(&mut self, f: &RawFeature) {
         let entry = PartEntry::from_feature(f);
-        for cell in self.grid.cells_for(&entry.mbr) {
-            self.store.push(cell, entry);
-        }
+        let cells = self.grid.cells_for(&entry.mbr);
+        self.scattered.extend(cells.map(|cell| (cell, entry)));
     }
 
-    fn combine(mut self, other: Self) -> Self {
-        self.store = self.store.merge(other.store);
+    fn combine(mut self, mut other: Self) -> Self {
+        self.scattered.append(&mut other.scattered);
         self
     }
 }

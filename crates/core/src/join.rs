@@ -20,7 +20,7 @@
 //!    partitions can match repeatedly; pairs are sorted by offsets and
 //!    deduplicated before the result returns (§4.5).
 
-use crate::partition::{ArrayStore, PartEntry, PartitionMap};
+use crate::partition::{PartEntry, PartitionMap};
 use crate::pool::recover;
 use crate::result::JoinPair;
 use crate::stats::JoinDecisions;
@@ -241,7 +241,6 @@ pub(crate) fn fold_slot_results(
 /// partition was trivially empty on one side) and the partition's
 /// density.
 pub(crate) fn join_partition(
-    store: &ArrayStore,
     map: &PartitionMap,
     slot: usize,
     spec: &JoinSpec,
@@ -252,18 +251,20 @@ pub(crate) fn join_partition(
     let sort_batch = options.sort_batch;
     let mut lefts: Vec<PartEntry> = Vec::new();
     let mut rights: Vec<PartEntry> = Vec::new();
-    map.for_each_entry(store, slot, |e| {
+    for e in map.slot_entries(slot) {
         if e.id < spec.threshold {
             lefts.push(*e);
         } else {
             rights.push(*e);
         }
-    });
+    }
     // Partition density: total entries over the owned region's area
-    // (0 when the map has no grid geometry to derive areas from).
-    let density = match map.slot_area(slot) {
-        Some(area) if area > 0.0 => (lefts.len() + rights.len()) as f64 / area,
-        _ => 0.0,
+    // (0 for a degenerate region).
+    let area = map.slot_area(slot);
+    let density = if area > 0.0 {
+        (lefts.len() + rights.len()) as f64 / area
+    } else {
+        0.0
     };
     if lefts.is_empty() || rights.is_empty() {
         return Ok((Vec::new(), None, density));
@@ -280,15 +281,13 @@ pub(crate) fn join_partition(
     // partitions is kept only by the slot owning the bottom-left
     // corner of the MBR intersection, so re-parsing and refinement run
     // once per pair instead of once per copy.
-    if map.supports_owner_filter() {
-        candidates.retain(|(l, r)| {
-            map.owns_point(
-                slot,
-                l.mbr.min_x.max(r.mbr.min_x),
-                l.mbr.min_y.max(r.mbr.min_y),
-            )
-        });
-    }
+    candidates.retain(|(l, r)| {
+        map.owns_point(
+            slot,
+            l.mbr.min_x.max(r.mbr.min_x),
+            l.mbr.min_y.max(r.mbr.min_y),
+        )
+    });
     if candidates.is_empty() {
         return Ok((Vec::new(), Some(choice), density));
     }
@@ -480,7 +479,7 @@ fn mbr_compare(lefts: &[PartEntry], rights: &[PartEntry]) -> Vec<(PartEntry, Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::GridSpec;
+    use crate::partition::{AdaptiveConfig, GridSpec};
     use atgis_geometry::{Mbr, Point, Polygon};
 
     fn entry(id: u64, x: f64, y: f64, size: f64) -> PartEntry {
@@ -517,43 +516,50 @@ mod tests {
     const LEFT_BELOW: u64 = 10;
 
     /// One query's whole join stage, as the batch layer runs it: every
-    /// occupied slot through [`join_partition`] on the shared pool,
-    /// folded by [`fold_slot_results`].
+    /// slot through [`join_partition`] on the shared pool, folded by
+    /// [`fold_slot_results`].
     fn join_all(
-        store: &ArrayStore,
         map: &PartitionMap,
         spec: &JoinSpec,
         reparse: &Reparser<'_>,
         options: JoinOptions,
     ) -> JoinOutcome {
         let cache = ReparseCache::new(options.sort_batch);
-        let slots = map.occupied_slots(store);
         let per_slot = crate::executor::run_indexed_on(
             crate::pool::WorkerPool::global(),
-            slots.len(),
+            map.num_slots(),
             options.threads,
             None,
-            |i| join_partition(store, map, slots[i], spec, reparse, &cache, &options),
+            |slot| join_partition(map, slot, spec, reparse, &cache, &options),
         )
         .unwrap();
         fold_slot_results(map, per_slot.into_iter()).unwrap()
     }
 
-    /// [`join_all`] over the uniform map with a plain threshold spec.
+    /// [`join_all`] with a plain threshold spec.
     fn join_pairs(
-        store: &ArrayStore,
+        map: &PartitionMap,
         reparse: &Reparser<'_>,
         options: JoinOptions,
     ) -> Vec<JoinPair> {
-        let map = PartitionMap::uniform(store);
-        join_all(
-            store,
-            &map,
-            &JoinSpec::threshold(LEFT_BELOW),
-            reparse,
-            options,
-        )
-        .pairs
+        join_all(map, &JoinSpec::threshold(LEFT_BELOW), reparse, options).pairs
+    }
+
+    /// The map with splitting disabled: one slot per non-empty cell.
+    fn uniform(grid: &GridSpec, scattered: Vec<(usize, PartEntry)>) -> PartitionMap {
+        PartitionMap::build(grid, scattered, &AdaptiveConfig::disabled())
+    }
+
+    /// Scatters `poly`'s entry (offset = id) into every cell of `grid`
+    /// it touches.
+    fn scatter(grid: &GridSpec, id: u64, poly: &Polygon, into: &mut Vec<(usize, PartEntry)>) {
+        let e = PartEntry {
+            id,
+            offset: id,
+            len: 0,
+            mbr: poly.mbr(),
+        };
+        into.extend(grid.cells_for(&e.mbr).map(|cell| (cell, e)));
     }
 
     #[test]
@@ -603,12 +609,12 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    fn join_fixture() -> (ArrayStore, HashMap<u64, Polygon>) {
+    fn join_fixture() -> (PartitionMap, HashMap<u64, Polygon>) {
         // Grid of 2 cells; squares 1 and 2 on the left side, 10-12 on
         // the right. Square 1 overlaps 10; square 2 overlaps nothing;
         // square 1 also straddles both cells to create duplicates.
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
-        let mut store = ArrayStore::new(grid.num_cells());
+        let mut scattered = Vec::new();
         let mut squares = HashMap::new();
         for (id, x, y, size) in [
             (1, 1.5, 0.5, 1.0), // straddles cells 0 and 1
@@ -618,37 +624,29 @@ mod tests {
             (12, 0.5, 0.1, 0.2),
         ] {
             let poly = square_at(x, y, size);
-            let e = PartEntry {
-                id,
-                offset: id,
-                len: 0,
-                mbr: poly.mbr(),
-            };
-            for cell in grid.cells_for(&e.mbr) {
-                store.push(cell, e);
-            }
+            scatter(&grid, id, &poly, &mut scattered);
             squares.insert(id, poly);
         }
-        (store, squares)
+        (uniform(&grid, scattered), squares)
     }
 
     #[test]
     fn pbsm_join_finds_pairs_and_dedups() {
-        let (store, squares) = join_fixture();
+        let (map, squares) = join_fixture();
         let reparse = square_reparser(squares);
-        let pairs = join_pairs(&store, &reparse, JoinOptions::default());
+        let pairs = join_pairs(&map, &reparse, JoinOptions::default());
         assert_eq!(pairs.len(), 1, "exactly one intersecting pair: {pairs:?}");
         assert_eq!((pairs[0].left_id, pairs[0].right_id), (1, 10));
     }
 
     #[test]
     fn small_sort_batches_do_not_change_results() {
-        let (store, squares) = join_fixture();
+        let (map, squares) = join_fixture();
         let reparse = square_reparser(squares);
-        let base = join_pairs(&store, &reparse, JoinOptions::default());
+        let base = join_pairs(&map, &reparse, JoinOptions::default());
         for sort_batch in [1, 2, 3] {
             let got = join_pairs(
-                &store,
+                &map,
                 &reparse,
                 JoinOptions {
                     threads: 1,
@@ -661,10 +659,10 @@ mod tests {
 
     #[test]
     fn multithreaded_join_is_deterministic() {
-        let (store, squares) = join_fixture();
+        let (map, squares) = join_fixture();
         let reparse = square_reparser(squares);
         let single = join_pairs(
-            &store,
+            &map,
             &reparse,
             JoinOptions {
                 threads: 1,
@@ -672,7 +670,7 @@ mod tests {
             },
         );
         let multi = join_pairs(
-            &store,
+            &map,
             &reparse,
             JoinOptions {
                 threads: 4,
@@ -684,9 +682,10 @@ mod tests {
 
     #[test]
     fn empty_sides_produce_no_pairs() {
-        let store = ArrayStore::new(4);
+        let grid = GridSpec::new(Mbr::new(0.0, 0.0, 2.0, 2.0), 1.0);
+        let map = uniform(&grid, Vec::new());
         let reparse = square_reparser(HashMap::new());
-        let pairs = join_pairs(&store, &reparse, JoinOptions::default());
+        let pairs = join_pairs(&map, &reparse, JoinOptions::default());
         assert!(pairs.is_empty());
     }
 
@@ -767,7 +766,7 @@ mod tests {
         assert_eq!(use_rtree(8, 8, 1e12), ProbeChoice::Sweep);
         // ...and asymmetry is attributed before density.
         assert_eq!(use_rtree(64, 64 * 8, 1e12), ProbeChoice::RTreeAsymmetry);
-        // An unknown density (0: no grid geometry) never triggers.
+        // An unknown density (0: a degenerate slot region) never triggers.
         assert_eq!(use_rtree(500, 500, 0.0), ProbeChoice::Sweep);
     }
 
@@ -777,18 +776,16 @@ mod tests {
         // threshold the one side-agnostic index joins exactly like a
         // brute-force pass over the squares tagged left (id below the
         // threshold) or right.
-        let (store, squares) = join_fixture();
-        let map = PartitionMap::uniform(&store);
+        let (map, squares) = join_fixture();
         let ids: Vec<u64> = squares.keys().copied().collect();
         let reparse = square_reparser(squares);
         for threshold in [0, 2, LEFT_BELOW, 11, 13] {
             let spec = JoinSpec::threshold(threshold);
-            let got: Vec<(u64, u64)> =
-                join_all(&store, &map, &spec, &reparse, JoinOptions::default())
-                    .pairs
-                    .iter()
-                    .map(|p| (p.left_id, p.right_id))
-                    .collect();
+            let got: Vec<(u64, u64)> = join_all(&map, &spec, &reparse, JoinOptions::default())
+                .pairs
+                .iter()
+                .map(|p| (p.left_id, p.right_id))
+                .collect();
             let mut want = Vec::new();
             for &l in ids.iter().filter(|&&id| id < threshold) {
                 for &r in ids.iter().filter(|&&id| id >= threshold) {
@@ -806,18 +803,17 @@ mod tests {
 
     #[test]
     fn refine_stage_perimeter_bounds_filter_pairs() {
-        let (store, squares) = join_fixture();
+        let (map, squares) = join_fixture();
         let reparse = square_reparser(squares);
-        let map = PartitionMap::uniform(&store);
         let options = JoinOptions {
             sort_batch: 64,
             ..JoinOptions::default()
         };
         let spec = JoinSpec::threshold(LEFT_BELOW);
-        let unfiltered = join_all(&store, &map, &spec, &reparse, options);
+        let unfiltered = join_all(&map, &spec, &reparse, options);
         assert!(!unfiltered.pairs.is_empty());
         let strict = spec.with_perimeter_bounds(Some(1e12), None);
-        let filtered = join_all(&store, &map, &strict, &reparse, options);
+        let filtered = join_all(&map, &strict, &reparse, options);
         assert!(
             filtered.pairs.is_empty(),
             "an impossible left bound rejects every pair"
@@ -833,7 +829,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
-        let mut store = ArrayStore::new(grid.num_cells());
+        let mut scattered = Vec::new();
         let mut squares = HashMap::new();
         let threshold = 10_000;
         let few = RTREE_MIN_SMALL_SIDE as u64;
@@ -850,15 +846,7 @@ mod tests {
                     rng.gen_range(0.0..1.5),
                     rng.gen_range(0.02..0.3),
                 );
-                let e = PartEntry {
-                    id,
-                    offset: id,
-                    len: 0,
-                    mbr: poly.mbr(),
-                };
-                for cell in grid.cells_for(&e.mbr) {
-                    store.push(cell, e);
-                }
+                scatter(&grid, id, &poly, &mut scattered);
                 squares.insert(id, poly);
             }
         }
@@ -875,10 +863,9 @@ mod tests {
         }
         want.sort_unstable();
         assert!(!want.is_empty(), "fixture must produce pairs");
-        let map = PartitionMap::uniform(&store);
+        let map = uniform(&grid, scattered);
         let reparse = square_reparser(squares);
         let out = join_all(
-            &store,
             &map,
             &JoinSpec::threshold(threshold),
             &reparse,
@@ -890,11 +877,11 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A skewed store: one hot cell packed with overlapping squares on
+    /// A skewed input: one hot cell packed with overlapping squares on
     /// both sides, ids below 30 on the left.
-    fn skewed_fixture() -> (GridSpec, ArrayStore, HashMap<u64, Polygon>) {
+    fn skewed_fixture() -> (GridSpec, Vec<(usize, PartEntry)>, HashMap<u64, Polygon>) {
         let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 2.0), 2.0);
-        let mut store = ArrayStore::new(grid.num_cells());
+        let mut scattered = Vec::new();
         let mut squares = HashMap::new();
         // Even positions are the left side: ids below 30.
         for i in 0..60u64 {
@@ -902,29 +889,20 @@ mod tests {
             let x = (i % 10) as f64 * 0.18;
             let y = (i / 10) as f64 * 0.3;
             let poly = square_at(x, y, 0.25);
-            let e = PartEntry {
-                id,
-                offset: id,
-                len: 0,
-                mbr: poly.mbr(),
-            };
-            for cell in grid.cells_for(&e.mbr) {
-                store.push(cell, e);
-            }
+            scatter(&grid, id, &poly, &mut scattered);
             squares.insert(id, poly);
         }
-        (grid, store, squares)
+        (grid, scattered, squares)
     }
 
     #[test]
     fn adaptive_map_join_agrees_with_uniform() {
-        use crate::partition::AdaptiveConfig;
-        let (grid, store, squares) = skewed_fixture();
+        let (grid, scattered, squares) = skewed_fixture();
         let reparse = square_reparser(squares);
-        let uniform = PartitionMap::uniform(&store);
-        let adaptive = PartitionMap::adaptive(
+        let unsplit = uniform(&grid, scattered.clone());
+        let adaptive = PartitionMap::build(
             &grid,
-            &store,
+            scattered,
             &AdaptiveConfig {
                 target_per_cell: 8,
                 ..AdaptiveConfig::default()
@@ -932,8 +910,8 @@ mod tests {
         );
         assert!(adaptive.stats().split_cells > 0, "{:?}", adaptive.stats());
         let spec = JoinSpec::threshold(30);
-        let a = join_all(&store, &uniform, &spec, &reparse, JoinOptions::default());
-        let b = join_all(&store, &adaptive, &spec, &reparse, JoinOptions::default());
+        let a = join_all(&unsplit, &spec, &reparse, JoinOptions::default());
+        let b = join_all(&adaptive, &spec, &reparse, JoinOptions::default());
         assert_eq!(a.pairs, b.pairs);
         assert!(!a.pairs.is_empty(), "fixture must produce pairs");
         assert_eq!(
@@ -962,13 +940,12 @@ mod tests {
 
     #[test]
     fn a_join_reparses_each_distinct_object_once() {
-        use crate::partition::AdaptiveConfig;
         // The adaptive map replicates the hot cell's squares into its
         // sub-slots, so the same objects are candidates in many slots.
-        let (grid, store, squares) = skewed_fixture();
-        let map = PartitionMap::adaptive(
+        let (grid, scattered, squares) = skewed_fixture();
+        let map = PartitionMap::build(
             &grid,
-            &store,
+            scattered,
             &AdaptiveConfig {
                 target_per_cell: 8,
                 ..AdaptiveConfig::default()
@@ -981,7 +958,7 @@ mod tests {
             threads: 1,
             ..JoinOptions::default()
         };
-        let outcome = join_all(&store, &map, &JoinSpec::threshold(30), &reparse, options);
+        let outcome = join_all(&map, &JoinSpec::threshold(30), &reparse, options);
         assert!(!outcome.pairs.is_empty());
         let counts = counts.lock().unwrap();
         for p in &outcome.pairs {

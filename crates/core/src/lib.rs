@@ -81,7 +81,7 @@
 //!   session's stream buffer while a partition sink rides the
 //!   incremental scan and single-pass queries answer over the
 //!   feature-complete prefix; **seal** (`finish`) refines the
-//!   incrementally-fed store into the partition index with no extra
+//!   incrementally-fed sink into the partition index with no extra
 //!   pass; **query** — join-class traffic then serves from the warm
 //!   cache exactly as in a pinned session. Results are bit-identical
 //!   to per-query execution in both lifecycles.
@@ -126,12 +126,14 @@
 //!   `atgis-formats` composed with query aggregates (Fig. 6's
 //!   stages), including the streaming vs buffered filter trade-off of
 //!   Fig. 7.
-//! * [`partition`] — spatial grid partitioning with array- and
-//!   list-backed stores (§4.4's data-structure trade-off), plus the
-//!   **skew-adaptive two-level partition map**: per-cell load
-//!   statistics recursively split hot cells into sub-grids so
-//!   clustered data (Fig. 14) cannot serialise the join, with
-//!   reference-point filtering keeping exactly one copy of every
+//! * [`partition`] — spatial grid partitioning into **one flat
+//!   index**: the scan appends `(cell, entry)` pairs in document
+//!   order, and sealing sorts them once, so every non-empty cell is a
+//!   contiguous range of one entry array (empty cells cost nothing).
+//!   Hot cells are recursively split into sub-grids whose sub-slots
+//!   are ranges of the same array, so clustered data (Fig. 14) cannot
+//!   serialise the join, and each slot's ownership chain drives the
+//!   reference-point filter that keeps exactly one copy of every
 //!   replicated candidate pair.
 //! * [`join`] — the two-pass PBSM join pipeline of Fig. 8 (MBR
 //!   compare → sort → re-parse/buffer → refine → dedup), with a

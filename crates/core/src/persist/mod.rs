@@ -347,7 +347,7 @@ impl PersistStore {
 mod tests {
     use super::*;
     use crate::batch::{IndexKey, PartitionIndex};
-    use crate::partition::{AdaptiveConfig, ArrayStore, PartEntry, PartitionMap};
+    use crate::partition::{AdaptiveConfig, GridSpec, PartEntry, PartitionMap};
     use crate::result::{AggregateValues, QueryResult};
     use crate::scheduler::{QueryKey, RegionKey};
     use crate::shard::{Shard, ShardSet};
@@ -492,18 +492,22 @@ mod tests {
             shard_cuts in prop::collection::vec(0u64..10_000, 0..6),
             generation in 1u64..100,
         ) {
-            let mut store = ArrayStore::new(4);
-            for (i, (id, offset, len, x, y, size)) in entries.iter().enumerate() {
-                store.push(i % 4, PartEntry {
-                    id: *id,
-                    offset: *offset,
-                    len: *len,
-                    mbr: Mbr::new(*x, *y, *x + *size, *y + *size),
-                });
-            }
+            let grid = GridSpec::new(Mbr::new(-10.0, -10.0, 15.0, 15.0), 5.0);
+            let scattered = entries
+                .iter()
+                .flat_map(|(id, offset, len, x, y, size)| {
+                    let e = PartEntry {
+                        id: *id,
+                        offset: *offset,
+                        len: *len,
+                        mbr: Mbr::new(*x, *y, *x + *size, *y + *size),
+                    };
+                    grid.cells_for(&e.mbr).map(move |c| (c, e))
+                })
+                .collect();
+            let cfg = AdaptiveConfig { target_per_cell: 4, ..AdaptiveConfig::default() };
             let index = PartitionIndex {
-                map: PartitionMap::uniform(&store),
-                store,
+                map: PartitionMap::build(&grid, scattered, &cfg),
                 refine: std::time::Duration::from_nanos(generation),
                 xml_table: None,
             };

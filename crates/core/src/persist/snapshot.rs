@@ -13,6 +13,13 @@
 //! per section: id u16 | payload_len u64 | payload checksum u64 | payload
 //! ```
 //!
+//! A partition index is its map, written flat: the base grid, the
+//! entry array once, then per slot its entry range and its ownership
+//! chain (the base `(grid, cell)` first), then the map stats. The
+//! ranges tile the entry array in order, every range is non-empty,
+//! every chain is non-empty and names cells inside its grids, and the
+//! first link's grid is the map's — decode rejects anything else.
+//!
 //! Every region is covered by a checksum (the header by its own, each
 //! section payload by its own), so a torn write, a bit flip or a
 //! truncation surfaces as a structured [`PersistError`] — decode
@@ -25,7 +32,7 @@ use super::codec::{fnv1a, Reader, Writer};
 use super::PersistError;
 use crate::batch::{IndexKey, PartitionIndex};
 use crate::partition::{
-    AdaptiveConfig, ArrayStore, GridSpec, PartEntry, PartitionMap, PartitionMapStats, Slot,
+    AdaptiveConfig, GridSpec, PartEntry, PartitionMap, PartitionMapStats, Slot,
 };
 use crate::result::QueryResult;
 use crate::result::{AggregateValues, JoinPair, MatchRecord};
@@ -42,8 +49,10 @@ const MAGIC: [u8; 4] = *b"ATGS";
 /// Current format version. Bump on any layout change; a mismatched
 /// snapshot is ignored (cold parse), never misread. Version 2 dropped
 /// the index key's store/phase tags, the store tag with its list-store
-/// layout, and the per-entry join-side byte.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// layout, and the per-entry join-side byte. Version 3 writes the
+/// partition index flat — one entry array, slot ranges and chains —
+/// instead of a per-cell store and tagged base/refined slots.
+pub const SNAPSHOT_VERSION: u16 = 3;
 /// Fixed header size: magic + version + generation + dataset_len +
 /// fingerprint + header checksum.
 const HEADER_LEN: usize = 4 + 2 + 8 + 8 + 8 + 8;
@@ -164,13 +173,6 @@ fn encode_index_key(w: &mut Writer, key: &IndexKey) {
 }
 
 fn encode_partition_index(w: &mut Writer, index: &PartitionIndex) {
-    w.count(index.store.cells.len());
-    for cell in &index.store.cells {
-        w.count(cell.len());
-        for e in cell {
-            encode_part_entry(w, e);
-        }
-    }
     encode_partition_map(w, &index.map);
     w.u64(index.refine.as_nanos().min(u128::from(u64::MAX)) as u64);
     match &index.xml_table {
@@ -209,32 +211,19 @@ fn encode_grid(w: &mut Writer, g: &GridSpec) {
 }
 
 fn encode_partition_map(w: &mut Writer, map: &PartitionMap) {
-    match &map.grid {
-        Some(g) => {
-            w.bool(true);
-            encode_grid(w, g);
-        }
-        None => w.bool(false),
+    encode_grid(w, &map.grid);
+    w.count(map.entries.len());
+    for e in &map.entries {
+        encode_part_entry(w, e);
     }
     w.count(map.slots.len());
     for slot in &map.slots {
-        match slot {
-            Slot::Base(cell) => {
-                w.u8(0);
-                w.u64(*cell as u64);
-            }
-            Slot::Refined { entries, chain } => {
-                w.u8(1);
-                w.count(entries.len());
-                for e in entries {
-                    encode_part_entry(w, e);
-                }
-                w.count(chain.len());
-                for (spec, cell) in chain {
-                    encode_grid(w, spec);
-                    w.u64(*cell as u64);
-                }
-            }
+        w.u64(slot.range.start as u64);
+        w.u64(slot.range.end as u64);
+        w.count(slot.chain.len());
+        for (spec, cell) in &slot.chain {
+            encode_grid(w, spec);
+            w.u64(*cell as u64);
         }
     }
     let s = map.stats;
@@ -549,10 +538,17 @@ fn decode_index_key(r: &mut Reader<'_>) -> Result<IndexKey, PersistError> {
 const PART_ENTRY_LEN: usize = 8 + 8 + 4 + 32;
 
 /// Encoded size of the smallest index entry: the key (cell size,
-/// extent, four adaptive knobs), an empty store (cell count), a map
-/// with no grid and no slots (grid flag, slot count, five stats), the
-/// refine time and the XML-table flag.
-const MIN_INDEX_ENTRY_LEN: usize = (8 + 32 + 32) + 4 + (1 + 4 + 40) + 8 + 1;
+/// extent, four adaptive knobs), a map with no entries and no slots
+/// (grid, entry count, slot count, five stats), the refine time and
+/// the XML-table flag.
+const MIN_INDEX_ENTRY_LEN: usize = (8 + 32 + 32) + (GRID_LEN + 4 + 4 + 40) + 8 + 1;
+
+/// Encoded size of a [`GridSpec`]: extent + cell size.
+const GRID_LEN: usize = 32 + 8;
+
+/// Encoded size of the smallest slot: its range and an empty chain
+/// (rejected once read, but syntactically whole).
+const MIN_SLOT_LEN: usize = 8 + 8 + 4;
 
 fn decode_part_entry(r: &mut Reader<'_>) -> Result<PartEntry, PersistError> {
     Ok(PartEntry {
@@ -575,27 +571,28 @@ fn decode_mbr(r: &mut Reader<'_>) -> Result<Mbr, PersistError> {
 fn decode_grid(r: &mut Reader<'_>) -> Result<GridSpec, PersistError> {
     let extent = decode_mbr(r)?;
     let cell_deg = r.f64("grid cell size")?;
-    // GridSpec arithmetic divides by the cell size; a snapshot can
-    // only hold grids a running engine actually built.
+    // GridSpec arithmetic divides by the cell size and multiplies the
+    // dimensions; a snapshot can only hold grids a running engine
+    // actually built.
     if !(cell_deg.is_finite() && cell_deg > 0.0) {
         return Err(PersistError::Malformed {
             what: "grid cell size",
             detail: format!("{cell_deg}"),
         });
     }
-    Ok(GridSpec { extent, cell_deg })
+    let grid = GridSpec { extent, cell_deg };
+    let (nx, ny) = grid.dims();
+    if nx.checked_mul(ny).is_none() {
+        return Err(PersistError::Malformed {
+            what: "grid dimensions",
+            detail: format!("{nx} × {ny} cells"),
+        });
+    }
+    Ok(grid)
 }
 
 fn decode_partition_index(r: &mut Reader<'_>) -> Result<PartitionIndex, PersistError> {
-    let cells = r.count(4, "store cells")?;
-    let mut store = ArrayStore::new(cells);
-    for cell in 0..cells {
-        let n = r.count(PART_ENTRY_LEN, "store entries")?;
-        for _ in 0..n {
-            store.push(cell, decode_part_entry(r)?);
-        }
-    }
-    let map = decode_partition_map(r, cells)?;
+    let map = decode_partition_map(r)?;
     let refine = Duration::from_nanos(r.u64("refine nanos")?);
     let xml_table = if r.bool("xml table flag")? {
         let n = r.count(8 + 1, "xml table entries")?;
@@ -610,61 +607,58 @@ fn decode_partition_index(r: &mut Reader<'_>) -> Result<PartitionIndex, PersistE
         None
     };
     Ok(PartitionIndex {
-        store,
         map,
         refine,
         xml_table,
     })
 }
 
-fn decode_partition_map(
-    r: &mut Reader<'_>,
-    num_cells: usize,
-) -> Result<PartitionMap, PersistError> {
-    let grid = if r.bool("map grid flag")? {
-        Some(decode_grid(r)?)
-    } else {
-        None
-    };
-    let slots = r.count(1 + 8, "map slots")?;
-    let mut rebuilt = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        match r.u8("slot tag")? {
-            0 => {
-                let cell = r.usize("base slot cell")?;
-                // A base slot reads straight from the store: an
-                // out-of-range cell would index past the store's
-                // vectors at query time.
-                if cell >= num_cells {
-                    return Err(PersistError::Malformed {
-                        what: "base slot cell",
-                        detail: format!("cell {cell} of {num_cells}"),
-                    });
-                }
-                rebuilt.push(Slot::Base(cell));
-            }
-            1 => {
-                let n = r.count(PART_ENTRY_LEN, "refined slot entries")?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(decode_part_entry(r)?);
-                }
-                let links = r.count(40 + 8, "refined slot chain")?;
-                let mut chain = Vec::with_capacity(links);
-                for _ in 0..links {
-                    let spec = decode_grid(r)?;
-                    let cell = r.usize("chain cell")?;
-                    chain.push((spec, cell));
-                }
-                rebuilt.push(Slot::Refined { entries, chain });
-            }
-            v => {
-                return Err(PersistError::Malformed {
-                    what: "slot tag",
-                    detail: format!("tag {v}"),
-                })
-            }
+fn decode_partition_map(r: &mut Reader<'_>) -> Result<PartitionMap, PersistError> {
+    let malformed = |what, detail| Err(PersistError::Malformed { what, detail });
+    let grid = decode_grid(r)?;
+    let n = r.count(PART_ENTRY_LEN, "map entries")?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(decode_part_entry(r)?);
+    }
+    let n = r.count(MIN_SLOT_LEN, "map slots")?;
+    let mut slots = Vec::with_capacity(n);
+    // The join slices the entry array by these ranges and filters
+    // pairs by these chains: a range must start where the previous
+    // one ended, and a chain must own a region of the map's grid, or
+    // the slot's pairs would index out of bounds or silently vanish.
+    let mut end = 0;
+    for _ in 0..n {
+        let range = r.usize("slot start")?..r.usize("slot end")?;
+        if range.start != end || range.is_empty() || range.end > entries.len() {
+            let detail = format!("{range:?} after {end} of {} entries", entries.len());
+            return malformed("slot range", detail);
         }
+        end = range.end;
+        let links = r.count(GRID_LEN + 8, "slot chain")?;
+        if links == 0 {
+            return malformed("slot chain", "empty".into());
+        }
+        let mut chain = Vec::with_capacity(links);
+        for _ in 0..links {
+            let spec = decode_grid(r)?;
+            let cell = r.usize("chain cell")?;
+            if cell >= spec.num_cells() {
+                let detail = format!("cell {cell} of {}", spec.num_cells());
+                return malformed("chain cell", detail);
+            }
+            chain.push((spec, cell));
+        }
+        if chain[0].0 != grid {
+            return malformed("slot chain", "the first link is not the map's grid".into());
+        }
+        slots.push(Slot { range, chain });
+    }
+    if end != entries.len() {
+        return malformed(
+            "slot ranges",
+            format!("end at {end} of {} entries", entries.len()),
+        );
     }
     let stats = PartitionMapStats {
         base_cells: r.u64("map stats")?,
@@ -675,7 +669,8 @@ fn decode_partition_map(
     };
     Ok(PartitionMap {
         grid,
-        slots: rebuilt,
+        entries,
+        slots,
         stats,
     })
 }
@@ -936,11 +931,10 @@ mod tests {
         assert_eq!(w.bytes().len(), PART_ENTRY_LEN);
 
         // The smallest index entry a running engine can write: no
-        // cells, no slots, no grid, no XML table.
-        let store = ArrayStore::new(0);
+        // entries, no slots, no XML table.
+        let grid = GridSpec::new(Mbr::new(0.0, 0.0, 1.0, 1.0), 1.0);
         let index = PartitionIndex {
-            map: PartitionMap::uniform(&store),
-            store,
+            map: PartitionMap::build(&grid, Vec::new(), &AdaptiveConfig::default()),
             refine: Duration::ZERO,
             xml_table: None,
         };
@@ -960,6 +954,92 @@ mod tests {
             decode_indexes(&mut Reader::new(short)),
             Err(PersistError::Truncated {
                 what: "index entries",
+                ..
+            })
+        ));
+    }
+
+    /// A valid map: three entries in three slots of a 4 × 1 grid.
+    fn valid_map() -> PartitionMap {
+        let grid = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 1.0), 1.0);
+        let scattered = (0..3u64)
+            .map(|id| {
+                let x = id as f64 + 0.25;
+                let e = PartEntry {
+                    id,
+                    offset: id,
+                    len: 1,
+                    mbr: Mbr::new(x, 0.25, x + 0.5, 0.75),
+                };
+                (id as usize, e)
+            })
+            .collect();
+        PartitionMap::build(&grid, scattered, &AdaptiveConfig::default())
+    }
+
+    /// Decodes a whole snapshot file holding `map` as its one index;
+    /// `encode` computes every checksum, so only the map is wrong.
+    fn round_trip(map: PartitionMap) -> Result<Snapshot, PersistError> {
+        let index = PartitionIndex {
+            map,
+            refine: Duration::ZERO,
+            xml_table: None,
+        };
+        let key = IndexKey {
+            cell_deg: 1.0f64.to_bits(),
+            extent: [0; 4],
+            adaptive: AdaptiveConfig::default(),
+        };
+        decode(&encode(&Snapshot {
+            generation: 1,
+            dataset_len: 0,
+            fingerprint: 0,
+            indexes: vec![(key, Arc::new(index))],
+            shard_sets: Vec::new(),
+            aggregates: Vec::new(),
+        }))
+    }
+
+    #[test]
+    fn crafted_slot_ranges_and_chains_are_malformed() {
+        assert_eq!(valid_map().slots.len(), 3);
+        assert!(round_trip(valid_map()).is_ok());
+        /// One way to break a valid map, named for the failure report.
+        type Craft = (&'static str, fn(&mut PartitionMap));
+        let crafts: [Craft; 9] = [
+            ("range past the entries", |m| m.slots[2].range = 2..4),
+            ("overlapping ranges", |m| m.slots[1].range = 0..2),
+            ("a gap between ranges", |m| m.slots[1].range = 2..3),
+            ("an empty range", |m| m.slots[1].range = 1..1),
+            ("entries outside every range", |m| {
+                m.slots.pop();
+            }),
+            ("an empty chain", |m| m.slots[0].chain.clear()),
+            ("a base cell past the grid", |m| m.slots[0].chain[0].1 = 4),
+            ("a sub-cell past its grid", |m| {
+                let sub = GridSpec::new(Mbr::new(0.0, 0.0, 1.0, 1.0), 0.5);
+                m.slots[0].chain.push((sub, 4));
+            }),
+            ("a first link off the map's grid", |m| {
+                m.slots[0].chain[0].0 = GridSpec::new(Mbr::new(0.0, 0.0, 4.0, 1.0), 2.0);
+            }),
+        ];
+        for (what, craft) in crafts {
+            let mut map = valid_map();
+            craft(&mut map);
+            let decoded = round_trip(map);
+            assert!(
+                matches!(decoded, Err(PersistError::Malformed { .. })),
+                "{what}: {decoded:?}"
+            );
+        }
+        // A grid whose cell count overflows is malformed too.
+        let mut map = valid_map();
+        map.grid = GridSpec::new(Mbr::new(0.0, 0.0, 1e300, 1e300), 1e-300);
+        assert!(matches!(
+            round_trip(map),
+            Err(PersistError::Malformed {
+                what: "grid dimensions",
                 ..
             })
         ));

@@ -37,7 +37,8 @@
 //! marker bytes by design, inside a shard as in a whole-file scan.
 //! OSM XML is the exception: a way or relation needs the node table
 //! of the whole document, so a byte range of XML cannot be parsed
-//! alone and an XML dataset is one shard.
+//! alone and an XML dataset is one shard — which is the whole file,
+//! so runs over XML build no layout at all (`ShardSet::wanted`).
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
@@ -135,6 +136,15 @@ impl QueryAggregate for LayoutProbe {
 }
 
 impl ShardSet {
+    /// Whether a run asking for `count` shards over a `format` dataset
+    /// scans by a layout at all: only when more than one shard is
+    /// asked for, and never for OSM XML, whose layout is always the
+    /// whole file — its bounding pass would be a whole extra XML parse
+    /// that buys nothing.
+    pub(crate) fn wanted(format: Format, count: usize) -> bool {
+        count > 1 && format != Format::OsmXml
+    }
+
     /// Splits `dataset` into at most `count` shards, bounded by one
     /// whole-file scan with the engine's own parser. The file is cut
     /// into `count` equal byte buckets; shard k runs from the first

@@ -35,8 +35,8 @@ impl Timings {
 pub struct JoinTimings {
     /// First pass: parse + bound + partition.
     pub partition: Timings,
-    /// Partition-map refinement between the passes (per-cell load
-    /// statistics + hot-cell splitting; zero for the uniform grid).
+    /// Partition-map sealing between the passes (the sort by cell +
+    /// hot-cell splitting).
     pub refine: Duration,
     /// Second pass: MBR compare → sort → re-parse → refine.
     pub join: Timings,

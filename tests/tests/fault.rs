@@ -16,9 +16,9 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use atgis::fault::{self, CancelAfterChunks, FaultAction, FaultInjector};
 use atgis::{
     CancelToken, Dataset, Engine, Error, ExecOptions, Query, QueryError, QueryResult,
-    QueryScheduler, SliceChunkSource,
+    QueryScheduler, QuerySession, SliceChunkSource,
 };
-use atgis_datagen::{write_geojson, OsmGenerator};
+use atgis_datagen::{write_geojson, write_osm_xml, OsmGenerator};
 use atgis_formats::Format;
 use atgis_geometry::Mbr;
 use atgis_tests::{serialised, RunExt, SchedRunExt, StreamRunExt};
@@ -135,6 +135,48 @@ fn armed_executor_panic_is_contained_to_the_batch() {
 
     // Disarmed: the same engine serves the same batch bit-identically.
     assert_eq!(e.execb(&qs, &ds).unwrap(), oracle);
+}
+
+/// A run's answers plus how often `executor.block` fired during it —
+/// one hit per scanned block, so the count tells how many passes the
+/// run made over the input.
+fn answers_and_block_hits(
+    run: impl FnOnce() -> atgis::Result<atgis::RunOutcome>,
+) -> (Vec<QueryResult>, u64) {
+    fault::arm("executor.block", FaultAction::Sleep(Duration::ZERO));
+    let out = run().and_then(|o| o.collapse());
+    let hits = fault::disarm("executor.block");
+    (out.expect("clean run"), hits)
+}
+
+#[test]
+fn sharded_xml_runs_scan_the_input_as_often_as_unsharded_ones() {
+    // An XML layout is always the whole file, so a sharded XML run
+    // must not pay a bounding pass for it: per entry point, the
+    // sharded run scans exactly the blocks the unsharded run does.
+    let _gate = serialised();
+    fault::disarm_all();
+    let e = engine(2);
+    let ds = Dataset::from_bytes(
+        write_osm_xml(&OsmGenerator::new(2111).generate(60)),
+        Format::OsmXml,
+    );
+    let qs = queries(60);
+    let (single, single_hits) = answers_and_block_hits(|| e.run(&qs, &ds, &ExecOptions::new()));
+    assert!(single_hits > 0, "the failpoint never fired");
+    let (sharded, sharded_hits) =
+        answers_and_block_hits(|| e.run(&qs, &ds, &ExecOptions::new().sharded(4)));
+    assert_eq!(sharded_hits, single_hits, "Engine::run");
+    assert_eq!(sharded, single);
+
+    // A session caches its index, so compare two fresh sessions.
+    let session = || QuerySession::new(engine(2), ds.clone());
+    let (plain, session_hits) = answers_and_block_hits(|| session().run(&qs, &ExecOptions::new()));
+    let (sharded, sharded_hits) =
+        answers_and_block_hits(|| session().run(&qs, &ExecOptions::new().sharded(4)));
+    assert_eq!(sharded_hits, session_hits, "QuerySession::run");
+    assert_eq!(plain, single);
+    assert_eq!(sharded, single);
 }
 
 #[test]
